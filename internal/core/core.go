@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/rbac"
 )
 
@@ -197,68 +196,101 @@ type Report struct {
 	SimilarGroupDuration time.Duration `json:"similarGroupsDurationNanos"`
 }
 
-// Analyzer runs the detection framework over one dataset snapshot. The
-// matrices are built once and shared by every detector.
+// Analyzer runs the detection framework over one dataset snapshot.
+// NewAnalyzer copies everything the detectors read: the entity IDs, the
+// dataset's shape, and per side the row sums, the column degrees and
+// the bit-matrix arena of the non-empty rows. The snapshot is the
+// arena; the dataset itself is not retained.
 type Analyzer struct {
-	ds   *rbac.Dataset
-	ruam rowset
-	rpam rowset
+	ids   ids
+	stats rbac.Stats
+	ruam  side
+	rpam  side
 }
 
-// rowset caches a matrix's rows and row sums, plus — built lazily on
-// the first grouping call — the non-empty view the class-4/5 detectors
-// run over: the kept rows, the remap back to dataset row indices, and
-// the bit-matrix arena packing the kept rows. One analysis runs up to
-// two detectors per side (threshold 0 and threshold k) and the filter
-// depends only on the row sums, so caching the view halves the packing
-// work and lets both runs share one arena.
-type rowset struct {
-	rows []*bitvec.Vector
-	sums []int
+// ids holds the entity IDs in dataset index order, mapping detector
+// output (row and column indices) back to the dataset's names.
+type ids struct {
+	users []rbac.UserID
+	roles []rbac.RoleID
+	perms []rbac.PermissionID
+}
 
-	kept  []*bitvec.Vector
+// counts holds one assignment matrix's row sums (per role) and column
+// degrees (per user or permission): all the class-1/2/3 detectors read.
+type counts struct {
+	rowSums []int
+	colDeg  []int
+}
+
+// side is one assignment matrix as the analysis holds it: its counts,
+// the arena packing its non-empty rows, and the remap from arena row
+// back to dataset role index. Grouping runs over the arena only, so
+// disconnected roles (class 2) cannot resurface as one giant class-4
+// group of all-zero rows, and an analysis's threshold-0 and threshold-k
+// runs share one packing.
+type side struct {
+	counts
 	remap []int
 	mat   *bitmat.Matrix
 }
 
-// groupView returns the side's cached non-empty view, building it on
-// first use.
-func (rs *rowset) groupView() ([]*bitvec.Vector, []int, *bitmat.Matrix, error) {
-	if rs.remap == nil {
-		kept := make([]*bitvec.Vector, 0, len(rs.rows))
-		remap := make([]int, 0, len(rs.rows))
-		for i, r := range rs.rows {
-			if rs.sums[i] > 0 {
-				kept = append(kept, r)
-				remap = append(remap, i)
-			}
-		}
-		m, err := bitmat.FromRows(kept)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		rs.kept, rs.remap, rs.mat = kept, remap, m
-	}
-	return rs.kept, rs.remap, rs.mat, nil
-}
-
-// NewAnalyzer snapshots the dataset. Later dataset mutations are not
-// observed.
+// NewAnalyzer snapshots the dataset. Each bit of RUAM and RPAM is
+// written once, straight into its side's arena; later dataset mutations
+// are not observed.
 func NewAnalyzer(d *rbac.Dataset) *Analyzer {
-	a := &Analyzer{ds: d.Clone()}
-	ruam := a.ds.RUAM()
-	rpam := a.ds.RPAM()
-	a.ruam = rowset{rows: make([]*bitvec.Vector, ruam.Rows()), sums: ruam.RowSums()}
-	a.rpam = rowset{rows: make([]*bitvec.Vector, rpam.Rows()), sums: rpam.RowSums()}
-	for i := 0; i < ruam.Rows(); i++ {
-		a.ruam.rows[i] = ruam.Row(i)
-		a.rpam.rows[i] = rpam.Row(i)
+	return &Analyzer{
+		ids:   ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()},
+		stats: d.Stats(),
+		ruam:  packSide(d, false, d.NumUsers()),
+		rpam:  packSide(d, true, d.NumPermissions()),
 	}
-	return a
 }
 
-// Dataset returns the analyzer's snapshot.
-func (a *Analyzer) Dataset() *rbac.Dataset { return a.ds }
+// packSide builds one side of the snapshot in two passes over the
+// roles' assignment sets: the first counts row sums and column degrees,
+// which fix the non-empty rows; the second sets their bits in an arena
+// sized to them.
+func packSide(d *rbac.Dataset, perms bool, cols int) side {
+	n := d.NumRoles()
+	s := side{counts: counts{rowSums: make([]int, n), colDeg: make([]int, cols)}}
+	kept := 0
+	for ri := 0; ri < n; ri++ {
+		forEachCol(d, perms, ri, func(j int) bool {
+			s.rowSums[ri]++
+			s.colDeg[j]++
+			return true
+		})
+		if s.rowSums[ri] > 0 {
+			kept++
+		}
+	}
+	s.remap = make([]int, 0, kept)
+	for ri, sum := range s.rowSums {
+		if sum > 0 {
+			s.remap = append(s.remap, ri)
+		}
+	}
+	s.mat = bitmat.New(kept, cols)
+	for row, ri := range s.remap {
+		forEachCol(d, perms, ri, func(j int) bool {
+			s.mat.Set(row, j)
+			return true
+		})
+	}
+	return s
+}
+
+// forEachCol visits role ri's users, or its permissions when perms is
+// set. Calling the dataset's iterators statically keeps the visitor
+// closures on the stack, so packing allocates nothing per role.
+func forEachCol(d *rbac.Dataset, perms bool, ri int, fn func(j int) bool) {
+	if perms {
+		d.ForEachRolePermission(ri, fn)
+		return
+	}
+	d.ForEachRoleUser(ri, fn)
+}
 
 // Analyze runs every enabled detector and assembles the report.
 func (a *Analyzer) Analyze(opts Options) (*Report, error) {
@@ -284,16 +316,14 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	progress := progressReporter(opts.Progress)
 
 	rep := &Report{
-		Stats:            a.ds.Stats(),
+		Stats:            a.stats,
 		Method:           opts.Method.String(),
 		SimilarThreshold: opts.SimilarThreshold,
 	}
 
 	progress.emit(StageLinearScan, 0)
 	start := time.Now()
-	a.detectStandalone(rep)
-	a.detectDisconnected(rep)
-	a.detectSingle(rep)
+	detectLinear(rep, a.ids, a.ruam.counts, a.rpam.counts)
 	rep.LinearScanDuration = time.Since(start)
 	progress.emit(StageLinearScan, fracLinearEnd)
 
@@ -307,25 +337,22 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	if opts.Workers != 0 {
 		gopts.Workers = opts.Workers
 	}
-	// Disconnected roles (class 2) must not resurface as one giant
-	// class-4 group of all-zero rows; findGroups runs over each side's
-	// cached non-empty view and shared bit-matrix arena.
 	start = time.Now()
 	gopts.Threshold = 0
 	gopts.Progress = progress.span(StageSameUserGroups, fracLinearEnd, fracSameUserEnd)
-	sameUsers, err := a.findGroups(ctx, &a.ruam, gopts)
+	sameUsers, err := findGroups(ctx, &a.ruam, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("same-user groups: %w", err)
 	}
 	progress.emit(StageSameUserGroups, fracSameUserEnd)
 	gopts.Progress = progress.span(StageSamePermissionGroups, fracSameUserEnd, fracSamePermEnd)
-	samePerms, err := a.findGroups(ctx, &a.rpam, gopts)
+	samePerms, err := findGroups(ctx, &a.rpam, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("same-permission groups: %w", err)
 	}
 	progress.emit(StageSamePermissionGroups, fracSamePermEnd)
-	rep.SameUserGroups = a.toRoleGroups(sameUsers)
-	rep.SamePermissionGroups = a.toRoleGroups(samePerms)
+	rep.SameUserGroups = a.ids.roleGroups(sameUsers)
+	rep.SamePermissionGroups = a.ids.roleGroups(samePerms)
 	rep.SameGroupsDuration = time.Since(start)
 
 	if opts.SkipSimilar {
@@ -336,125 +363,87 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	start = time.Now()
 	gopts.Threshold = opts.SimilarThreshold
 	gopts.Progress = progress.span(StageSimilarUserGroups, fracSamePermEnd, fracSimilarUserEnd)
-	similarUsers, err := a.findGroups(ctx, &a.ruam, gopts)
+	similarUsers, err := findGroups(ctx, &a.ruam, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("similar-user groups: %w", err)
 	}
 	progress.emit(StageSimilarUserGroups, fracSimilarUserEnd)
 	gopts.Progress = progress.span(StageSimilarPermissionGroups, fracSimilarUserEnd, fracSimilarPermEnd)
-	similarPerms, err := a.findGroups(ctx, &a.rpam, gopts)
+	similarPerms, err := findGroups(ctx, &a.rpam, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("similar-permission groups: %w", err)
 	}
 	progress.emit(StageSimilarPermissionGroups, fracSimilarPermEnd)
-	rep.SimilarUserGroups = a.toRoleGroups(similarUsers)
-	rep.SimilarPermissionGroups = a.toRoleGroups(similarPerms)
+	rep.SimilarUserGroups = a.ids.roleGroups(similarUsers)
+	rep.SimilarPermissionGroups = a.ids.roleGroups(similarPerms)
 	rep.SimilarGroupDuration = time.Since(start)
 
 	progress.emit(StageDone, 1)
 	return rep, nil
 }
 
-// detectStandalone finds class-1 inefficiencies: all-zero columns in
-// RUAM (users) and RPAM (permissions), and roles whose rows are all-zero
-// in both matrices.
-func (a *Analyzer) detectStandalone(rep *Report) {
-	userDeg := make([]int, a.ds.NumUsers())
-	for _, row := range a.ruam.rows {
-		row.ForEach(func(j int) bool {
-			userDeg[j]++
-			return true
-		})
-	}
-	for ui, deg := range userDeg {
+// detectLinear runs the class-1/2/3 detectors: users and permissions
+// with column degree zero (class 1), roles with a zero row sum on both
+// sides (class 1), on exactly one side (class 2), or a row sum of one
+// (class 3). They read only counts, so the dense and sparse analyses
+// share it.
+func detectLinear(rep *Report, id ids, ruam, rpam counts) {
+	for ui, deg := range ruam.colDeg {
 		if deg == 0 {
-			rep.StandaloneUsers = append(rep.StandaloneUsers, a.ds.User(ui))
+			rep.StandaloneUsers = append(rep.StandaloneUsers, id.users[ui])
 		}
 	}
-	permDeg := make([]int, a.ds.NumPermissions())
-	for _, row := range a.rpam.rows {
-		row.ForEach(func(j int) bool {
-			permDeg[j]++
-			return true
-		})
-	}
-	for pi, deg := range permDeg {
+	for pi, deg := range rpam.colDeg {
 		if deg == 0 {
-			rep.StandalonePermissions = append(rep.StandalonePermissions, a.ds.Permission(pi))
+			rep.StandalonePermissions = append(rep.StandalonePermissions, id.perms[pi])
 		}
 	}
-	for ri := range a.ruam.rows {
-		if a.ruam.sums[ri] == 0 && a.rpam.sums[ri] == 0 {
-			rep.StandaloneRoles = append(rep.StandaloneRoles, a.ds.Role(ri))
-		}
-	}
-}
-
-// detectDisconnected finds class-2 inefficiencies: roles with a zero
-// row sum on exactly one side. Roles with zero on both sides are
-// standalone nodes (class 1), not disconnected roles.
-func (a *Analyzer) detectDisconnected(rep *Report) {
-	for ri := range a.ruam.rows {
-		noUsers := a.ruam.sums[ri] == 0
-		noPerms := a.rpam.sums[ri] == 0
+	for ri, role := range id.roles {
+		users, perms := ruam.rowSums[ri], rpam.rowSums[ri]
 		switch {
-		case noUsers && noPerms:
-			// class 1, already reported
-		case noUsers:
-			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, a.ds.Role(ri))
-		case noPerms:
-			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, a.ds.Role(ri))
+		case users == 0 && perms == 0:
+			rep.StandaloneRoles = append(rep.StandaloneRoles, role)
+		case users == 0:
+			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, role)
+		case perms == 0:
+			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, role)
+		}
+		if users == 1 {
+			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, role)
+		}
+		if perms == 1 {
+			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, role)
 		}
 	}
 }
 
-// detectSingle finds class-3 inefficiencies: row sums equal to one.
-func (a *Analyzer) detectSingle(rep *Report) {
-	for ri := range a.ruam.rows {
-		if a.ruam.sums[ri] == 1 {
-			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, a.ds.Role(ri))
-		}
-		if a.rpam.sums[ri] == 1 {
-			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, a.ds.Role(ri))
-		}
-	}
-}
-
-// findGroups runs one grouping detector over a side's cached non-empty
-// view and shared arena, remapping group members back to dataset row
-// indices. It replaces calling FindRoleGroupsContext with
-// IgnoreEmptyRows set, which would re-filter and re-pack the rows on
-// every detector run.
-func (a *Analyzer) findGroups(ctx context.Context, rs *rowset, opts GroupOptions) ([][]int, error) {
-	kept, remap, m, err := rs.groupView()
-	if err != nil {
-		return nil, err
-	}
-	if len(kept) == 0 {
+// findGroups runs one grouping detector over a side's arena, remapping
+// group members back to dataset role indices.
+func findGroups(ctx context.Context, s *side, opts GroupOptions) ([][]int, error) {
+	if len(s.remap) == 0 {
 		return nil, nil
 	}
-	opts.IgnoreEmptyRows = false
-	groups, err := findRoleGroupsMat(ctx, kept, m, opts)
+	groups, err := findRoleGroupsMat(ctx, nil, s.mat, opts)
 	if err != nil {
 		return nil, err
 	}
 	for _, g := range groups {
 		for i, idx := range g {
-			g[i] = remap[idx]
+			g[i] = s.remap[idx]
 		}
 	}
 	return groups, nil
 }
 
-// toRoleGroups maps index groups to role-id groups.
-func (a *Analyzer) toRoleGroups(groups [][]int) []RoleGroup {
+// roleGroups maps index groups to role-id groups.
+func (id ids) roleGroups(groups [][]int) []RoleGroup {
 	out := make([]RoleGroup, len(groups))
 	for gi, g := range groups {
-		ids := make([]rbac.RoleID, len(g))
+		members := make([]rbac.RoleID, len(g))
 		for i, ri := range g {
-			ids[i] = a.ds.Role(ri)
+			members[i] = id.roles[ri]
 		}
-		out[gi] = RoleGroup{Roles: ids}
+		out[gi] = RoleGroup{Roles: members}
 	}
 	return out
 }

@@ -212,13 +212,14 @@ func FindRoleGroupsContext(ctx context.Context, rows []*bitvec.Vector, opts Grou
 	return findRoleGroupsMat(ctx, rows, nil, opts)
 }
 
-// findRoleGroupsMat is the dispatch behind FindRoleGroupsContext: one
-// call to the selected backend's entry point, with an optional prepacked
-// bit-matrix arena over rows. A nil arena is packed here, once, for the
-// backends that consume one; the Analyzer passes each side's cached
-// arena so its class-4 and class-5 runs share a single packing. rows
-// must be non-empty and the caller must already have applied the
-// IgnoreEmptyRows filter.
+// findRoleGroupsMat is the dispatch behind FindRoleGroupsContext and
+// the Analyzer: one call to the selected backend's entry point over a
+// bit-matrix arena. FindRoleGroupsContext passes its rows and a nil
+// arena, packed here once for the backends that consume one; the
+// Analyzer passes each side's arena and nil rows, so its class-4 and
+// class-5 runs share a single packing and the float64 DBSCAN rows are
+// read back from the arena. The input must be non-empty and the caller
+// must already have applied the IgnoreEmptyRows filter.
 func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
 	if opts.Threshold < 0 {
 		return nil, fmt.Errorf("core: negative threshold %d", opts.Threshold)
@@ -231,6 +232,12 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 		method = MethodRoleDiet
 	}
 	if method == MethodDBSCANFloat64 {
+		if rows == nil {
+			rows = make([]*bitvec.Vector, m.Rows())
+			for i := range rows {
+				rows[i] = m.RowVector(i)
+			}
+		}
 		floats := make([][]float64, len(rows))
 		for i, r := range rows {
 			floats[i] = r.Floats()

@@ -53,9 +53,10 @@ func AnalyzeSparseContext(ctx context.Context, d *rbac.Dataset, opts Options) (*
 		SimilarThreshold: opts.SimilarThreshold,
 	}
 
+	id := ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()}
 	progress.emit(StageLinearScan, 0)
 	start := time.Now()
-	detectLinearSparse(d, ruam, rpam, rep)
+	detectLinear(rep, id, csrCounts(ruam), csrCounts(rpam))
 	rep.LinearScanDuration = time.Since(start)
 	progress.emit(StageLinearScan, fracLinearEnd)
 
@@ -74,16 +75,13 @@ func AnalyzeSparseContext(ctx context.Context, d *rbac.Dataset, opts Options) (*
 		if err != nil {
 			return nil, err
 		}
-		out := make([]RoleGroup, len(res.Groups))
-		for gi, g := range res.Groups {
-			ids := make([]rbac.RoleID, len(g))
+		for _, g := range res.Groups {
 			for i, ri := range g {
-				ids[i] = d.Role(remap[ri])
+				g[i] = remap[ri]
 			}
-			out[gi] = RoleGroup{Roles: ids}
 		}
 		progress.emit(stage, hi)
-		return out, nil
+		return id.roleGroups(res.Groups), nil
 	}
 
 	start = time.Now()
@@ -118,36 +116,13 @@ func AnalyzeSparseContext(ctx context.Context, d *rbac.Dataset, opts Options) (*
 	return rep, nil
 }
 
-// detectLinearSparse runs the class-1/2/3 detectors over CSR matrices.
-func detectLinearSparse(d *rbac.Dataset, ruam, rpam *matrix.CSR, rep *Report) {
-	for ui, deg := range ruam.ColSums() {
-		if deg == 0 {
-			rep.StandaloneUsers = append(rep.StandaloneUsers, d.User(ui))
-		}
+// csrCounts returns a CSR matrix's row sums and column degrees.
+func csrCounts(c *matrix.CSR) counts {
+	sums := make([]int, c.Rows())
+	for i := range sums {
+		sums[i] = c.RowSum(i)
 	}
-	for pi, deg := range rpam.ColSums() {
-		if deg == 0 {
-			rep.StandalonePermissions = append(rep.StandalonePermissions, d.Permission(pi))
-		}
-	}
-	for ri := 0; ri < ruam.Rows(); ri++ {
-		users := ruam.RowSum(ri)
-		perms := rpam.RowSum(ri)
-		switch {
-		case users == 0 && perms == 0:
-			rep.StandaloneRoles = append(rep.StandaloneRoles, d.Role(ri))
-		case users == 0:
-			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, d.Role(ri))
-		case perms == 0:
-			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, d.Role(ri))
-		}
-		if users == 1 {
-			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, d.Role(ri))
-		}
-		if perms == 1 {
-			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, d.Role(ri))
-		}
-	}
+	return counts{rowSums: sums, colDeg: c.ColSums()}
 }
 
 // filterEmptyRows drops all-zero rows from a CSR matrix and returns the

@@ -114,11 +114,13 @@ type putMeta struct {
 	degraded  bool
 }
 
-// putLocal admits canonical bytes into the local store and writes the
+// putLocal admits the upload into the local store and writes the
 // ingest response, kicking off async replication when this node is the
-// digest's owner.
+// digest's owner. ds was decoded and validated by this request and
+// digest and canonical come from DigestOf(ds), so the store keeps the
+// parsed dataset as is instead of re-parsing the bytes.
 func (h *handler) putLocal(w http.ResponseWriter, digest string, canonical []byte, ds *rbac.Dataset, meta putMeta) {
-	created, err := h.store.PutCanonical(digest, canonical)
+	created, err := h.store.PutDataset(digest, canonical, ds)
 	switch {
 	case errors.Is(err, store.ErrTooLarge):
 		writeError(w, http.StatusUnprocessableEntity, err)

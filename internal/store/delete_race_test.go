@@ -19,7 +19,7 @@ func TestDeleteInvalidatesInflightResult(t *testing.T) {
 	dir := t.TempDir()
 	s := newStore(t, Options{Dir: dir})
 	ds := testDataset(t, "del", 6)
-	digest, _, err := s.PutDataset(ds)
+	digest, _, err := put(s, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDeleteInvalidatesInflightResult(t *testing.T) {
 func TestDeleteRaceManyFlights(t *testing.T) {
 	s := newStore(t, Options{})
 	ds := testDataset(t, "race", 4)
-	digest, _, err := s.PutDataset(ds)
+	digest, _, err := put(s, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDeleteRaceManyFlights(t *testing.T) {
 	}
 	for j := 0; j < 20; j++ {
 		s.DeleteDataset(digest)
-		_, _, _ = s.PutDataset(ds)
+		_, _, _ = put(s, ds)
 		time.Sleep(time.Millisecond)
 	}
 	wg.Wait()

@@ -17,8 +17,12 @@ import (
 // the same digest, however their edge lists were ordered on the wire.
 // The canonical bytes are returned alongside so callers can store or
 // re-serve exactly what was hashed.
+//
+// The bytes are ds.MarshalJSON's output itself: json.Marshal(ds) would
+// only compact and copy that already-compact, already-escaped encoding,
+// and yields the same bytes.
 func DigestOf(ds *rbac.Dataset) (digest string, canonical []byte, err error) {
-	canonical, err = json.Marshal(ds)
+	canonical, err = ds.MarshalJSON()
 	if err != nil {
 		return "", nil, fmt.Errorf("store: canonicalize dataset: %w", err)
 	}

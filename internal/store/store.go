@@ -223,23 +223,23 @@ func New(opts Options) (*Store, error) {
 // shut down without leaking it.
 func (s *Store) Close() { s.sweeper.Stop() }
 
-// PutDataset canonicalizes and registers a dataset, returning its
-// digest. Registering content that is already present refreshes its
-// LRU position and reports created == false. The store retains the
-// dataset pointer; callers must not mutate it afterwards.
-func (s *Store) PutDataset(ds *rbac.Dataset) (digest string, created bool, err error) {
-	digest, canonical, err := DigestOf(ds)
-	if err != nil {
-		return "", false, err
-	}
+// PutDataset registers a dataset the caller has already parsed,
+// validated and canonicalized, returning whether it was newly created.
+// Precondition: digest and canonical are exactly what DigestOf(ds)
+// returned; nothing is re-hashed or re-parsed, so bytes from anywhere
+// else must go through PutCanonical instead. Registering content that
+// is already present refreshes its LRU position and reports created ==
+// false. The store retains ds and serves it to concurrent readers;
+// callers must not mutate it afterwards.
+func (s *Store) PutDataset(digest string, canonical []byte, ds *rbac.Dataset) (created bool, err error) {
 	if int64(len(canonical)) > s.opts.MaxBytes {
-		return "", false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(canonical), s.opts.MaxBytes)
+		return false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(canonical), s.opts.MaxBytes)
 	}
 	s.mu.Lock()
 	if e, ok := s.datasets[digest]; ok {
 		s.lru.MoveToFront(e.elem)
 		s.mu.Unlock()
-		return digest, false, nil
+		return false, nil
 	}
 	s.insertDatasetLocked(&dsEntry{digest: digest, ds: ds, canonical: canonical, stats: ds.Stats()})
 	s.mu.Unlock()
@@ -248,7 +248,7 @@ func (s *Store) PutDataset(ds *rbac.Dataset) (digest string, created bool, err e
 			s.opts.Logf("store: persist dataset %s: %v", digest, werr)
 		}
 	}
-	return digest, true, nil
+	return true, nil
 }
 
 // insertDatasetLocked registers the entry and applies the byte budget.
@@ -356,20 +356,7 @@ func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error
 	if err := ds.Validate(); err != nil {
 		return false, fmt.Errorf("store: invalid dataset %s: %w", digest, err)
 	}
-	s.mu.Lock()
-	if e, ok := s.datasets[digest]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		return false, nil
-	}
-	s.insertDatasetLocked(&dsEntry{digest: digest, ds: ds, canonical: raw, stats: ds.Stats()})
-	s.mu.Unlock()
-	if s.opts.Dir != "" {
-		if werr := s.writeDatasetFile(digest, raw); werr != nil {
-			s.opts.Logf("store: persist dataset %s: %v", digest, werr)
-		}
-	}
-	return true, nil
+	return s.PutDataset(digest, raw, ds)
 }
 
 func (s *Store) removeDatasetLocked(e *dsEntry) {

@@ -41,6 +41,16 @@ func testDataset(t *testing.T, tag string, roles int) *rbac.Dataset {
 	return ds
 }
 
+// put canonicalizes ds and registers it the way a local upload does.
+func put(s *Store, ds *rbac.Dataset) (digest string, created bool, err error) {
+	digest, canonical, err := DigestOf(ds)
+	if err != nil {
+		return "", false, err
+	}
+	created, err = s.PutDataset(digest, canonical, ds)
+	return digest, created, err
+}
+
 func newStore(t *testing.T, opts Options) *Store {
 	t.Helper()
 	s, err := New(opts)
@@ -80,11 +90,11 @@ func TestDigestDeterministicAndParse(t *testing.T) {
 func TestPutGetDeleteDataset(t *testing.T) {
 	s := newStore(t, Options{})
 	ds := testDataset(t, "a", 5)
-	digest, created, err := s.PutDataset(ds)
+	digest, created, err := put(s, ds)
 	if err != nil || !created {
 		t.Fatalf("first put: created=%v err=%v", created, err)
 	}
-	if _, created, err = s.PutDataset(ds.Clone()); err != nil || created {
+	if _, created, err = put(s, ds.Clone()); err != nil || created {
 		t.Fatalf("identical re-put: created=%v err=%v, want false nil", created, err)
 	}
 	got, canonical, ok := s.GetDataset(digest)
@@ -263,11 +273,11 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	}
 	// Budget fits roughly two datasets of this shape.
 	s := newStore(t, Options{MaxBytes: int64(len(canonical))*2 + 64})
-	digestA, _, err := s.PutDataset(a)
+	digestA, _, err := put(s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	digestB, _, err := s.PutDataset(testDataset(t, "b", 4))
+	digestB, _, err := put(s, testDataset(t, "b", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +285,7 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	if _, _, ok := s.GetDataset(digestA); !ok {
 		t.Fatal("A missing before eviction")
 	}
-	if _, _, err := s.PutDataset(testDataset(t, "c", 4)); err != nil {
+	if _, _, err := put(s, testDataset(t, "c", 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.GetDataset(digestB); ok {
@@ -294,7 +304,7 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 
 	// A dataset bigger than the whole budget is rejected outright.
 	huge := newStore(t, Options{MaxBytes: 16})
-	if _, _, err := huge.PutDataset(a); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := put(huge, a); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized put err = %v, want ErrTooLarge", err)
 	}
 }
@@ -304,7 +314,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	key := Key{Dataset: "d", Fingerprint: "f", Kind: "analyze"}
 
 	s1 := newStore(t, Options{Dir: dir})
-	digest, _, err := s1.PutDataset(testDataset(t, "a", 5))
+	digest, _, err := put(s1, testDataset(t, "a", 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 func TestCorruptedFilesRejectedAtLoad(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newStore(t, Options{Dir: dir})
-	digest, _, err := s1.PutDataset(testDataset(t, "a", 5))
+	digest, _, err := put(s1, testDataset(t, "a", 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +400,11 @@ func TestDatasetReloadedFromDiskAfterEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newStore(t, Options{Dir: dir, MaxBytes: int64(len(canonical)) + 32})
-	digestA, _, err := s.PutDataset(a)
+	digestA, _, err := put(s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.PutDataset(testDataset(t, "b", 4)); err != nil {
+	if _, _, err := put(s, testDataset(t, "b", 4)); err != nil {
 		t.Fatal(err)
 	}
 	// A no longer fits in memory, but its persisted copy keeps the
