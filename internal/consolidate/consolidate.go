@@ -210,8 +210,8 @@ func VerifySafety(before, after *rbac.Dataset) error {
 		}
 	}
 
-	bRoles := rolesByUser(before)
-	aRoles := rolesByUser(after)
+	bRoles := before.RolesByUser()
+	aRoles := after.RolesByUser()
 
 	arena := bitmat.New(2, before.NumPermissions())
 	touched := make([]int32, 0, 64)
@@ -256,19 +256,6 @@ func VerifySafety(before, after *rbac.Dataset) error {
 		touched = touched[:0]
 	}
 	return nil
-}
-
-// rolesByUser inverts the role→user assignment into per-user role index
-// lists, in role index order.
-func rolesByUser(d *rbac.Dataset) [][]int32 {
-	out := make([][]int32, d.NumUsers())
-	for ri := 0; ri < d.NumRoles(); ri++ {
-		d.ForEachRoleUser(ri, func(ui int) bool {
-			out[ui] = append(out[ui], int32(ri))
-			return true
-		})
-	}
-	return out
 }
 
 // rowDiffError names the first differing permission between user ui's

@@ -89,11 +89,11 @@ func suggestionFor(d *rbac.Dataset, eff []map[int]struct{},
 		if !ok {
 			return Suggestion{}, fmt.Errorf("consolidate: role %q not in dataset", r)
 		}
-		d.UserRow(ri).ForEach(func(u int) bool {
+		d.ForEachRoleUser(ri, func(u int) bool {
 			userUnion[u] = struct{}{}
 			return true
 		})
-		d.PermRow(ri).ForEach(func(p int) bool {
+		d.ForEachRolePermission(ri, func(p int) bool {
 			permUnion[p] = struct{}{}
 			return true
 		})

@@ -199,7 +199,11 @@ func RunContext(ctx context.Context, d *rbac.Dataset, k Knobs) (*Result, error) 
 	}
 
 	p := &planner{ctx: ctx, knobs: k, cur: d.Clone()}
-	if err := p.eliminate(); err != nil {
+	rep, err := p.analyze(true, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.eliminate(rep); err != nil {
 		return nil, err
 	}
 	if err := p.mergeToConvergence(); err != nil {
@@ -252,52 +256,54 @@ func (p *planner) analyze(skipGroups, skipSimilar bool) (*core.Report, error) {
 
 // edges counts a role's direct assignment edges on both sides.
 func edges(d *rbac.Dataset, ri int) int {
-	return d.UserRow(ri).Count() + d.PermRow(ri).Count()
+	return d.NumRoleUsers(ri) + d.NumRolePermissions(ri)
 }
 
-// eliminate drops class-1/2 roles (they grant nothing) and redundant
-// class-3 roles (every grant covered elsewhere).
-func (p *planner) eliminate() error {
-	rep, err := p.analyze(true, true)
-	if err != nil {
-		return err
-	}
-
-	drop := func(r rbac.RoleID, class int, reason string) error {
-		ri, ok := p.cur.RoleIndex(r)
-		if !ok {
-			return fmt.Errorf("optimize: dropped role %q not in dataset", r)
-		}
+// eliminate acts on rep, a report on the current dataset: it drops the
+// class-1/2 roles (they grant nothing) and the redundant class-3 roles
+// (every grant covered elsewhere). Drops are only marked while the
+// pass decides, so every check and edge count reads the unmodified
+// dataset; one RemoveRoles compacts it at the end.
+func (p *planner) eliminate(rep *core.Report) error {
+	d := p.cur
+	dropped := make([]bool, d.NumRoles())
+	var gone []rbac.RoleID
+	drop := func(r rbac.RoleID, ri int, kind string, class int, reason string) {
 		p.actions = append(p.actions, Action{
-			Kind:         KindDropRole,
+			Kind:         kind,
 			Class:        class,
 			Role:         r,
 			RolesRemoved: 1,
-			EdgesDelta:   -edges(p.cur, ri),
+			EdgesDelta:   -edges(d, ri),
 			Reason:       reason,
 		})
-		return p.cur.RemoveRole(r)
+		dropped[ri] = true
+		gone = append(gone, r)
 	}
-	for _, r := range rep.StandaloneRoles {
-		if err := drop(r, 1, "standalone role: no users and no permissions"); err != nil {
-			return err
+	dropDead := func(roles []rbac.RoleID, class int, reason string) error {
+		for _, r := range roles {
+			ri, ok := d.RoleIndex(r)
+			if !ok || dropped[ri] {
+				return fmt.Errorf("optimize: dropped role %q not in dataset", r)
+			}
+			drop(r, ri, KindDropRole, class, reason)
 		}
+		return nil
 	}
-	for _, r := range rep.RolesWithoutUsers {
-		if err := drop(r, 2, "grants nothing: no users hold the role"); err != nil {
-			return err
-		}
+	if err := dropDead(rep.StandaloneRoles, 1, "standalone role: no users and no permissions"); err != nil {
+		return err
 	}
-	for _, r := range rep.RolesWithoutPermissions {
-		if err := drop(r, 2, "grants nothing: the role has no permissions"); err != nil {
-			return err
-		}
+	if err := dropDead(rep.RolesWithoutUsers, 2, "grants nothing: no users hold the role"); err != nil {
+		return err
+	}
+	if err := dropDead(rep.RolesWithoutPermissions, 2, "grants nothing: the role has no permissions"); err != nil {
+		return err
 	}
 
 	// Class-3 candidates, deduplicated (a role can be single on both
-	// sides) and checked sequentially against the current dataset so
-	// two roles covering only each other cannot both drop. The check is
-	// a greedy set-cover whose drop count depends on processing order,
+	// sides) and checked sequentially, skipping dropped roles, so two
+	// roles covering only each other cannot both drop. The check is a
+	// greedy set-cover whose drop count depends on processing order,
 	// so candidates are canonicalised by role ID — the same export in a
 	// different insertion order yields the same drops.
 	seen := make(map[rbac.RoleID]struct{})
@@ -311,43 +317,36 @@ func (p *planner) eliminate() error {
 		}
 	}
 	sort.Slice(candidates, func(a, b int) bool { return candidates[a] < candidates[b] })
+	holders := d.RolesByUser()
 	for _, r := range candidates {
-		ri, ok := p.cur.RoleIndex(r)
-		if !ok {
+		ri, ok := d.RoleIndex(r)
+		if !ok || dropped[ri] {
 			continue // already dropped as class 1/2
 		}
-		if !p.coveredElsewhere(ri) {
-			continue
-		}
-		p.actions = append(p.actions, Action{
-			Kind:         KindDropRedundant,
-			Class:        3,
-			Role:         r,
-			RolesRemoved: 1,
-			EdgesDelta:   -edges(p.cur, ri),
-			Reason:       "single-assignment role: every grant is covered by another role",
-		})
-		if err := p.cur.RemoveRole(r); err != nil {
-			return err
+		if coveredElsewhere(d, holders, dropped, ri) {
+			drop(r, ri, KindDropRedundant, 3,
+				"single-assignment role: every grant is covered by another role")
 		}
 	}
-	return nil
+	return d.RemoveRoles(gone)
 }
 
 // coveredElsewhere reports whether every (user, permission) pair role
-// index ri grants is also granted by some other role.
-func (p *planner) coveredElsewhere(ri int) bool {
-	d := p.cur
+// index ri grants is also granted by another role not yet dropped.
+// holders is d.RolesByUser(), so each pair probes only the roles that
+// hold its user. The check is a universal quantifier: the order the
+// pairs are visited in cannot change its result.
+func coveredElsewhere(d *rbac.Dataset, holders [][]int32, dropped []bool, ri int) bool {
 	covered := true
-	d.UserRow(ri).ForEach(func(ui int) bool {
-		d.PermRow(ri).ForEach(func(pi int) bool {
-			pairCovered := false
-			for oi := 0; oi < d.NumRoles() && !pairCovered; oi++ {
-				if oi != ri && d.UserRow(oi).Get(ui) && d.PermRow(oi).Get(pi) {
-					pairCovered = true
+	d.ForEachRoleUser(ri, func(ui int) bool {
+		d.ForEachRolePermission(ri, func(pi int) bool {
+			covered = false
+			for _, oi := range holders[ui] {
+				if o := int(oi); o != ri && !dropped[o] && d.RoleHasPermission(o, pi) {
+					covered = true
+					break
 				}
 			}
-			covered = pairCovered
 			return covered
 		})
 		return covered
@@ -473,15 +472,16 @@ func (p *planner) mergeRound() (int, error) {
 
 // mergeEdgesDelta computes the exact direct-edge change of folding the
 // removed roles into keep on the current dataset, before application.
-// Folding a side unions it into the keeper; the victims' edges vanish.
+// Folding a side unions it into the keeper, which grows by the victims'
+// entities it lacks; the victims' edges vanish.
 func (p *planner) mergeEdgesDelta(keep rbac.RoleID, remove []rbac.RoleID, side string) int {
 	d := p.cur
 	ki, ok := d.RoleIndex(keep)
 	if !ok {
 		return 0
 	}
-	userUnion := d.UserRow(ki).Clone()
-	permUnion := d.PermRow(ki).Clone()
+	newUsers := make(map[int]struct{})
+	newPerms := make(map[int]struct{})
 	victimEdges := 0
 	for _, r := range remove {
 		ri, ok := d.RoleIndex(r)
@@ -489,18 +489,27 @@ func (p *planner) mergeEdgesDelta(keep rbac.RoleID, remove []rbac.RoleID, side s
 			continue
 		}
 		victimEdges += edges(d, ri)
-		userUnion.Or(d.UserRow(ri))
-		permUnion.Or(d.PermRow(ri))
+		d.ForEachRoleUser(ri, func(ui int) bool {
+			if !d.RoleHasUser(ki, ui) {
+				newUsers[ui] = struct{}{}
+			}
+			return true
+		})
+		d.ForEachRolePermission(ri, func(pi int) bool {
+			if !d.RoleHasPermission(ki, pi) {
+				newPerms[pi] = struct{}{}
+			}
+			return true
+		})
 	}
 	keepGrowth := 0
 	switch side {
 	case "users":
-		keepGrowth = permUnion.Count() - d.PermRow(ki).Count()
+		keepGrowth = len(newPerms)
 	case "permissions":
-		keepGrowth = userUnion.Count() - d.UserRow(ki).Count()
+		keepGrowth = len(newUsers)
 	case "both":
-		keepGrowth = permUnion.Count() - d.PermRow(ki).Count() +
-			userUnion.Count() - d.UserRow(ki).Count()
+		keepGrowth = len(newPerms) + len(newUsers)
 	}
 	return keepGrowth - victimEdges
 }

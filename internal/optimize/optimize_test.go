@@ -98,9 +98,9 @@ func TestEliminationsDropDeadRoles(t *testing.T) {
 		[]string{"p1", "p2"},
 		map[string][2][]string{
 			"live":     {{"u1", "u2"}, {"p1"}},
-			"lonely":   {nil, nil},           // class 1: standalone
-			"no-users": {nil, {"p1", "p2"}},  // class 2
-			"no-perms": {{"u1", "u2"}, nil},  // class 2
+			"lonely":   {nil, nil},          // class 1: standalone
+			"no-users": {nil, {"p1", "p2"}}, // class 2
+			"no-perms": {{"u1", "u2"}, nil}, // class 2
 		})
 	res := mustRun(t, d, Knobs{})
 	for _, gone := range []rbac.RoleID{"lonely", "no-users", "no-perms"} {

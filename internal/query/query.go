@@ -33,11 +33,11 @@ func NewIndex(d *rbac.Dataset) *Index {
 		permRoles: make([][]int, ds.NumPermissions()),
 	}
 	for ri := 0; ri < ds.NumRoles(); ri++ {
-		ds.UserRow(ri).ForEach(func(u int) bool {
+		ds.ForEachRoleUser(ri, func(u int) bool {
 			idx.userRoles[u] = append(idx.userRoles[u], ri)
 			return true
 		})
-		ds.PermRow(ri).ForEach(func(p int) bool {
+		ds.ForEachRolePermission(ri, func(p int) bool {
 			idx.permRoles[p] = append(idx.permRoles[p], ri)
 			return true
 		})
@@ -81,7 +81,7 @@ func (x *Index) PermissionsOf(user rbac.UserID) ([]rbac.PermissionID, error) {
 	}
 	seen := make(map[int]struct{})
 	for _, ri := range x.userRoles[ui] {
-		x.ds.PermRow(ri).ForEach(func(p int) bool {
+		x.ds.ForEachRolePermission(ri, func(p int) bool {
 			seen[p] = struct{}{}
 			return true
 		})
@@ -103,7 +103,7 @@ func (x *Index) UsersWith(perm rbac.PermissionID) ([]rbac.UserID, error) {
 	}
 	seen := make(map[int]struct{})
 	for _, ri := range x.permRoles[pi] {
-		x.ds.UserRow(ri).ForEach(func(u int) bool {
+		x.ds.ForEachRoleUser(ri, func(u int) bool {
 			seen[u] = struct{}{}
 			return true
 		})
@@ -168,7 +168,7 @@ func (x *Index) RedundantGrants() []RedundantGrant {
 		// Count grant paths per permission for this user.
 		paths := make(map[int]int)
 		for _, ri := range x.userRoles[ui] {
-			x.ds.PermRow(ri).ForEach(func(p int) bool {
+			x.ds.ForEachRolePermission(ri, func(p int) bool {
 				paths[p]++
 				return true
 			})

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitvec"
 	"repro/internal/matrix"
 )
 
@@ -194,6 +193,38 @@ func (d *Dataset) RemoveRole(role RoleID) error {
 	return nil
 }
 
+// RemoveRoles deletes every listed role and its edges in one pass,
+// leaving the dataset exactly as the same RemoveRole calls in sequence
+// would: the survivors keep their relative order and are re-indexed
+// densely. An unknown or repeated id is an ErrUnknownRole and leaves
+// the dataset unchanged.
+func (d *Dataset) RemoveRoles(ids []RoleID) error {
+	gone := make([]bool, len(d.roles))
+	for _, id := range ids {
+		ri, ok := d.roleIdx[id]
+		if !ok || gone[ri] {
+			return fmt.Errorf("%w: %q", ErrUnknownRole, id)
+		}
+		gone[ri] = true
+	}
+	k := 0
+	for ri, id := range d.roles {
+		if gone[ri] {
+			delete(d.roleIdx, id)
+			continue
+		}
+		d.roles[k], d.roleUsers[k], d.rolePerms[k] = id, d.roleUsers[ri], d.rolePerms[ri]
+		d.roleIdx[id] = k
+		k++
+	}
+	clear(d.roleUsers[k:])
+	clear(d.rolePerms[k:])
+	d.roles = d.roles[:k]
+	d.roleUsers = d.roleUsers[:k]
+	d.rolePerms = d.rolePerms[:k]
+	return nil
+}
+
 // NumUsers returns the user count.
 func (d *Dataset) NumUsers() int { return len(d.users) }
 
@@ -331,6 +362,28 @@ func (d *Dataset) ForEachRolePermission(ri int, fn func(pi int) bool) {
 	}
 }
 
+// RoleHasUser reports whether user index ui is assigned to role index
+// ri: the index-space counterpart of HasAssignment.
+func (d *Dataset) RoleHasUser(ri, ui int) bool {
+	_, ok := d.roleUsers[ri][ui]
+	return ok
+}
+
+// RoleHasPermission reports whether role index ri grants permission
+// index pi: the index-space counterpart of HasPermission.
+func (d *Dataset) RoleHasPermission(ri, pi int) bool {
+	_, ok := d.rolePerms[ri][pi]
+	return ok
+}
+
+// NumRoleUsers returns the number of users assigned to role index ri
+// (RUAM row ri's sum).
+func (d *Dataset) NumRoleUsers(ri int) int { return len(d.roleUsers[ri]) }
+
+// NumRolePermissions returns the number of permissions role index ri
+// grants (RPAM row ri's sum).
+func (d *Dataset) NumRolePermissions(ri int) int { return len(d.rolePerms[ri]) }
+
 // NumUserAssignments returns the total number of user–role edges.
 func (d *Dataset) NumUserAssignments() int {
 	n := 0
@@ -374,23 +427,16 @@ func (d *Dataset) RPAM() *matrix.BitMatrix {
 	return m
 }
 
-// UserRow returns role ri's user assignments as a bit vector, equal to
-// RUAM row ri without building the full matrix.
-func (d *Dataset) UserRow(ri int) *bitvec.Vector {
-	v := bitvec.New(len(d.users))
-	for ui := range d.roleUsers[ri] {
-		v.Set(ui)
+// RolesByUser inverts the user–role edges: entry ui lists the indices
+// of the roles assigned to user index ui, in role index order.
+func (d *Dataset) RolesByUser() [][]int32 {
+	out := make([][]int32, len(d.users))
+	for ri, set := range d.roleUsers {
+		for ui := range set {
+			out[ui] = append(out[ui], int32(ri))
+		}
 	}
-	return v
-}
-
-// PermRow returns role ri's permission assignments as a bit vector.
-func (d *Dataset) PermRow(ri int) *bitvec.Vector {
-	v := bitvec.New(len(d.perms))
-	for pi := range d.rolePerms[ri] {
-		v.Set(pi)
-	}
-	return v
+	return out
 }
 
 // EffectivePermissions returns, for every user index, the set of

@@ -218,16 +218,39 @@ func TestRPAMMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestUserRowPermRowMatchMatrices(t *testing.T) {
+func TestIndexAccessorsMatchMatrices(t *testing.T) {
+	// The index-space probes, set counts and user→roles index read the
+	// same bits as the RUAM/RPAM cells.
 	d := figure1Dataset(t)
 	ruam, rpam := d.RUAM(), d.RPAM()
+	holders := d.RolesByUser()
+	if len(holders) != d.NumUsers() {
+		t.Fatalf("RolesByUser has %d entries for %d users", len(holders), d.NumUsers())
+	}
+	fromMatrix := make([][]int32, d.NumUsers())
 	for ri := 0; ri < d.NumRoles(); ri++ {
-		if !d.UserRow(ri).Equal(ruam.Row(ri)) {
-			t.Fatalf("UserRow(%d) != RUAM row", ri)
+		if got, want := d.NumRoleUsers(ri), ruam.RowSum(ri); got != want {
+			t.Fatalf("NumRoleUsers(%d) = %d, RUAM row sum %d", ri, got, want)
 		}
-		if !d.PermRow(ri).Equal(rpam.Row(ri)) {
-			t.Fatalf("PermRow(%d) != RPAM row", ri)
+		if got, want := d.NumRolePermissions(ri), rpam.RowSum(ri); got != want {
+			t.Fatalf("NumRolePermissions(%d) = %d, RPAM row sum %d", ri, got, want)
 		}
+		for ui := 0; ui < d.NumUsers(); ui++ {
+			if d.RoleHasUser(ri, ui) != ruam.Get(ri, ui) {
+				t.Fatalf("RoleHasUser(%d, %d) != RUAM cell", ri, ui)
+			}
+			if ruam.Get(ri, ui) {
+				fromMatrix[ui] = append(fromMatrix[ui], int32(ri))
+			}
+		}
+		for pi := 0; pi < d.NumPermissions(); pi++ {
+			if d.RoleHasPermission(ri, pi) != rpam.Get(ri, pi) {
+				t.Fatalf("RoleHasPermission(%d, %d) != RPAM cell", ri, pi)
+			}
+		}
+	}
+	if !reflect.DeepEqual(holders, fromMatrix) {
+		t.Fatalf("RolesByUser = %v, RUAM columns give %v", holders, fromMatrix)
 	}
 }
 

@@ -130,3 +130,77 @@ func TestPropertyRemovePreservesOtherEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPropertyRemoveRolesMatchesSequential(t *testing.T) {
+	// Batch removal leaves the dataset exactly as the same RemoveRole
+	// calls in sequence do: role order, index maps and both assignment
+	// tables.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := NewDataset()
+		nu, nr, np := 1+r.Intn(6), r.Intn(10), 1+r.Intn(6)
+		for i := 0; i < nu; i++ {
+			_ = d.AddUser(UserID(rune('a' + i)))
+		}
+		for i := 0; i < np; i++ {
+			_ = d.AddPermission(PermissionID(rune('p' + i)))
+		}
+		for i := 0; i < nr; i++ {
+			role := RoleID(rune('A' + i))
+			_ = d.AddRole(role)
+			for j := 0; j < nu; j++ {
+				if r.Intn(2) == 0 {
+					_ = d.AssignUser(role, UserID(rune('a'+j)))
+				}
+			}
+			for j := 0; j < np; j++ {
+				if r.Intn(2) == 0 {
+					_ = d.AssignPermission(role, PermissionID(rune('p'+j)))
+				}
+			}
+		}
+		var ids []RoleID
+		for _, ri := range r.Perm(nr)[:r.Intn(nr+1)] {
+			ids = append(ids, d.Role(ri))
+		}
+
+		seq, batch := d.Clone(), d.Clone()
+		for _, id := range ids {
+			if err := seq.RemoveRole(id); err != nil {
+				return false
+			}
+		}
+		if err := batch.RemoveRoles(ids); err != nil {
+			return false
+		}
+		if err := batch.Validate(); err != nil {
+			return false
+		}
+		return sameRoles(batch, seq)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRemoveRolesRejectsUnknownAndRepeated(t *testing.T) {
+	for _, ids := range [][]RoleID{{"R02", "ghost"}, {"R02", "R04", "R02"}} {
+		d := figure1Dataset(t)
+		want := d.Clone()
+		if err := d.RemoveRoles(ids); !errors.Is(err, ErrUnknownRole) {
+			t.Fatalf("RemoveRoles(%v) err = %v, want ErrUnknownRole", ids, err)
+		}
+		if !sameRoles(d, want) {
+			t.Fatalf("RemoveRoles(%v) changed the dataset on error", ids)
+		}
+	}
+}
+
+// sameRoles compares the role side of two datasets: role order, the
+// role index map and both assignment tables.
+func sameRoles(a, b *Dataset) bool {
+	return reflect.DeepEqual(a.Roles(), b.Roles()) &&
+		reflect.DeepEqual(a.roleIdx, b.roleIdx) &&
+		reflect.DeepEqual(a.roleUsers, b.roleUsers) &&
+		reflect.DeepEqual(a.rolePerms, b.rolePerms)
+}

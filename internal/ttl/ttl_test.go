@@ -24,9 +24,9 @@ func TestIntervalClamps(t *testing.T) {
 	cases := []struct {
 		ttl, want time.Duration
 	}{
-		{time.Millisecond, 10 * time.Millisecond},  // floor
-		{time.Minute, 15 * time.Second},            // ttl/4
-		{24 * time.Hour, 30 * time.Second},         // ceiling
+		{time.Millisecond, 10 * time.Millisecond}, // floor
+		{time.Minute, 15 * time.Second},           // ttl/4
+		{24 * time.Hour, 30 * time.Second},        // ceiling
 	}
 	for _, c := range cases {
 		if got := Interval(c.ttl); got != c.want {
