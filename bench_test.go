@@ -149,8 +149,8 @@ func itoa(v int) string {
 }
 
 // BenchmarkOrgScale reproduces the §IV-B audit: generating and
-// analysing the organisation-scale dataset with the sparse Role Diet
-// pipeline. scale=1 is the paper's full ~50k-role scale; the smaller
+// analysing the organisation-scale dataset with core.Analyze's default
+// Role Diet method, which groups over the CSR snapshot. scale=1 is the paper's full ~50k-role scale; the smaller
 // scales show near-linear behaviour. Generation is included in setup,
 // not the measurement.
 func BenchmarkOrgScale(b *testing.B) {
@@ -162,7 +162,7 @@ func BenchmarkOrgScale(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.AnalyzeSparse(ds, core.Options{SimilarThreshold: 1})
+				rep, err := core.Analyze(ds, core.Options{SimilarThreshold: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

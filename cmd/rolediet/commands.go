@@ -111,13 +111,15 @@ func cmdAnalyze(args []string, stdout io.Writer) error {
 		data      = fs.String("data", "", "dataset JSON path (required)")
 		method    = fs.String("method", "rolediet", "group method: rolediet, dbscan, hnsw, lsh or dbscan-float64")
 		threshold = fs.Int("threshold", 1, "similar-group threshold k")
-		sparse    = fs.Bool("sparse", false, "use the sparse pipeline (rolediet only)")
 		workers   = fs.Int("workers", 0, "grouping worker goroutines; 0 or 1 run serially, >= 2 parallelise")
 		format    = fs.String("format", "text", "output format: text or json")
 		hierPath  = fs.String("hierarchy", "", "inheritance sidecar JSON; flatten before analysing")
 		optsJSON  = fs.String("options", "", `analysis options as JSON, e.g. '{"method":"hnsw","threshold":2}' (same schema as the server's body envelope; overrides -method/-threshold)`)
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkFormat("analyze", *format); err != nil {
 		return err
 	}
 	if *data == "" {
@@ -159,24 +161,25 @@ func cmdAnalyze(args []string, stdout io.Writer) error {
 	if err := applyOptionsJSON(*optsJSON, &opts); err != nil {
 		return err
 	}
-	var rep *core.Report
-	if *sparse {
-		rep, err = core.AnalyzeSparse(ds, opts)
-	} else {
-		rep, err = core.Analyze(ds, opts)
-	}
+	rep, err := core.Analyze(ds, opts)
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "text":
-		fmt.Fprint(stdout, rep.Summary())
-	case "json":
+	if *format == "json" {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
-	default:
-		return fmt.Errorf("analyze: unknown format %q", *format)
+	}
+	fmt.Fprint(stdout, rep.Summary())
+	return nil
+}
+
+// checkFormat rejects a -format other than text or json. Commands call
+// it right after parsing flags, so a bad value fails before any dataset
+// is loaded or any output written.
+func checkFormat(cmd, format string) error {
+	if format != "text" && format != "json" {
+		return fmt.Errorf("%s: unknown format %q (want text or json)", cmd, format)
 	}
 	return nil
 }

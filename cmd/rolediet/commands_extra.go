@@ -132,6 +132,9 @@ func cmdSuggest(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkFormat("suggest", *format); err != nil {
+		return err
+	}
 	if *data == "" {
 		return fmt.Errorf("suggest: -data is required")
 	}

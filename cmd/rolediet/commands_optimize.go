@@ -37,6 +37,9 @@ func cmdOptimize(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkFormat("optimize", *format); err != nil {
+		return err
+	}
 	if *normalize != "" {
 		return normalizePlan(*normalize, stdout)
 	}

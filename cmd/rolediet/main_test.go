@@ -93,17 +93,49 @@ func TestGenerateOrg(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFormats checks -format on every command that takes it:
+// json prints one JSON document, text prints something else, and any
+// other value is rejected right after flag parsing — before the dataset
+// is read, with nothing printed and no -out written.
 func TestAnalyzeFormats(t *testing.T) {
 	path := writeFigure1(t)
-	stdout, _, err := runCLI(t, "analyze", "-data", path, "-format", "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, `"sameUserGroups"`) {
-		t.Fatalf("json output:\n%s", stdout)
-	}
-	if _, _, err := runCLI(t, "analyze", "-data", path, "-format", "yaml"); err == nil {
-		t.Fatal("unknown format accepted")
+	for _, cmd := range []string{"analyze", "suggest", "optimize"} {
+		t.Run(cmd, func(t *testing.T) {
+			stdout, _, err := runCLI(t, cmd, "-data", path, "-format", "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !json.Valid([]byte(stdout)) {
+				t.Fatalf("-format json output is not JSON:\n%s", stdout)
+			}
+			stdout, _, err = runCLI(t, cmd, "-data", path, "-format", "text")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout == "" || json.Valid([]byte(stdout)) {
+				t.Fatalf("-format text output:\n%s", stdout)
+			}
+
+			args := []string{cmd, "-data", path, "-format", "yaml"}
+			out := filepath.Join(t.TempDir(), "out.json")
+			if cmd == "optimize" {
+				args = append(args, "-out", out)
+			}
+			stdout, _, err = runCLI(t, args...)
+			if err == nil || !strings.Contains(err.Error(), `unknown format "yaml"`) {
+				t.Fatalf("-format yaml: err = %v", err)
+			}
+			if stdout != "" {
+				t.Fatalf("-format yaml printed output:\n%s", stdout)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("-format yaml wrote -out: stat err = %v", err)
+			}
+			_, _, err = runCLI(t, cmd, "-data", "/nonexistent.json", "-format", "yaml")
+			if err == nil || !strings.Contains(err.Error(), "unknown format") {
+				t.Fatalf("-format checked after loading the dataset: err = %v", err)
+			}
+		})
 	}
 	if _, _, err := runCLI(t, "analyze"); err == nil {
 		t.Fatal("missing -data accepted")
@@ -113,20 +145,6 @@ func TestAnalyzeFormats(t *testing.T) {
 	}
 	if _, _, err := runCLI(t, "analyze", "-data", path, "-method", "kmeans"); err == nil {
 		t.Fatal("unknown method accepted")
-	}
-}
-
-func TestAnalyzeSparseFlag(t *testing.T) {
-	path := writeFigure1(t)
-	stdout, _, err := runCLI(t, "analyze", "-data", path, "-sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, "method=rolediet") {
-		t.Fatalf("sparse analyze output:\n%s", stdout)
-	}
-	if _, _, err := runCLI(t, "analyze", "-data", path, "-sparse", "-method", "dbscan"); err == nil {
-		t.Fatal("sparse+dbscan accepted")
 	}
 }
 

@@ -2,7 +2,7 @@
 // over HTTP. See internal/server for the endpoint contract.
 //
 //	roledietd -addr :8080
-//	curl -X POST --data-binary @org.json 'localhost:8080/v1/analyze?sparse=true'
+//	curl -X POST --data-binary @org.json 'localhost:8080/v1/analyze?threshold=1'
 //
 // Resilience knobs (see internal/server for the error contract):
 //

@@ -11,8 +11,8 @@
 // the triangle-inequality bound d(a,b) >= ||a|-|b|| is available to
 // prune candidates before any XOR+popcount work.
 //
-// The arena is built once per grouping run (from the rbac.Dataset's
-// assignment matrix or a row slice) and shared by every backend: the
+// The arena is built once per grouping run (packed from core's CSR
+// snapshot, or from a row slice) and shared by every backend: the
 // Role Diet inverted index walks RowWords, DBSCAN region queries go
 // through the norm-pruned NeighborsInto/NeighborsAppend kernels, HNSW
 // computes distances between stored ids with Hamming(i,j) instead of
@@ -26,7 +26,6 @@ import (
 	"math/bits"
 
 	"repro/internal/bitvec"
-	"repro/internal/matrix"
 )
 
 const (
@@ -99,25 +98,6 @@ func FromRows(rows []*bitvec.Vector) (*Matrix, error) {
 		m.norms[i] = n
 	}
 	return m, nil
-}
-
-// FromBitMatrix packs a matrix.BitMatrix into a fresh arena.
-func FromBitMatrix(bm *matrix.BitMatrix) *Matrix {
-	rows := make([]*bitvec.Vector, bm.Rows())
-	for i := range rows {
-		rows[i] = bm.Row(i)
-	}
-	m, err := FromRows(rows)
-	if err != nil {
-		// BitMatrix enforces uniform row widths, so this is unreachable.
-		panic(err)
-	}
-	if m.rows == 0 {
-		m.cols = bm.Cols()
-		m.words = (m.cols + wordBits - 1) >> wordShift
-		m.stride = strideFor(m.words)
-	}
-	return m
 }
 
 // Rows returns the number of rows.

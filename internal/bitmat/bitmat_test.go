@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/matrix"
 )
 
 // randRows builds n random rows of the given width with roughly the
@@ -244,29 +243,6 @@ func TestSetAndNorms(t *testing.T) {
 	m.ForEachSet(0, func(j int) { got = append(got, j) })
 	if len(got) != 2 || got[0] != 5 || got[1] != 99 {
 		t.Fatalf("ForEachSet(0) = %v, want [5 99]", got)
-	}
-}
-
-func TestFromBitMatrix(t *testing.T) {
-	bm := matrix.NewBitMatrix(4, 70)
-	bm.Set(0, 0)
-	bm.Set(1, 69)
-	bm.Set(3, 33)
-	m := FromBitMatrix(bm)
-	if m.Rows() != 4 || m.Cols() != 70 {
-		t.Fatalf("shape %dx%d, want 4x70", m.Rows(), m.Cols())
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 70; j++ {
-			if m.Get(i, j) != bm.Get(i, j) {
-				t.Fatalf("cell (%d,%d) mismatch", i, j)
-			}
-		}
-	}
-
-	empty := FromBitMatrix(matrix.NewBitMatrix(0, 70))
-	if empty.Rows() != 0 || empty.Cols() != 70 {
-		t.Fatalf("empty shape %dx%d, want 0x70", empty.Rows(), empty.Cols())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // canonicalIDs sorts a copy of an ID-ish slice for order-insensitive
-// comparison (the dense and sparse detectors happen to emit in the same
+// comparison (the CSR and arena lanes happen to emit in the same
 // role-index order today, but that is an implementation detail).
 func canonicalIDs[T ~string](ids []T) []string {
 	out := make([]string, len(ids))
@@ -38,42 +38,61 @@ func canonicalGroups(groups []core.RoleGroup) []string {
 func equalStrings(t *testing.T, field string, a, b []string) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Errorf("%s: dense has %d entries, sparse %d\n  dense:  %v\n  sparse: %v", field, len(a), len(b), a, b)
+		t.Errorf("%s: csr has %d entries, arena %d\n  csr:   %v\n  arena: %v", field, len(a), len(b), a, b)
 		return
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Errorf("%s[%d]: dense %q != sparse %q", field, i, a[i], b[i])
+			t.Errorf("%s[%d]: csr %q != arena %q", field, i, a[i], b[i])
 			return
 		}
 	}
 }
 
-// compareReports asserts the dense and sparse analyses agree on every
+// compareReports asserts the two grouping lanes agree on every
 // detected inefficiency, class by class.
-func compareReports(t *testing.T, dense, sparse *core.Report) {
+func compareReports(t *testing.T, csr, arena *core.Report) {
 	t.Helper()
-	if dense.Stats != sparse.Stats {
-		t.Errorf("stats differ: dense %+v sparse %+v", dense.Stats, sparse.Stats)
+	if csr.Stats != arena.Stats {
+		t.Errorf("stats differ: csr %+v arena %+v", csr.Stats, arena.Stats)
 	}
-	equalStrings(t, "standaloneUsers", canonicalIDs(dense.StandaloneUsers), canonicalIDs(sparse.StandaloneUsers))
-	equalStrings(t, "standalonePermissions", canonicalIDs(dense.StandalonePermissions), canonicalIDs(sparse.StandalonePermissions))
-	equalStrings(t, "standaloneRoles", canonicalIDs(dense.StandaloneRoles), canonicalIDs(sparse.StandaloneRoles))
-	equalStrings(t, "rolesWithoutUsers", canonicalIDs(dense.RolesWithoutUsers), canonicalIDs(sparse.RolesWithoutUsers))
-	equalStrings(t, "rolesWithoutPermissions", canonicalIDs(dense.RolesWithoutPermissions), canonicalIDs(sparse.RolesWithoutPermissions))
-	equalStrings(t, "rolesWithSingleUser", canonicalIDs(dense.RolesWithSingleUser), canonicalIDs(sparse.RolesWithSingleUser))
-	equalStrings(t, "rolesWithSinglePermission", canonicalIDs(dense.RolesWithSinglePermission), canonicalIDs(sparse.RolesWithSinglePermission))
-	equalStrings(t, "sameUserGroups", canonicalGroups(dense.SameUserGroups), canonicalGroups(sparse.SameUserGroups))
-	equalStrings(t, "samePermissionGroups", canonicalGroups(dense.SamePermissionGroups), canonicalGroups(sparse.SamePermissionGroups))
-	equalStrings(t, "similarUserGroups", canonicalGroups(dense.SimilarUserGroups), canonicalGroups(sparse.SimilarUserGroups))
-	equalStrings(t, "similarPermissionGroups", canonicalGroups(dense.SimilarPermissionGroups), canonicalGroups(sparse.SimilarPermissionGroups))
+	equalStrings(t, "standaloneUsers", canonicalIDs(csr.StandaloneUsers), canonicalIDs(arena.StandaloneUsers))
+	equalStrings(t, "standalonePermissions", canonicalIDs(csr.StandalonePermissions), canonicalIDs(arena.StandalonePermissions))
+	equalStrings(t, "standaloneRoles", canonicalIDs(csr.StandaloneRoles), canonicalIDs(arena.StandaloneRoles))
+	equalStrings(t, "rolesWithoutUsers", canonicalIDs(csr.RolesWithoutUsers), canonicalIDs(arena.RolesWithoutUsers))
+	equalStrings(t, "rolesWithoutPermissions", canonicalIDs(csr.RolesWithoutPermissions), canonicalIDs(arena.RolesWithoutPermissions))
+	equalStrings(t, "rolesWithSingleUser", canonicalIDs(csr.RolesWithSingleUser), canonicalIDs(arena.RolesWithSingleUser))
+	equalStrings(t, "rolesWithSinglePermission", canonicalIDs(csr.RolesWithSinglePermission), canonicalIDs(arena.RolesWithSinglePermission))
+	equalStrings(t, "sameUserGroups", canonicalGroups(csr.SameUserGroups), canonicalGroups(arena.SameUserGroups))
+	equalStrings(t, "samePermissionGroups", canonicalGroups(csr.SamePermissionGroups), canonicalGroups(arena.SamePermissionGroups))
+	equalStrings(t, "similarUserGroups", canonicalGroups(csr.SimilarUserGroups), canonicalGroups(arena.SimilarUserGroups))
+	equalStrings(t, "similarPermissionGroups", canonicalGroups(csr.SimilarPermissionGroups), canonicalGroups(arena.SimilarPermissionGroups))
 }
 
-// TestAnalyzeSparseAgreementOrg runs the full dense and CSR detection
-// pipelines over randomized organisation-scale datasets (scaled-down
-// §IV-B generator with different seeds) and requires identical reports
-// across all five inefficiency classes. Until now only cancellation was
-// cross-tested; this pins the actual results.
+// compareLanes analyses ds with Role Diet, which groups over the CSR
+// snapshot, and with exact DBSCAN, which groups over the arena packed
+// from it, at one and four workers, and requires identical reports.
+func compareLanes(t *testing.T, ds *rbac.Dataset, threshold int) {
+	t.Helper()
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			csr, err := core.Analyze(ds, core.Options{Method: core.MethodRoleDiet, SimilarThreshold: threshold, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arena, err := core.Analyze(ds, core.Options{Method: core.MethodDBSCAN, SimilarThreshold: threshold, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareReports(t, csr, arena)
+		})
+	}
+}
+
+// TestAnalyzeSparseAgreementOrg runs the CSR lane (Role Diet) against
+// the arena lane (exact DBSCAN) over randomized organisation-scale
+// datasets (scaled-down §IV-B generator with different seeds) and
+// requires identical reports across all five inefficiency classes.
 func TestAnalyzeSparseAgreementOrg(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -84,24 +103,15 @@ func TestAnalyzeSparseAgreementOrg(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.Options{Method: core.MethodRoleDiet, SimilarThreshold: 1}
-			dense, err := core.Analyze(ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse, err := core.AnalyzeSparse(ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareReports(t, dense, sparse)
+			compareLanes(t, ds, 1)
 		})
 	}
 }
 
 // TestAnalyzeSparseAgreementRandom repeats the comparison on fully
 // random assignment graphs with no planted structure — every edge
-// independent — including higher similarity thresholds, where the
-// sparse norm-bucket logic and the dense path must still agree.
+// independent — including higher similarity thresholds, where Role
+// Diet's norm-bucket logic and DBSCAN's region queries must still agree.
 func TestAnalyzeSparseAgreementRandom(t *testing.T) {
 	for _, tc := range []struct {
 		seed      int64
@@ -113,17 +123,7 @@ func TestAnalyzeSparseAgreementRandom(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed=%d,k=%d", tc.seed, tc.threshold), func(t *testing.T) {
-			ds := randomDataset(tc.seed, 120, 80, 60)
-			opts := core.Options{Method: core.MethodRoleDiet, SimilarThreshold: tc.threshold}
-			dense, err := core.Analyze(ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse, err := core.AnalyzeSparse(ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareReports(t, dense, sparse)
+			compareLanes(t, randomDataset(tc.seed, 120, 80, 60), tc.threshold)
 		})
 	}
 }

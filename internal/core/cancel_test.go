@@ -44,9 +44,6 @@ func TestAnalyzeContextAlreadyCanceled(t *testing.T) {
 	if _, err := AnalyzeContext(ctx, d, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AnalyzeContext on canceled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := AnalyzeSparseContext(ctx, d, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeSparseContext on canceled ctx = %v, want context.Canceled", err)
-	}
 }
 
 // TestAnalyzeContextCanceledMidRun cancels a dense analysis shortly
@@ -73,8 +70,9 @@ func TestAnalyzeContextCanceledMidRun(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSparseContextCanceledMidRun is the sparse-path twin of the
-// test above: the CSR co-occurrence loops must observe the cancel too.
+// TestAnalyzeSparseContextCanceledMidRun is the CSR-lane twin of the
+// test above: Role Diet's co-occurrence loops over the sparse snapshot
+// must observe the cancel too.
 func TestAnalyzeSparseContextCanceledMidRun(t *testing.T) {
 	d := randomDataset(t, 4000, 1500, 0.05, 7)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -83,16 +81,16 @@ func TestAnalyzeSparseContextCanceledMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := AnalyzeSparseContext(ctx, d, Options{SimilarThreshold: 2})
+		_, err := AnalyzeContext(ctx, d, Options{SimilarThreshold: 2})
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("AnalyzeSparseContext = %v, want context.Canceled", err)
+			t.Fatalf("AnalyzeContext = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("AnalyzeSparseContext did not return within 30s of cancellation")
+		t.Fatal("AnalyzeContext did not return within 30s of cancellation")
 	}
 }
 

@@ -21,6 +21,8 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
+	"repro/internal/cluster/rolediet"
+	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -198,9 +200,9 @@ type Report struct {
 
 // Analyzer runs the detection framework over one dataset snapshot.
 // NewAnalyzer copies everything the detectors read: the entity IDs, the
-// dataset's shape, and per side the row sums, the column degrees and
-// the bit-matrix arena of the non-empty rows. The snapshot is the
-// arena; the dataset itself is not retained.
+// dataset's shape, and per side the row sums, the column degrees and a
+// CSR of the non-empty rows. The snapshot is the CSR; the dataset itself
+// is not retained.
 type Analyzer struct {
 	ids   ids
 	stats rbac.Stats
@@ -224,72 +226,74 @@ type counts struct {
 }
 
 // side is one assignment matrix as the analysis holds it: its counts,
-// the arena packing its non-empty rows, and the remap from arena row
-// back to dataset role index. Grouping runs over the arena only, so
+// the CSR of its non-empty rows, and the remap from CSR row back to
+// dataset role index. Grouping runs over the non-empty rows only, so
 // disconnected roles (class 2) cannot resurface as one giant class-4
-// group of all-zero rows, and an analysis's threshold-0 and threshold-k
-// runs share one packing.
+// group of all-zero rows.
 type side struct {
 	counts
 	remap []int
-	mat   *bitmat.Matrix
+	csr   *matrix.CSR
 }
 
-// NewAnalyzer snapshots the dataset. Each bit of RUAM and RPAM is
-// written once, straight into its side's arena; later dataset mutations
-// are not observed.
+// NewAnalyzer snapshots the dataset. Each side is laid out once as a
+// CSR matrix; later dataset mutations are not observed.
 func NewAnalyzer(d *rbac.Dataset) *Analyzer {
 	return &Analyzer{
 		ids:   ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()},
 		stats: d.Stats(),
-		ruam:  packSide(d, false, d.NumUsers()),
-		rpam:  packSide(d, true, d.NumPermissions()),
+		ruam:  newSide(d.RUAMCSR()),
+		rpam:  newSide(d.RPAMCSR()),
 	}
 }
 
-// packSide builds one side of the snapshot in two passes over the
-// roles' assignment sets: the first counts row sums and column degrees,
-// which fix the non-empty rows; the second sets their bits in an arena
-// sized to them.
-func packSide(d *rbac.Dataset, perms bool, cols int) side {
-	n := d.NumRoles()
-	s := side{counts: counts{rowSums: make([]int, n), colDeg: make([]int, cols)}}
+// newSide counts one assignment matrix and keeps its non-empty rows.
+func newSide(c *matrix.CSR) side {
+	kept, remap := filterEmptyRows(c)
+	return side{counts: csrCounts(c), remap: remap, csr: kept}
+}
+
+// csrCounts returns a CSR matrix's row sums and column degrees.
+func csrCounts(c *matrix.CSR) counts {
+	sums := make([]int, c.Rows())
+	for i := range sums {
+		sums[i] = c.RowSum(i)
+	}
+	return counts{rowSums: sums, colDeg: c.ColSums()}
+}
+
+// filterEmptyRows drops all-zero rows from a CSR matrix and returns the
+// kept matrix plus a kept-index → original-index map. Empty rows own no
+// column indices, so the kept matrix shares c's ColIdx and only its
+// RowPtr is new.
+func filterEmptyRows(c *matrix.CSR) (*matrix.CSR, []int) {
 	kept := 0
-	for ri := 0; ri < n; ri++ {
-		forEachCol(d, perms, ri, func(j int) bool {
-			s.rowSums[ri]++
-			s.colDeg[j]++
-			return true
-		})
-		if s.rowSums[ri] > 0 {
+	for i := 0; i < c.Rows(); i++ {
+		if c.RowSum(i) > 0 {
 			kept++
 		}
 	}
-	s.remap = make([]int, 0, kept)
-	for ri, sum := range s.rowSums {
-		if sum > 0 {
-			s.remap = append(s.remap, ri)
+	out := &matrix.CSR{RowPtr: make([]int, 1, kept+1), ColIdx: c.ColIdx, NRows: kept, NCols: c.Cols()}
+	remap := make([]int, 0, kept)
+	for i := 0; i < c.Rows(); i++ {
+		if c.RowSum(i) > 0 {
+			out.RowPtr = append(out.RowPtr, c.RowPtr[i+1])
+			remap = append(remap, i)
 		}
 	}
-	s.mat = bitmat.New(kept, cols)
-	for row, ri := range s.remap {
-		forEachCol(d, perms, ri, func(j int) bool {
-			s.mat.Set(row, j)
-			return true
-		})
-	}
-	return s
+	return out, remap
 }
 
-// forEachCol visits role ri's users, or its permissions when perms is
-// set. Calling the dataset's iterators statically keeps the visitor
-// closures on the stack, so packing allocates nothing per role.
-func forEachCol(d *rbac.Dataset, perms bool, ri int, fn func(j int) bool) {
-	if perms {
-		d.ForEachRolePermission(ri, fn)
-		return
+// pack copies the side's CSR into a bit-matrix arena, the input the
+// bit-vector baselines read.
+func (s *side) pack() *bitmat.Matrix {
+	m := bitmat.New(s.csr.Rows(), s.csr.Cols())
+	for i := 0; i < s.csr.Rows(); i++ {
+		for _, j := range s.csr.RowCols(i) {
+			m.Set(i, j)
+		}
 	}
-	d.ForEachRoleUser(ri, fn)
+	return m
 }
 
 // Analyze runs every enabled detector and assembles the report.
@@ -338,15 +342,21 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 		gopts.Workers = opts.Workers
 	}
 	start = time.Now()
+	// Role Diet groups over the CSR. The bit-vector baselines read an
+	// arena, packed once per side so the class-4 and class-5 runs share it.
+	var ruamMat, rpamMat *bitmat.Matrix
+	if opts.Method != MethodRoleDiet {
+		ruamMat, rpamMat = a.ruam.pack(), a.rpam.pack()
+	}
 	gopts.Threshold = 0
 	gopts.Progress = progress.span(StageSameUserGroups, fracLinearEnd, fracSameUserEnd)
-	sameUsers, err := findGroups(ctx, &a.ruam, gopts)
+	sameUsers, err := findGroups(ctx, &a.ruam, ruamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("same-user groups: %w", err)
 	}
 	progress.emit(StageSameUserGroups, fracSameUserEnd)
 	gopts.Progress = progress.span(StageSamePermissionGroups, fracSameUserEnd, fracSamePermEnd)
-	samePerms, err := findGroups(ctx, &a.rpam, gopts)
+	samePerms, err := findGroups(ctx, &a.rpam, rpamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("same-permission groups: %w", err)
 	}
@@ -363,13 +373,13 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	start = time.Now()
 	gopts.Threshold = opts.SimilarThreshold
 	gopts.Progress = progress.span(StageSimilarUserGroups, fracSamePermEnd, fracSimilarUserEnd)
-	similarUsers, err := findGroups(ctx, &a.ruam, gopts)
+	similarUsers, err := findGroups(ctx, &a.ruam, ruamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("similar-user groups: %w", err)
 	}
 	progress.emit(StageSimilarUserGroups, fracSimilarUserEnd)
 	gopts.Progress = progress.span(StageSimilarPermissionGroups, fracSimilarUserEnd, fracSimilarPermEnd)
-	similarPerms, err := findGroups(ctx, &a.rpam, gopts)
+	similarPerms, err := findGroups(ctx, &a.rpam, rpamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("similar-permission groups: %w", err)
 	}
@@ -385,8 +395,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 // detectLinear runs the class-1/2/3 detectors: users and permissions
 // with column degree zero (class 1), roles with a zero row sum on both
 // sides (class 1), on exactly one side (class 2), or a row sum of one
-// (class 3). They read only counts, so the dense and sparse analyses
-// share it.
+// (class 3). They read only counts.
 func detectLinear(rep *Report, id ids, ruam, rpam counts) {
 	for ui, deg := range ruam.colDeg {
 		if deg == 0 {
@@ -417,15 +426,29 @@ func detectLinear(rep *Report, id ids, ruam, rpam counts) {
 	}
 }
 
-// findGroups runs one grouping detector over a side's arena, remapping
-// group members back to dataset role indices.
-func findGroups(ctx context.Context, s *side, opts GroupOptions) ([][]int, error) {
+// findGroups runs one grouping detector over a side's non-empty rows:
+// Role Diet over the CSR, any other method over m, the side's arena.
+// Group members are remapped back to dataset role indices.
+func findGroups(ctx context.Context, s *side, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
 	if len(s.remap) == 0 {
 		return nil, nil
 	}
-	groups, err := findRoleGroupsMat(ctx, nil, s.mat, opts)
-	if err != nil {
-		return nil, err
+	var groups [][]int
+	if opts.Method == MethodRoleDiet {
+		res, err := rolediet.RunCSR(ctx, s.csr, rolediet.Options{
+			Threshold: opts.Threshold,
+			Workers:   opts.Workers,
+			Progress:  opts.Progress,
+		})
+		if err != nil {
+			return nil, err
+		}
+		groups = res.Groups
+	} else {
+		var err error
+		if groups, err = findRoleGroupsMat(ctx, nil, m, opts); err != nil {
+			return nil, err
+		}
 	}
 	for _, g := range groups {
 		for i, idx := range g {

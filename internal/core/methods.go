@@ -216,7 +216,8 @@ func FindRoleGroupsContext(ctx context.Context, rows []*bitvec.Vector, opts Grou
 // the Analyzer: one call to the selected backend's entry point over a
 // bit-matrix arena. FindRoleGroupsContext passes its rows and a nil
 // arena, packed here once for the backends that consume one; the
-// Analyzer passes each side's arena and nil rows, so its class-4 and
+// Analyzer, for every method but rolediet, passes each side's arena
+// (packed from its CSR snapshot) and nil rows, so its class-4 and
 // class-5 runs share a single packing and the float64 DBSCAN rows are
 // read back from the arena. The input must be non-empty and the caller
 // must already have applied the IgnoreEmptyRows filter.

@@ -45,10 +45,10 @@ func (p *progressLog) check(t *testing.T) {
 	}
 }
 
-// TestAnalyzeProgress verifies the dense and sparse pipelines emit
-// monotonically non-decreasing progress that reaches 1.0, for the
-// backends that report inside their grouping loops as well as the
-// stage-boundary-only ones.
+// TestAnalyzeProgress verifies the analysis emits monotonically
+// non-decreasing progress that reaches 1.0, for the backends that
+// report inside their grouping loops as well as the stage-boundary-only
+// ones, and for Role Diet's parallel lane.
 func TestAnalyzeProgress(t *testing.T) {
 	ds := randomDataset(7, 150, 90, 70)
 	for _, method := range []core.Method{core.MethodRoleDiet, core.MethodHNSW, core.MethodDBSCAN} {
@@ -66,16 +66,17 @@ func TestAnalyzeProgress(t *testing.T) {
 			dense.check(t)
 		})
 	}
-	t.Run("sparse", func(t *testing.T) {
-		var sparse progressLog
-		_, err := core.AnalyzeSparseContext(context.Background(), ds, core.Options{
+	t.Run("rolediet-workers", func(t *testing.T) {
+		var log progressLog
+		_, err := core.AnalyzeContext(context.Background(), ds, core.Options{
 			SimilarThreshold: 2,
-			Progress:         sparse.hook,
+			Workers:          4,
+			Progress:         log.hook,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse.check(t)
+		log.check(t)
 	})
 }
 

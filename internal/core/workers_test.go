@@ -65,9 +65,9 @@ func TestWorkersNegativeRejected(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWorkersParity runs the whole analysis — dense and sparse —
-// with Workers set and checks the reports match the serial ones field
-// for field (durations aside).
+// TestAnalyzeWorkersParity runs the whole analysis with Workers set and
+// checks the report matches the serial one field for field (durations
+// aside).
 func TestAnalyzeWorkersParity(t *testing.T) {
 	d := rbac.Figure1()
 	serial, err := Analyze(d, Options{})
@@ -78,26 +78,10 @@ func TestAnalyzeWorkersParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReportsEqual(t, "dense", serial, par)
-
-	sSerial, err := AnalyzeSparse(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sPar, err := AnalyzeSparse(d, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReportsEqual(t, "sparse", sSerial, sPar)
-}
-
-func assertReportsEqual(t *testing.T, label string, a, b *Report) {
-	t.Helper()
-	ca, cb := *a, *b
-	ca.LinearScanDuration, cb.LinearScanDuration = 0, 0
-	ca.SameGroupsDuration, cb.SameGroupsDuration = 0, 0
-	ca.SimilarGroupDuration, cb.SimilarGroupDuration = 0, 0
-	if !reflect.DeepEqual(ca, cb) {
-		t.Errorf("%s: parallel report differs from serial:\nserial: %+v\nparallel: %+v", label, ca, cb)
+	serial.LinearScanDuration, par.LinearScanDuration = 0, 0
+	serial.SameGroupsDuration, par.SameGroupsDuration = 0, 0
+	serial.SimilarGroupDuration, par.SimilarGroupDuration = 0, 0
+	if !reflect.DeepEqual(serial, par) {
+		t.Errorf("parallel report differs from serial:\nserial: %+v\nparallel: %+v", serial, par)
 	}
 }

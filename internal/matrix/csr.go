@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CSR is a compressed-sparse-row view of a boolean matrix: for each row
 // only the sorted column indices of set cells are stored. The paper notes
@@ -47,44 +44,6 @@ func CSRFromDense(m *BitMatrix) *CSR {
 	return c
 }
 
-// CSRFromTriplets builds a CSR from (row, col) coordinate pairs.
-// Duplicate pairs are collapsed; out-of-range coordinates are an error.
-func CSRFromTriplets(rows, cols int, coords [][2]int) (*CSR, error) {
-	perRow := make([][]int, rows)
-	for _, rc := range coords {
-		i, j := rc[0], rc[1]
-		if i < 0 || i >= rows || j < 0 || j >= cols {
-			return nil, fmt.Errorf("matrix: coordinate (%d,%d) outside %dx%d", i, j, rows, cols)
-		}
-		perRow[i] = append(perRow[i], j)
-	}
-	c := NewCSR(rows, cols)
-	for i, js := range perRow {
-		sort.Ints(js)
-		prev := -1
-		for _, j := range js {
-			if j == prev {
-				continue
-			}
-			c.ColIdx = append(c.ColIdx, j)
-			prev = j
-		}
-		c.RowPtr[i+1] = len(c.ColIdx)
-	}
-	return c, nil
-}
-
-// ToDense converts the CSR back to a dense BitMatrix.
-func (c *CSR) ToDense() *BitMatrix {
-	m := NewBitMatrix(c.NRows, c.NCols)
-	for i := 0; i < c.NRows; i++ {
-		for _, j := range c.RowCols(i) {
-			m.Set(i, j)
-		}
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (c *CSR) Rows() int { return c.NRows }
 
@@ -106,13 +65,6 @@ func (c *CSR) RowCols(i int) []int {
 // RowSum returns the number of set cells in row i.
 func (c *CSR) RowSum(i int) int { return len(c.RowCols(i)) }
 
-// Get reports whether cell (i, j) is set, by binary search within the row.
-func (c *CSR) Get(i, j int) bool {
-	row := c.RowCols(i)
-	k := sort.SearchInts(row, j)
-	return k < len(row) && row[k] == j
-}
-
 // ColSums returns per-column counts of set cells.
 func (c *CSR) ColSums() []int {
 	out := make([]int, c.NCols)
@@ -120,33 +72,6 @@ func (c *CSR) ColSums() []int {
 		out[j]++
 	}
 	return out
-}
-
-// IntersectionCount returns the number of columns set in both row a and
-// row b, via a linear merge of the two sorted index lists. This is the
-// sparse counterpart of bitvec.IntersectionCount and the building block
-// of the sparse co-occurrence computation.
-func (c *CSR) IntersectionCount(a, b int) int {
-	ra, rb := c.RowCols(a), c.RowCols(b)
-	n, i, j := 0, 0, 0
-	for i < len(ra) && j < len(rb) {
-		switch {
-		case ra[i] == rb[j]:
-			n++
-			i++
-			j++
-		case ra[i] < rb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}
-
-// Hamming returns the Hamming distance between rows a and b.
-func (c *CSR) Hamming(a, b int) int {
-	return c.RowSum(a) + c.RowSum(b) - 2*c.IntersectionCount(a, b)
 }
 
 // MemoryBytes estimates the storage footprint of the CSR structure in

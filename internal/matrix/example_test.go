@@ -19,10 +19,10 @@ func Example() {
 
 	c := matrix.CSRFromDense(m)
 	fmt.Println("nnz:", c.NNZ())
-	fmt.Println("round trip ok:", c.ToDense().Equal(m))
+	fmt.Println("row 0 cols:", c.RowCols(0))
 	// Output:
 	// row sums: [2 0 1]
 	// zero cols: [2]
 	// nnz: 3
-	// round trip ok: true
+	// row 0 cols: [0 1]
 }

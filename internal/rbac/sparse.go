@@ -20,21 +20,22 @@ func (d *Dataset) RPAMCSR() *matrix.CSR {
 	return buildCSR(d.rolePerms, len(d.roles), len(d.perms))
 }
 
+// buildCSR lays the sets out in two passes: the first fixes RowPtr from
+// the set sizes, the second writes each row straight into its ColIdx
+// slice and sorts it in place, so the matrix costs a constant number of
+// allocations at any size.
 func buildCSR(sets []map[int]struct{}, rows, cols int) *matrix.CSR {
 	c := matrix.NewCSR(rows, cols)
-	nnz := 0
-	for _, s := range sets {
-		nnz += len(s)
-	}
-	c.ColIdx = make([]int, 0, nnz)
 	for ri, s := range sets {
-		row := make([]int, 0, len(s))
+		c.RowPtr[ri+1] = c.RowPtr[ri] + len(s)
+	}
+	c.ColIdx = make([]int, c.RowPtr[rows])
+	for ri, s := range sets {
+		row := c.ColIdx[c.RowPtr[ri]:c.RowPtr[ri]:c.RowPtr[ri+1]]
 		for j := range s {
 			row = append(row, j)
 		}
 		sort.Ints(row)
-		c.ColIdx = append(c.ColIdx, row...)
-		c.RowPtr[ri+1] = len(c.ColIdx)
 	}
 	return c
 }

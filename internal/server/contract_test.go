@@ -61,14 +61,6 @@ func TestEnvelopeBodyOptions(t *testing.T) {
 		t.Fatalf("body did not win over query params:\nwant: %+v\ngot:  %+v", viaQuery, bodyWins)
 	}
 
-	// Sparse pipeline selected via the envelope matches ?sparse=true.
-	sparseQuery := decodeReport(t, post(t, srv, "/v1/analyze?sparse=true&threshold=1", dataset))
-	sparseBody := decodeReport(t, post(t, srv, "/v1/analyze",
-		`{"sparse":true,"options":{"threshold":1},"dataset":`+dataset+`}`))
-	if !reflect.DeepEqual(sparseQuery, sparseBody) {
-		t.Fatalf("sparse envelope differs from sparse query form")
-	}
-
 	// A bare dataset body (no envelope) still works unchanged.
 	bare := decodeReport(t, post(t, srv, "/v1/analyze?method=rolediet&threshold=2", dataset))
 	if !reflect.DeepEqual(viaQuery, bare) {

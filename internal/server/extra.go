@@ -138,7 +138,7 @@ func (h *handler) diffSide(w http.ResponseWriter, r *http.Request, name string, 
 // of content digests, so re-diffing the same pair (in either form) is
 // served from the store.
 func (h *handler) diff(w http.ResponseWriter, r *http.Request) {
-	opts, _, err := queryOptions(r)
+	opts, err := queryOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -78,7 +78,7 @@ func slowDatasetJSON(t *testing.T) []byte {
 }
 
 // envelope builds a /v1/jobs (or sync v1) request body.
-func envelope(t *testing.T, kind string, dataset []byte, options string, sparse *bool) []byte {
+func envelope(t *testing.T, kind string, dataset []byte, options string) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	b.WriteString("{")
@@ -87,9 +87,6 @@ func envelope(t *testing.T, kind string, dataset []byte, options string, sparse 
 	}
 	if options != "" {
 		fmt.Fprintf(&b, "%q:%s,", "options", options)
-	}
-	if sparse != nil {
-		fmt.Fprintf(&b, "%q:%v,", "sparse", *sparse)
 	}
 	b.WriteString(`"dataset":`)
 	b.Write(dataset)
@@ -177,7 +174,7 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	dataset := orgDatasetJSON(t)
 	const options = `{"method":"rolediet","threshold":1}`
 
-	snap := submitJob(t, srv, envelope(t, "analyze", dataset, options, nil))
+	snap := submitJob(t, srv, envelope(t, "analyze", dataset, options))
 	final := pollUntilTerminal(t, srv, snap.ID)
 	if final.Status != jobs.StatusDone {
 		t.Fatalf("final status = %s (error %q)", final.Status, final.Error)
@@ -200,7 +197,7 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	}
 
 	syncResp, err := http.Post(srv.URL+"/v1/analyze", "application/json",
-		bytes.NewReader(envelope(t, "", dataset, options, nil)))
+		bytes.NewReader(envelope(t, "", dataset, options)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +225,7 @@ func TestJobConsolidateAndSuggestKinds(t *testing.T) {
 	for _, kind := range []string{"consolidate", "suggest"} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			snap := submitJob(t, srv, envelope(t, kind, dataset, "", nil))
+			snap := submitJob(t, srv, envelope(t, kind, dataset, ""))
 			final := pollUntilTerminal(t, srv, snap.ID)
 			if final.Status != jobs.StatusDone {
 				t.Fatalf("final status = %s (error %q)", final.Status, final.Error)
@@ -294,7 +291,7 @@ func TestJobCancelFreesWorker(t *testing.T) {
 	slow := slowDatasetJSON(t)
 	slowOpts := `{"method":"dbscan-float64","threshold":1}`
 
-	snap := submitJob(t, srv, envelope(t, "analyze", slow, slowOpts, nil))
+	snap := submitJob(t, srv, envelope(t, "analyze", slow, slowOpts))
 
 	// Wait for the worker to pick it up, then cancel mid-run.
 	deadline := time.Now().Add(30 * time.Second)
@@ -344,7 +341,7 @@ func TestJobCancelFreesWorker(t *testing.T) {
 	}
 
 	// Worker slot is free again: a quick job must complete.
-	quick := submitJob(t, srv, envelope(t, "analyze", figure1Body(t).Bytes(), "", nil))
+	quick := submitJob(t, srv, envelope(t, "analyze", figure1Body(t).Bytes(), ""))
 	if final := pollUntilTerminal(t, srv, quick.ID); final.Status != jobs.StatusDone {
 		t.Fatalf("post-cancel job = %s (error %q)", final.Status, final.Error)
 	}
@@ -356,7 +353,7 @@ func TestJobQueueFullSheds(t *testing.T) {
 	srv := newJobsServer(t, Options{JobWorkers: 1, JobQueueDepth: 1})
 	slow := slowDatasetJSON(t)
 	slowOpts := `{"method":"dbscan-float64","threshold":1}`
-	body := envelope(t, "analyze", slow, slowOpts, nil)
+	body := envelope(t, "analyze", slow, slowOpts)
 
 	running := submitJob(t, srv, body)
 	// Ensure the worker holds the first job so the second stays queued.
@@ -401,7 +398,7 @@ func TestJobQueueFullSheds(t *testing.T) {
 // once the TTL lapses.
 func TestJobResultExpiry(t *testing.T) {
 	srv := newJobsServer(t, Options{JobResultTTL: 30 * time.Millisecond})
-	snap := submitJob(t, srv, envelope(t, "analyze", figure1Body(t).Bytes(), "", nil))
+	snap := submitJob(t, srv, envelope(t, "analyze", figure1Body(t).Bytes(), ""))
 	if final := pollUntilTerminal(t, srv, snap.ID); final.Status != jobs.StatusDone {
 		t.Fatalf("job = %s (error %q)", final.Status, final.Error)
 	}
@@ -441,10 +438,10 @@ func TestJobSubmissionErrors(t *testing.T) {
 		want     int
 		wantCode string
 	}{
-		{"missing kind", string(envelope(t, "", fig1, "", nil)), http.StatusBadRequest, CodeBadRequest},
-		{"unknown kind", string(envelope(t, "mine-roles", fig1, "", nil)), http.StatusBadRequest, CodeBadRequest},
-		{"bad options method", string(envelope(t, "analyze", fig1, `{"method":"kmeans"}`, nil)), http.StatusBadRequest, CodeBadRequest},
-		{"negative threshold", string(envelope(t, "analyze", fig1, `{"threshold":-1}`, nil)), http.StatusBadRequest, CodeBadRequest},
+		{"missing kind", string(envelope(t, "", fig1, "")), http.StatusBadRequest, CodeBadRequest},
+		{"unknown kind", string(envelope(t, "mine-roles", fig1, "")), http.StatusBadRequest, CodeBadRequest},
+		{"bad options method", string(envelope(t, "analyze", fig1, `{"method":"kmeans"}`)), http.StatusBadRequest, CodeBadRequest},
+		{"negative threshold", string(envelope(t, "analyze", fig1, `{"threshold":-1}`)), http.StatusBadRequest, CodeBadRequest},
 		{"no dataset", `{"kind":"analyze"}`, http.StatusBadRequest, CodeBadRequest},
 		{"broken json", `{nope`, http.StatusBadRequest, CodeBadRequest},
 	}
@@ -490,7 +487,7 @@ func TestJobStatusAndResultErrors(t *testing.T) {
 
 	// Result of a still-running job is a conflict.
 	slow := submitJob(t, srv,
-		envelope(t, "analyze", slowDatasetJSON(t), `{"method":"dbscan-float64","threshold":1}`, nil))
+		envelope(t, "analyze", slowDatasetJSON(t), `{"method":"dbscan-float64","threshold":1}`))
 	resp, err = http.Get(srv.URL + "/v1/jobs/" + slow.ID + "/result")
 	if err != nil {
 		t.Fatal(err)

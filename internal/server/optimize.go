@@ -130,7 +130,7 @@ func (h *handler) optimizePlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts, _, err := queryOptions(r)
+	opts, err := queryOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -209,7 +209,7 @@ func TestOptimizeAsync(t *testing.T) {
 // /v1/jobs surface.
 func TestOptimizeJobKind(t *testing.T) {
 	srv := newJobsServer(t, Options{})
-	body := envelope(t, "optimize", figure1Body(t).Bytes(), "", nil)
+	body := envelope(t, "optimize", figure1Body(t).Bytes(), "")
 	snap := submitJob(t, srv, body)
 	if snap.Kind != "optimize" {
 		t.Fatalf("job kind = %q, want optimize", snap.Kind)

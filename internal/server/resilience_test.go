@@ -26,12 +26,12 @@ func decodeError(t *testing.T, resp *http.Response) string {
 
 // TestRequestTimeoutReturns504 exercises the per-request deadline: a
 // timeout too short for any analysis must surface as 504 with a JSON
-// body, on both the dense and sparse paths.
+// body.
 func TestRequestTimeoutReturns504(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Options{RequestTimeout: time.Nanosecond}))
 	t.Cleanup(srv.Close)
 
-	for _, path := range []string{"/v1/analyze", "/v1/analyze?sparse=true", "/v1/consolidate", "/v1/suggest"} {
+	for _, path := range []string{"/v1/analyze", "/v1/consolidate", "/v1/suggest"} {
 		resp, err := http.Post(srv.URL+path, "application/json", figure1Body(t))
 		if err != nil {
 			t.Fatal(err)

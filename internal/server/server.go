@@ -96,15 +96,14 @@
 //     and analysis options come from query parameters — method
 //     (rolediet|dbscan|hnsw|lsh|dbscan-float64), threshold (int >= 0),
 //     workers (int >= 0; >= 2 fans grouping out over that many
-//     goroutines), sparse (bool). /v1/query takes user and/or
-//     permission selectors;
+//     goroutines). /v1/query takes user and/or permission selectors;
 //     /v1/diff accepts method/threshold the same way.
 //
-//   - A v1 envelope: {"dataset": {...}, "options": {...}, "sparse": bool}
-//     where "options" follows the core.Options wire schema (one schema
-//     shared with the jobs API and the CLI). When the envelope carries
-//     "options" or "sparse" they win over the equivalent query
-//     parameters. /v1/jobs additionally requires "kind":
+//   - A v1 envelope: {"dataset": {...}, "options": {...}} where
+//     "options" follows the core.Options wire schema (one schema shared
+//     with the jobs API and the CLI). When the envelope carries
+//     "options" it wins over the equivalent query parameters. /v1/jobs
+//     additionally requires "kind":
 //     "analyze"|"consolidate"|"suggest"|"optimize". /v1/diff keeps its
 //     {"before", "after"} body and gains an optional "options" member.
 //     /v1/optimize reads its planner knobs from an extra "optimize"
@@ -657,12 +656,11 @@ type v1Request struct {
 	digest   string // content digest; set when resolved by ref, else lazily
 	fp       string // options fingerprint; set by runKindCached
 	opts     core.Options
-	sparse   bool
 	optKnobs *optimize.Knobs // planner knobs; only meaningful for kindOptimize
 }
 
 // v1Envelope is the unified request body: {"dataset" or "dataset_ref",
-// "options", "sparse"} plus "kind" for job submissions. Decoding
+// "options"} plus "kind" for job submissions. Decoding
 // options goes through core.Options.UnmarshalJSON, the schema shared
 // with the CLI.
 type v1Envelope struct {
@@ -670,54 +668,45 @@ type v1Envelope struct {
 	Dataset    json.RawMessage `json:"dataset"`
 	DatasetRef string          `json:"dataset_ref"`
 	Options    *core.Options   `json:"options"`
-	Sparse     *bool           `json:"sparse"`
 	// Optimize carries the /v1/optimize planner knobs. Its analysis
 	// member is ignored: analysis options always come from "options",
 	// so every kind shares one options schema and one fingerprint.
 	Optimize *optimize.Knobs `json:"optimize"`
 }
 
-// queryOptions extracts method/threshold/sparse parameters — the
+// queryOptions extracts method/threshold/workers parameters — the
 // back-compat surface predating the body envelope.
-func queryOptions(r *http.Request) (core.Options, bool, error) {
+func queryOptions(r *http.Request) (core.Options, error) {
 	opts := core.Options{}
 	q := r.URL.Query()
 	if m := q.Get("method"); m != "" {
 		method, err := core.ParseMethod(m)
 		if err != nil {
-			return opts, false, err
+			return opts, err
 		}
 		opts.Method = method
 	}
 	if t := q.Get("threshold"); t != "" {
 		k, err := strconv.Atoi(t)
 		if err != nil {
-			return opts, false, fmt.Errorf("threshold: %w", err)
+			return opts, fmt.Errorf("threshold: %w", err)
 		}
 		if k < 0 {
-			return opts, false, fmt.Errorf("threshold %d < 0", k)
+			return opts, fmt.Errorf("threshold %d < 0", k)
 		}
 		opts.SimilarThreshold = k
 	}
 	if ws := q.Get("workers"); ws != "" {
 		n, err := strconv.Atoi(ws)
 		if err != nil {
-			return opts, false, fmt.Errorf("workers: %w", err)
+			return opts, fmt.Errorf("workers: %w", err)
 		}
 		if n < 0 {
-			return opts, false, fmt.Errorf("workers %d < 0", n)
+			return opts, fmt.Errorf("workers %d < 0", n)
 		}
 		opts.Workers = n
 	}
-	sparse := false
-	if s := q.Get("sparse"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return opts, false, fmt.Errorf("sparse: %w", err)
-		}
-		sparse = v
-	}
-	return opts, sparse, nil
+	return opts, nil
 }
 
 // readBody drains the (size-capped) request body, transparently
@@ -845,7 +834,7 @@ func writeBodyError(w http.ResponseWriter, context string, err error) {
 // Validate()s the inline dataset, and reports decode failures as 400
 // with code bad_request.
 func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Request, bool) {
-	opts, sparse, err := queryOptions(r)
+	opts, err := queryOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return nil, false
@@ -855,7 +844,7 @@ func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Requ
 		return nil, false
 	}
 
-	req := &v1Request{opts: opts, sparse: sparse}
+	req := &v1Request{opts: opts}
 	datasetJSON := body
 
 	// Envelope sniff: a body whose top-level object carries "dataset"
@@ -875,9 +864,6 @@ func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Requ
 		req.optKnobs = env.Optimize
 		if env.Options != nil {
 			req.opts = *env.Options
-		}
-		if env.Sparse != nil {
-			req.sparse = *env.Sparse
 		}
 		if env.DatasetRef != "" {
 			if len(env.Dataset) > 0 {
@@ -1010,9 +996,6 @@ func runKind(ctx context.Context, kind string, req *v1Request,
 	opts.Progress = progress
 	switch kind {
 	case kindAnalyze:
-		if req.sparse {
-			return core.AnalyzeSparseContext(ctx, req.dataset, opts)
-		}
 		return core.AnalyzeContext(ctx, req.dataset, opts)
 	case kindConsolidate:
 		after, plan, err := consolidate.ConsolidateContext(ctx, req.dataset, opts)
@@ -1085,11 +1068,6 @@ func (h *handler) runKindCached(ctx context.Context, kind string, req *v1Request
 		req.digest = digest
 	}
 	var extra []string
-	if kind == kindAnalyze && req.sparse {
-		// Only analyze branches on sparse; keying the others on it
-		// would split identical results across cache lines.
-		extra = append(extra, "sparse")
-	}
 	if kind == kindOptimize {
 		// The planner knobs change the result, so they join the cache
 		// key. planKnobs zeroes the analysis member, which Fingerprint

@@ -85,8 +85,8 @@ func TestAnalyzeEndpoint(t *testing.T) {
 
 func TestAnalyzeQueryParameters(t *testing.T) {
 	srv := newServer(t)
-	// Explicit method + threshold + sparse.
-	resp, err := http.Post(srv.URL+"/v1/analyze?method=rolediet&threshold=2&sparse=true",
+	// Explicit method + threshold.
+	resp, err := http.Post(srv.URL+"/v1/analyze?method=rolediet&threshold=2",
 		"application/json", figure1Body(t))
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +116,6 @@ func TestAnalyzeBadInputs(t *testing.T) {
 		{"bad method", "/v1/analyze?method=kmeans", "{}", http.StatusBadRequest},
 		{"bad threshold", "/v1/analyze?threshold=x", "{}", http.StatusBadRequest},
 		{"negative threshold", "/v1/analyze?threshold=-1", "{}", http.StatusBadRequest},
-		{"bad sparse", "/v1/analyze?sparse=maybe", "{}", http.StatusBadRequest},
-		{"sparse dbscan", "/v1/analyze?sparse=true&method=dbscan", "{}", http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

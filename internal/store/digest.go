@@ -48,8 +48,8 @@ func ParseDigest(s string) (string, error) {
 // Fingerprint hashes an options value (its deterministic JSON encoding)
 // together with any extra discriminators into a short hex key. The
 // server uses it to derive the options part of a cache key from the
-// shared core.Options wire schema plus flags like sparse that live
-// outside it.
+// shared core.Options wire schema plus discriminators, such as the
+// planner knobs, that live outside it.
 func Fingerprint(v any, extra ...string) (string, error) {
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -108,7 +108,7 @@ func Backends() []Backend {
 			}
 			return res.Groups, nil
 		})},
-		// The CSR storage format, the entry point core.AnalyzeSparse ships.
+		// The CSR storage format, the lane core.Analyze runs for rolediet.
 		{name: "rolediet-csr", exact: true, run: func(ctx context.Context, rows []*bitvec.Vector, threshold, workers int) ([][]int, error) {
 			c, err := rowsToCSR(rows)
 			if err != nil {
