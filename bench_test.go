@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/cluster/bitlsh"
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
@@ -32,7 +31,7 @@ import (
 
 // genMatrix builds the paper's synthetic workload: clusterProportion
 // 0.2, maxClusterSize 10 (§IV-A).
-func genMatrix(b *testing.B, rows, cols int) []*bitvec.Vector {
+func genMatrix(b *testing.B, rows, cols int) *matrix.CSR {
 	b.Helper()
 	g, err := gen.Matrix(gen.MatrixParams{
 		Rows:              rows,
@@ -47,20 +46,16 @@ func genMatrix(b *testing.B, rows, cols int) []*bitvec.Vector {
 	return g.Rows
 }
 
-// pack copies rows into a bit-matrix arena. Benchmarks that time a
-// backend from row vectors call it inside the timed loop, so the packing
-// every production caller pays stays in the measurement.
-func pack(b *testing.B, rows []*bitvec.Vector) *bitmat.Matrix {
-	m, err := bitmat.FromRows(rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
+// pack copies the matrix into a bit-matrix arena. Benchmarks that time
+// an arena backend call it inside the timed loop, so the packing every
+// production caller pays stays in the measurement.
+func pack(rows *matrix.CSR) *bitmat.Matrix {
+	return bitmat.FromCSR(rows)
 }
 
-// roleDiet packs rows and runs the Role Diet grouping over them.
-func roleDiet(b *testing.B, rows []*bitvec.Vector, opts rolediet.Options) *rolediet.Result {
-	res, err := rolediet.Run(context.Background(), pack(b, rows), opts)
+// roleDiet runs the Role Diet grouping over the matrix.
+func roleDiet(b *testing.B, rows *matrix.CSR, opts rolediet.Options) *rolediet.Result {
+	res, err := rolediet.Run(context.Background(), rows, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +68,7 @@ func benchMethod(b *testing.B, m core.Method, rows, cols int) {
 	data := genMatrix(b, rows, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups, err := core.FindRoleGroups(data, core.GroupOptions{Method: m, Threshold: 0})
+		groups, err := core.FindRoleGroups(context.Background(), data, core.GroupOptions{Method: m, Threshold: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,14 +222,17 @@ func BenchmarkAblationExactHash(b *testing.B) {
 // Hamming distances.
 func BenchmarkAblationBitvecDistance(b *testing.B) {
 	rows := genMatrix(b, 500, 1000)
-	floats := make([][]float64, len(rows))
-	for i, r := range rows {
-		floats[i] = r.Floats()
+	floats := make([][]float64, rows.Rows())
+	for i := range floats {
+		floats[i] = make([]float64, rows.Cols())
+		for _, j := range rows.RowCols(i) {
+			floats[i][j] = 1
+		}
 	}
 	cfg := dbscan.Config{Eps: 0, MinPts: 2}
 	b.Run("bitvec", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dbscan.Run(context.Background(), pack(b, rows), cfg); err != nil {
+			if _, err := dbscan.Run(context.Background(), pack(rows), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -264,7 +262,7 @@ func BenchmarkAblationHNSWParams(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				groups, err := core.FindRoleGroups(rows, core.GroupOptions{
+				groups, err := core.FindRoleGroups(context.Background(), rows, core.GroupOptions{
 					Method: core.MethodHNSW,
 					HNSW:   hnsw.Config{M: tc.m, EfConstruction: tc.efc, Seed: 1},
 				})
@@ -285,7 +283,7 @@ func BenchmarkExtensionLSH(b *testing.B) {
 	for _, k := range []int{0, 1} {
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := bitlsh.Run(context.Background(), pack(b, rows), bitlsh.Options{Config: bitlsh.Config{Seed: 1}, Threshold: k})
+				res, err := bitlsh.Run(context.Background(), pack(rows), bitlsh.Options{Config: bitlsh.Config{Seed: 1}, Threshold: k})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -370,7 +368,7 @@ func BenchmarkAblationParallelBackends(b *testing.B) {
 		}
 		b.Run("dbscan/"+lane, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dbscan.Run(ctx, pack(b, dbRows), dbscan.Config{Eps: 1, MinPts: 2, Workers: workers}); err != nil {
+				if _, err := dbscan.Run(ctx, pack(dbRows), dbscan.Config{Eps: 1, MinPts: 2, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -378,7 +376,7 @@ func BenchmarkAblationParallelBackends(b *testing.B) {
 		b.Run("lsh/"+lane, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := bitlsh.Options{Config: bitlsh.Config{Seed: 1}, Threshold: 1, Workers: workers}
-				if _, err := bitlsh.Run(ctx, pack(b, lshRows), opts); err != nil {
+				if _, err := bitlsh.Run(ctx, pack(lshRows), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -388,7 +386,7 @@ func BenchmarkAblationParallelBackends(b *testing.B) {
 				// A one-wide query beam keeps the per-row searches to a
 				// greedy descent, so index construction dominates.
 				opts := hnsw.Options{Config: hnsw.Config{Seed: 1}, SearchEf: 1, Workers: workers}
-				if _, err := hnsw.Run(ctx, pack(b, hnswRows), opts); err != nil {
+				if _, err := hnsw.Run(ctx, pack(hnswRows), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -396,34 +394,22 @@ func BenchmarkAblationParallelBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseVsDense compares the dense bit-matrix Role Diet path
-// against the CSR path on the same workload, the §III-B representation
-// trade-off.
+// BenchmarkSparseVsDense compares the dense bit-matrix Role Diet lane
+// (arena packing included) against the CSR lane on the same workload,
+// the §III-B representation trade-off.
 func BenchmarkSparseVsDense(b *testing.B) {
 	rows := genMatrix(b, 5000, 2000)
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	csr := matrix.CSRFromDense(m)
+	opts := rolediet.Options{Threshold: 1}
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			roleDiet(b, rows, rolediet.Options{Threshold: 1})
+			if _, err := rolediet.GroupsMat(pack(rows), opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rolediet.RunCSR(context.Background(), csr, rolediet.Options{Threshold: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("csr-including-conversion", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := matrix.CSRFromDense(m)
-			if _, err := rolediet.RunCSR(context.Background(), c, rolediet.Options{Threshold: 1}); err != nil {
-				b.Fatal(err)
-			}
+			roleDiet(b, rows, opts)
 		}
 	})
 }

@@ -59,10 +59,9 @@ func cmdGenerate(args []string, stdout io.Writer) error {
 		for r := 0; r < *roles; r++ {
 			id := rbac.RoleID(fmt.Sprintf("r%06d", r))
 			_ = ds.AddRole(id)
-			g.Rows[r].ForEach(func(u int) bool {
+			for _, u := range g.Rows.RowCols(r) {
 				_ = ds.AssignUser(id, rbac.UserID(fmt.Sprintf("u%06d", u)))
-				return true
-			})
+			}
 		}
 	}
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -108,7 +109,7 @@ func RunRecall(cfg RecallConfig) (*RecallResult, error) {
 	for _, ef := range cfg.EfSearch {
 		ef := ef
 		err := measure("hnsw", fmt.Sprintf("ef=%d", ef), func() (int, error) {
-			groups, err := core.FindRoleGroups(g.Rows, core.GroupOptions{
+			groups, err := core.FindRoleGroups(context.Background(), g.Rows, core.GroupOptions{
 				Method:       core.MethodHNSW,
 				Threshold:    cfg.Threshold,
 				HNSW:         hnsw.Config{Seed: cfg.Seed},
@@ -126,7 +127,7 @@ func RunRecall(cfg RecallConfig) (*RecallResult, error) {
 	for _, tables := range cfg.Tables {
 		tables := tables
 		err := measure("lsh", fmt.Sprintf("tables=%d", tables), func() (int, error) {
-			groups, err := core.FindRoleGroups(g.Rows, core.GroupOptions{
+			groups, err := core.FindRoleGroups(context.Background(), g.Rows, core.GroupOptions{
 				Method:    core.MethodLSH,
 				Threshold: cfg.Threshold,
 				LSH:       bitlsh.Config{Tables: tables, Seed: cfg.Seed},

@@ -26,6 +26,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitvec"
+	"repro/internal/matrix"
 )
 
 const (
@@ -39,8 +40,7 @@ const (
 )
 
 // Matrix is a dense bit matrix stored as one contiguous word arena.
-// The zero value is an empty 0x0 matrix; rows can be appended with
-// AppendVector (the first append fixes the width).
+// The zero value is an empty 0x0 matrix.
 type Matrix struct {
 	bits   []uint64
 	norms  []int32
@@ -73,6 +73,26 @@ func New(rows, cols int) *Matrix {
 		words:  words,
 		stride: stride,
 	}
+}
+
+// FromCSR packs a CSR matrix into a fresh arena of the same shape. It
+// writes the words directly and popcounts each row once, rather than
+// paying Set's checks and norm update per bit.
+func FromCSR(c *matrix.CSR) *Matrix {
+	m := New(c.Rows(), c.Cols())
+	for i := 0; i < c.Rows(); i++ {
+		row := m.bits[i*m.stride : i*m.stride+m.words]
+		for _, j := range c.RowCols(i) {
+			m.checkCol(j)
+			row[j>>wordShift] |= 1 << (uint(j) & wordMask)
+		}
+		n := 0
+		for _, w := range row {
+			n += bits.OnesCount64(w)
+		}
+		m.norms[i] = int32(n)
+	}
+	return m
 }
 
 // FromRows packs the given row vectors into a fresh arena. All rows must
@@ -181,13 +201,6 @@ func (m *Matrix) RowWords(i int) []uint64 {
 	m.checkRow(i)
 	s := m.stride
 	return m.bits[i*s : i*s+m.words : i*s+m.words]
-}
-
-// RowVector copies row i into a fresh bitvec.Vector.
-func (m *Matrix) RowVector(i int) *bitvec.Vector {
-	v := bitvec.New(m.cols)
-	copy(v.Words(), m.RowWords(i))
-	return v
 }
 
 // RowEqual reports whether rows i and j hold identical bits.
@@ -492,45 +505,4 @@ func (m *Matrix) ForEachSet(i int, fn func(j int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// AppendVector appends a row to the matrix, growing the arena as needed,
-// and returns the new row's id. On an empty, never-sized matrix the
-// first append fixes the width; afterwards the row length must match.
-// Used by the HNSW index, which grows one row per inserted element.
-func (m *Matrix) AppendVector(v *bitvec.Vector) int {
-	if m.rows == 0 && m.cols == 0 && m.words == 0 {
-		m.cols = v.Len()
-		m.words = (m.cols + wordBits - 1) >> wordShift
-		m.stride = strideFor(m.words)
-	}
-	if v.Len() != m.cols {
-		panic(fmt.Sprintf("bitmat: appended row length %d, want %d", v.Len(), m.cols))
-	}
-	if m.rows >= math.MaxInt32 {
-		panic(fmt.Sprintf("bitmat: %d rows overflow int32 ids", m.rows+1))
-	}
-	id := m.rows
-	need := (id + 1) * m.stride
-	if need > cap(m.bits) {
-		newCap := 2 * cap(m.bits)
-		if newCap < need {
-			newCap = need
-		}
-		nb := make([]uint64, len(m.bits), newCap)
-		copy(nb, m.bits)
-		m.bits = nb
-	}
-	// Extending len within cap exposes memory that has never been
-	// written (make zeroes the full capacity), so padding stays zero.
-	m.bits = m.bits[:need]
-	dst := m.bits[id*m.stride:]
-	n := int32(0)
-	for j, w := range v.Words() {
-		dst[j] = w
-		n += int32(bits.OnesCount64(w))
-	}
-	m.norms = append(m.norms, n)
-	m.rows++
-	return id
 }

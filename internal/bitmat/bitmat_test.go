@@ -2,9 +2,11 @@ package bitmat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/matrix"
 )
 
 // randRows builds n random rows of the given width with roughly the
@@ -54,9 +56,6 @@ func TestFromRowsParity(t *testing.T) {
 		for i, r := range rows {
 			if got, want := m.Norm(i), r.Count(); got != want {
 				t.Fatalf("cols=%d: Norm(%d)=%d, want %d", cols, i, got, want)
-			}
-			if !m.RowVector(i).Equal(r) {
-				t.Fatalf("cols=%d: RowVector(%d) differs from source", cols, i)
 			}
 			for j := 0; j < cols; j++ {
 				if m.Get(i, j) != r.Get(j) {
@@ -195,30 +194,31 @@ func TestNeighborsNormBoundary(t *testing.T) {
 	}
 }
 
-func TestAppendVector(t *testing.T) {
+// TestFromCSRParity: packing a CSR lays out the same arena as packing
+// the equivalent row vectors.
+func TestFromCSRParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	rows := randRows(rng, 50, 130, 0.3)
-	var m Matrix
-	for i, r := range rows {
-		if id := m.AppendVector(r); id != i {
-			t.Fatalf("AppendVector returned id %d, want %d", id, i)
+	for _, cols := range []int{1, 63, 64, 130} {
+		rows := randRows(rng, 50, cols, 0.3)
+		lists := make([][]int, len(rows))
+		for i, r := range rows {
+			lists[i] = r.Indices()
 		}
-	}
-	ref, err := FromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != ref.Rows() || m.Cols() != ref.Cols() {
-		t.Fatalf("shape %dx%d, want %dx%d", m.Rows(), m.Cols(), ref.Rows(), ref.Cols())
-	}
-	checkPadding(t, &m)
-	for i := range rows {
-		if m.Norm(i) != ref.Norm(i) {
-			t.Fatalf("Norm(%d)=%d, want %d", i, m.Norm(i), ref.Norm(i))
+		m := FromCSR(matrix.CSRFromLists(cols, lists))
+		ref, err := FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range rows {
-			if m.Hamming(i, j) != ref.Hamming(i, j) {
-				t.Fatalf("Hamming(%d,%d) mismatch after append", i, j)
+		if m.Rows() != ref.Rows() || m.Cols() != ref.Cols() {
+			t.Fatalf("cols=%d: shape %dx%d, want %dx%d", cols, m.Rows(), m.Cols(), ref.Rows(), ref.Cols())
+		}
+		checkPadding(t, m)
+		for i := range rows {
+			if m.Norm(i) != ref.Norm(i) {
+				t.Fatalf("cols=%d: Norm(%d)=%d, want %d", cols, i, m.Norm(i), ref.Norm(i))
+			}
+			if !slices.Equal(m.RowView(i), ref.RowView(i)) {
+				t.Fatalf("cols=%d: row %d differs", cols, i)
 			}
 		}
 	}

@@ -1,13 +1,13 @@
 // Package bitvec implements fixed-length bit vectors with word-parallel
 // set algebra and counting operations.
 //
-// A Vector is the row representation used throughout the repository for
-// RBAC assignment matrices: bit j of a role's row is 1 iff the role is
-// assigned user (or permission) j. All counting primitives the Role Diet
-// algorithm relies on — norms |R|, co-occurrences g(i,j), and Hamming
-// distances — reduce to popcounts over AND/XOR of packed words, which is
-// what makes the Go reproduction competitive with the paper's
-// numpy-backed implementation.
+// A Vector is one dense row of an RBAC assignment matrix: bit j of a
+// role's row is 1 iff the role is assigned user (or permission) j. The
+// analysis engine and the §IV-A generator hold rows as CSR instead;
+// vectors remain the rows of the dense matrix.BitMatrix that role mining
+// uses, the input of bitmat.FromRows, and the testkit oracle's row form.
+// Norms, co-occurrences g(i,j) and Hamming distances reduce to popcounts
+// over AND/XOR of packed words.
 package bitvec
 
 import (
@@ -29,7 +29,7 @@ const (
 // The zero value is an empty vector of length 0; use New to create a
 // vector with capacity for a given number of bits.
 //
-// Methods that combine two vectors (And, Or, Xor, Hamming, ...) require
+// Methods that combine two vectors (And, Or, Hamming, ...) require
 // both operands to have the same length and panic otherwise: mixing row
 // widths is a programming error, not a runtime condition.
 type Vector struct {
@@ -46,17 +46,6 @@ func New(n int) *Vector {
 		words: make([]uint64, wordsFor(n)),
 		n:     n,
 	}
-}
-
-// FromBools builds a Vector from a slice of booleans, one bit per element.
-func FromBools(bs []bool) *Vector {
-	v := New(len(bs))
-	for i, b := range bs {
-		if b {
-			v.Set(i)
-		}
-	}
-	return v
 }
 
 // FromIndices builds a Vector of length n with the given bit positions set.
@@ -187,14 +176,6 @@ func (v *Vector) Or(o *Vector) {
 	}
 }
 
-// Xor sets v to the bitwise XOR of v and o.
-func (v *Vector) Xor(o *Vector) {
-	v.checkSameLen(o)
-	for i := range v.words {
-		v.words[i] ^= o.words[i]
-	}
-}
-
 // AndNot sets v to the bits of v that are not in o (set difference).
 func (v *Vector) AndNot(o *Vector) {
 	v.checkSameLen(o)
@@ -211,16 +192,6 @@ func (v *Vector) IntersectionCount(o *Vector) int {
 	total := 0
 	for i, w := range v.words {
 		total += bits.OnesCount64(w & o.words[i])
-	}
-	return total
-}
-
-// UnionCount returns |v OR o| without allocating.
-func (v *Vector) UnionCount(o *Vector) int {
-	v.checkSameLen(o)
-	total := 0
-	for i, w := range v.words {
-		total += bits.OnesCount64(w | o.words[i])
 	}
 	return total
 }
@@ -327,28 +298,6 @@ func (v *Vector) ForEach(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// NextSet returns the position of the first set bit at or after i, and
-// whether such a bit exists.
-func (v *Vector) NextSet(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= v.n {
-		return 0, false
-	}
-	wi := i >> wordShift
-	w := v.words[wi] >> (uint(i) & wordMask)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w), true
-	}
-	for wi++; wi < len(v.words); wi++ {
-		if v.words[wi] != 0 {
-			return wi<<wordShift + bits.TrailingZeros64(v.words[wi]), true
-		}
-	}
-	return 0, false
 }
 
 // Hash returns a 64-bit FNV-1a style hash over the vector's words.

@@ -80,18 +80,6 @@ func TestIndexPanics(t *testing.T) {
 	}
 }
 
-func TestFromBoolsAndIndices(t *testing.T) {
-	bools := []bool{true, false, true, true, false}
-	v := FromBools(bools)
-	w := FromIndices(5, []int{0, 2, 3})
-	if !v.Equal(w) {
-		t.Fatalf("FromBools %v != FromIndices: %v vs %v", bools, v, w)
-	}
-	if got := v.Indices(); !reflect.DeepEqual(got, []int{0, 2, 3}) {
-		t.Fatalf("Indices() = %v, want [0 2 3]", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	v := FromIndices(70, []int{1, 65})
 	c := v.Clone()
@@ -137,12 +125,6 @@ func TestSetAlgebra(t *testing.T) {
 		t.Errorf("Or = %v, want [0..5]", got)
 	}
 
-	xor := a.Clone()
-	xor.Xor(b)
-	if got := xor.Indices(); !reflect.DeepEqual(got, []int{0, 1, 4, 5}) {
-		t.Errorf("Xor = %v, want [0 1 4 5]", got)
-	}
-
 	diff := a.Clone()
 	diff.AndNot(b)
 	if got := diff.Indices(); !reflect.DeepEqual(got, []int{0, 1}) {
@@ -164,9 +146,6 @@ func TestCounts(t *testing.T) {
 	b := FromIndices(200, []int{0, 65, 128, 198})
 	if got := a.IntersectionCount(b); got != 2 {
 		t.Errorf("IntersectionCount = %d, want 2", got)
-	}
-	if got := a.UnionCount(b); got != 6 {
-		t.Errorf("UnionCount = %d, want 6", got)
 	}
 	if got := a.Hamming(b); got != 4 {
 		t.Errorf("Hamming = %d, want 4", got)
@@ -220,29 +199,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	})
 	if !reflect.DeepEqual(seen, []int{1, 5}) {
 		t.Fatalf("ForEach early stop saw %v, want [1 5]", seen)
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	v := FromIndices(200, []int{3, 64, 190})
-	tests := []struct {
-		from   int
-		want   int
-		wantOK bool
-	}{
-		{0, 3, true},
-		{3, 3, true},
-		{4, 64, true},
-		{65, 190, true},
-		{191, 0, false},
-		{-5, 3, true},
-		{1000, 0, false},
-	}
-	for _, tt := range tests {
-		got, ok := v.NextSet(tt.from)
-		if ok != tt.wantOK || (ok && got != tt.want) {
-			t.Errorf("NextSet(%d) = (%d, %v), want (%d, %v)", tt.from, got, ok, tt.want, tt.wantOK)
-		}
 	}
 }
 
@@ -330,7 +286,9 @@ func TestPropertyUnionInclusionExclusion(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a := randVector(r, n)
 		b := randVector(r, n)
-		return a.UnionCount(b) == a.Count()+b.Count()-a.IntersectionCount(b)
+		union := a.Clone()
+		union.Or(b)
+		return union.Count() == a.Count()+b.Count()-a.IntersectionCount(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -343,8 +301,12 @@ func TestPropertyXorMatchesHamming(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a := randVector(r, n)
 		b := randVector(r, n)
+		// a XOR b, built as (a OR b) AND NOT (a AND b).
 		x := a.Clone()
-		x.Xor(b)
+		x.Or(b)
+		both := a.Clone()
+		both.And(b)
+		x.AndNot(both)
 		return x.Count() == a.Hamming(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
 	"repro/internal/cluster/rolediet"
+	"repro/internal/matrix"
 )
 
 // findGroups packs the rows into a bit-matrix arena and runs the serial
@@ -93,11 +94,11 @@ func TestExactDuplicatesAlwaysFound(t *testing.T) {
 
 // exactGroups runs the deterministic Role Diet pass at threshold 0.
 func exactGroups(rows []*bitvec.Vector) (*rolediet.Result, error) {
-	m, err := bitmat.FromRows(rows)
+	m, err := matrix.FromRows(rows)
 	if err != nil {
 		return nil, err
 	}
-	return rolediet.Run(context.Background(), m, rolediet.Options{})
+	return rolediet.Run(context.Background(), matrix.CSRFromDense(m), rolediet.Options{})
 }
 
 func TestPropertyExactCaseMatchesRoleDiet(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitmat"
 	"repro/internal/gen"
 )
 
@@ -16,7 +17,7 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runContext(ctx, m.Rows, Config{Eps: 0.5, MinPts: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, bitmat.FromCSR(m.Rows), Config{Eps: 0.5, MinPts: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on canceled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -34,7 +35,7 @@ func TestRunContextCanceledMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := runContext(ctx, m.Rows, Config{Eps: 2, MinPts: 2})
+		_, err := Run(ctx, bitmat.FromCSR(m.Rows), Config{Eps: 2, MinPts: 2})
 		done <- err
 	}()
 	select {
@@ -52,9 +53,12 @@ func TestRunFloatsContextCanceledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floats := make([][]float64, len(m.Rows))
-	for i, r := range m.Rows {
-		floats[i] = r.Floats()
+	floats := make([][]float64, m.Rows.Rows())
+	for i := range floats {
+		floats[i] = make([]float64, m.Rows.Cols())
+		for _, j := range m.Rows.RowCols(i) {
+			floats[i][j] = 1
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -82,13 +86,13 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	}
 	// A live (never cancelled) context must not change the labelling.
 	cfg := Config{Eps: 1e-9, MinPts: 2}
-	plain, err := run(m.Rows, cfg)
+	plain, err := Run(context.Background(), bitmat.FromCSR(m.Rows), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctxed, err := runContext(ctx, m.Rows, cfg)
+	ctxed, err := Run(ctx, bitmat.FromCSR(m.Rows), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

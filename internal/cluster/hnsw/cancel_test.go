@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitmat"
 	"repro/internal/gen"
 )
 
@@ -16,7 +17,7 @@ func TestBuildContextAlreadyCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := build(ctx, pack(t, m.Rows), Config{}, 1); !errors.Is(err, context.Canceled) {
+	if _, err := build(ctx, bitmat.FromCSR(m.Rows), Config{}, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("build on canceled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -29,7 +30,7 @@ func TestBuildContextCanceledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := pack(t, m.Rows)
+	packed := bitmat.FromCSR(m.Rows)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(time.Millisecond, cancel)
@@ -56,10 +57,13 @@ func TestBuildContextBackgroundMatchesBuild(t *testing.T) {
 	}
 	// A live (never cancelled) context must not change the serial,
 	// seeded build.
-	plain := buildRows(t, m.Rows, Config{}, 1)
+	plain, err := build(context.Background(), bitmat.FromCSR(m.Rows), Config{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctxed, err := build(ctx, pack(t, m.Rows), Config{}, 1)
+	ctxed, err := build(ctx, bitmat.FromCSR(m.Rows), Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,15 @@ import (
 	"repro/internal/matrix"
 )
 
-// slowRows returns a dense workload whose similar-mode co-occurrence
-// pass takes long enough that a mid-run cancel lands reliably.
-func slowRows(t *testing.T) Rows {
+// slowRows returns a dense workload whose co-occurrence pass takes long
+// enough that a mid-run cancel lands reliably.
+func slowRows(t *testing.T) *matrix.CSR {
 	t.Helper()
 	m, err := gen.Matrix(gen.MatrixParams{Rows: 2000, Cols: 1024, Density: 0.2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Rows(m.Rows)
+	return m.Rows
 }
 
 func waitCanceled(t *testing.T, name string, done <-chan error) {
@@ -42,7 +42,7 @@ func TestGroupsContextAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, k := range []int{0, 2} {
-		if _, err := groupsContext(ctx, Rows(m.Rows), Options{Threshold: k}); !errors.Is(err, context.Canceled) {
+		if _, err := Run(ctx, m.Rows, Options{Threshold: k}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Run(threshold=%d) on canceled ctx = %v, want context.Canceled", k, err)
 		}
 	}
@@ -56,30 +56,26 @@ func TestGroupsContextCanceledMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := groupsContext(ctx, rows, Options{Threshold: 2})
+		_, err := Run(ctx, rows, Options{Threshold: 2})
 		done <- err
 	}()
 	waitCanceled(t, "Run", done)
 }
 
+// TestGroupsCSRContextCanceledMidRun cancels the general co-occurrence
+// path at threshold 0, with the exact hash pass disabled.
 func TestGroupsCSRContextCanceledMidRun(t *testing.T) {
-	rows := slowRows(t)
-	bm, err := matrix.FromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr := matrix.CSRFromDense(bm)
-
+	csr := slowRows(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(time.Millisecond, cancel)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCSR(ctx, csr, Options{Threshold: 2})
+		_, err := Run(ctx, csr, Options{DisableExactHashFastPath: true})
 		done <- err
 	}()
-	waitCanceled(t, "RunCSR", done)
+	waitCanceled(t, "Run without the hash pass", done)
 }
 
 func TestGroupsParallelContextCanceledMidRun(t *testing.T) {
@@ -90,7 +86,7 @@ func TestGroupsParallelContextCanceledMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := groupsContext(ctx, rows, Options{Threshold: 2, Workers: 4})
+		_, err := Run(ctx, rows, Options{Threshold: 2, Workers: 4})
 		done <- err
 	}()
 	waitCanceled(t, "Run with 4 workers", done)
@@ -101,21 +97,18 @@ func TestGroupsContextBackgroundMatchesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := bitmat.FromRows(m.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := bitmat.FromCSR(m.Rows)
 	for _, k := range []int{0, 2} {
 		plain, err := GroupsMat(packed, Options{Threshold: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxed, err := Run(context.Background(), packed, Options{Threshold: k})
+		ctxed, err := Run(context.Background(), m.Rows, Options{Threshold: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plain.Groups) != len(ctxed.Groups) {
-			t.Fatalf("threshold %d: group counts differ: %d vs %d", k, len(plain.Groups), len(ctxed.Groups))
+		if !groupsEqual(plain.Groups, ctxed.Groups) {
+			t.Fatalf("threshold %d: GroupsMat %v != Run %v", k, plain.Groups, ctxed.Groups)
 		}
 	}
 }

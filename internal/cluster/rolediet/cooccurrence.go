@@ -1,6 +1,10 @@
 package rolediet
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/matrix"
+)
 
 // CooccurrenceMatrix materialises the paper's matrix C for a small set
 // of roles (§III-C): C[i][j] = g(i,j), the number of user co-occurrences
@@ -9,18 +13,30 @@ import "fmt"
 // This is the didactic O(r²) form used in the worked example and the
 // unit tests; the production path in Run never builds it, which is
 // the subject of the co-occurrence ablation benchmark.
-func CooccurrenceMatrix(rows Rows) [][]int {
-	n := len(rows)
+func CooccurrenceMatrix(rows *matrix.CSR) [][]int {
+	n := rows.Rows()
 	c := make([][]int, n)
 	for i := range c {
 		c[i] = make([]int, n)
-		c[i][i] = rows[i].Count()
+		c[i][i] = rows.RowSum(i)
 	}
+	// mark[u] is 1 while u is a column of role i, so g(i, j) is a sum
+	// over role j's columns.
+	mark := make([]int, rows.Cols())
 	for i := 0; i < n; i++ {
+		for _, u := range rows.RowCols(i) {
+			mark[u] = 1
+		}
 		for j := i + 1; j < n; j++ {
-			g := rows[i].IntersectionCount(rows[j])
+			g := 0
+			for _, u := range rows.RowCols(j) {
+				g += mark[u]
+			}
 			c[i][j] = g
 			c[j][i] = g
+		}
+		for _, u := range rows.RowCols(i) {
+			mark[u] = 0
 		}
 	}
 	return c

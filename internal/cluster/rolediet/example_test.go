@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/cluster/rolediet"
+	"repro/internal/matrix"
 )
 
 // Example reproduces the paper's §III-C worked example: the
@@ -14,23 +13,12 @@ import (
 // group it implies.
 func Example() {
 	// R01={U03}, R02={U01,U02}, R03={}, R04={U01,U02}, R05={U04}.
-	rows := rolediet.Rows{
-		bitvec.FromIndices(4, []int{2}),
-		bitvec.FromIndices(4, []int{0, 1}),
-		bitvec.FromIndices(4, nil),
-		bitvec.FromIndices(4, []int{0, 1}),
-		bitvec.FromIndices(4, []int{3}),
-	}
-	c := rolediet.CooccurrenceMatrix(rows)
+	ruam := matrix.CSRFromLists(4, [][]int{{2}, {0, 1}, nil, {0, 1}, {3}})
+	c := rolediet.CooccurrenceMatrix(ruam)
 	for _, row := range c {
 		fmt.Println(row)
 	}
-	m, err := bitmat.FromRows(rows)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	res, err := rolediet.Run(context.Background(), m, rolediet.Options{Threshold: 0})
+	res, err := rolediet.Run(context.Background(), ruam, rolediet.Options{Threshold: 0})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -48,15 +36,7 @@ func Example() {
 // ExampleRun_threshold finds similar roles: identical up to one
 // differing user.
 func ExampleRun_threshold() {
-	m, err := bitmat.FromRows([]*bitvec.Vector{
-		bitvec.FromIndices(6, []int{0, 1, 2}),
-		bitvec.FromIndices(6, []int{0, 1, 2, 3}),
-		bitvec.FromIndices(6, []int{4, 5}),
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	m := matrix.CSRFromLists(6, [][]int{{0, 1, 2}, {0, 1, 2, 3}, {4, 5}})
 	res, err := rolediet.Run(context.Background(), m, rolediet.Options{Threshold: 1})
 	if err != nil {
 		fmt.Println("error:", err)

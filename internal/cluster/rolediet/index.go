@@ -27,7 +27,7 @@ import (
 // serial build produces it.
 //
 // rowCols must invoke emit once per set column of row i, in any order
-// (ascending for CSR/bitvec rows, but the index does not rely on it
+// (ascending for CSR and arena rows, but the index does not rely on it
 // within a row since a row appears once per column it owns).
 func buildColIndex(n, width, workers int, rowCols func(i int, emit func(col int))) [][]int32 {
 	workers = parallel.Workers(workers, n)

@@ -22,11 +22,11 @@ func TestGroupsParallelMatchesSerial(t *testing.T) {
 		plantDuplicates(r, rows, r.Intn(10))
 		opts := Options{Threshold: r.Intn(3), DisableExactHashFastPath: r.Intn(2) == 0}
 		workers := 2 + r.Intn(7)
-		serial, err := groups(rows, opts)
+		serial, err := arenaGroups(rows, opts)
 		if err != nil {
 			return false
 		}
-		par, err := groups(rows, withWorkers(opts, workers))
+		par, err := arenaGroups(rows, withWorkers(opts, workers))
 		if err != nil {
 			return false
 		}
@@ -67,8 +67,8 @@ func TestGroupsParallelValidation(t *testing.T) {
 	if _, err := groups(paperRUAM(), Options{Threshold: -1, Workers: 2}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
-	if _, err := RunCSR(context.Background(), toCSR(paperRUAM()), Options{Threshold: -1, Workers: 2}); err == nil {
-		t.Fatal("RunCSR accepted a negative threshold")
+	if _, err := arenaGroups(paperRUAM(), Options{Threshold: -1, Workers: 2}); err == nil {
+		t.Fatal("GroupsMat accepted a negative threshold")
 	}
 }
 
@@ -115,8 +115,8 @@ func TestRowLenError(t *testing.T) {
 	}
 }
 
-// TestGroupsCSRParallelMatchesSerial mirrors the dense metamorphic
-// check for the CSR entry point.
+// TestGroupsCSRParallelMatchesSerial mirrors the arena lane's
+// metamorphic check for Run.
 func TestGroupsCSRParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -126,11 +126,11 @@ func TestGroupsCSRParallelMatchesSerial(t *testing.T) {
 		c := toCSR(rows)
 		k := r.Intn(3)
 		workers := 2 + r.Intn(7)
-		serial, err := RunCSR(ctx, c, Options{Threshold: k})
+		serial, err := Run(ctx, c, Options{Threshold: k})
 		if err != nil {
 			return false
 		}
-		par, err := RunCSR(ctx, c, Options{Threshold: k, Workers: workers})
+		par, err := Run(ctx, c, Options{Threshold: k, Workers: workers})
 		if err != nil {
 			return false
 		}

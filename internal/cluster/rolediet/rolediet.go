@@ -28,11 +28,12 @@ package rolediet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/ctxcheck"
+	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
@@ -90,30 +91,60 @@ func (r *Result) GroupOf(numRoles int) []int {
 	return out
 }
 
-// Rows is the didactic input view of CooccurrenceMatrix: one bit vector
-// per role (a RUAM or RPAM row).
-type Rows []*bitvec.Vector
-
-// Run finds all groups of roles whose rows in the bit-matrix arena are
+// Run finds all groups of roles whose rows in the CSR matrix are
 // identical (opts.Threshold == 0) or within Hamming distance Threshold
 // of a chain of group members (Threshold >= 1; connectivity semantics
-// match the DBSCAN baseline so the three methods are comparable). Norms
-// come precomputed, row hashing/equality are word compares over
-// contiguous memory, and the inverted index is built by walking the
-// arena linearly.
+// match the DBSCAN baseline so the methods are comparable). Norms are
+// the row lengths, exact groups bucket by a hash of the sorted column
+// list, and the inverted index is built by walking ColIdx linearly.
+//
+// CSR is what lets the algorithm scale to the paper's organisation-size
+// dataset (§IV-B): a dense RUAM/RPAM would need hundreds of megabytes
+// to gigabytes, while CSR plus the inverted index stay proportional to
+// the number of assignment edges.
 //
 // The hot loops poll ctx every few thousand rows / co-occurrence
 // expansions and abort with ctx.Err(), discarding partial groups.
-func Run(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result, error) {
+func Run(ctx context.Context, c *matrix.CSR, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if c.Rows() == 0 {
+		return &Result{}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if opts.Threshold == 0 && !opts.DisableExactHashFastPath {
+		keys := columnKeys(c.Cols())
+		return exactGroupsFlat(ctx, opts.Progress, c.Rows(),
+			func(i int) uint64 { return hashRow(c.RowCols(i), keys) },
+			func(i, j int) bool { return slices.Equal(c.RowCols(i), c.RowCols(j)) })
+	}
+	norms := make([]int, c.Rows())
+	for i := range norms {
+		norms[i] = c.RowSum(i)
+	}
+	rowCols := func(i int, emit func(col int)) {
+		for _, j := range c.RowCols(i) {
+			emit(j)
+		}
+	}
+	return similarGroups(ctx, c.Cols(), norms, rowCols, opts)
+}
+
+// GroupsMat is Run over a bit-matrix arena instead of a CSR: row
+// hashing and equality are word compares, norms come precomputed. It
+// remains only for the end-to-end benchmark, which replays this arena
+// lane; the engine and every other caller run Run.
+func GroupsMat(m *bitmat.Matrix, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if m.Rows() == 0 {
 		return &Result{}, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	ctx := context.Background()
 	if opts.Threshold == 0 && !opts.DisableExactHashFastPath {
 		return exactGroupsFlat(ctx, opts.Progress, m.Rows(), m.RowHash, m.RowEqual)
 	}
@@ -124,9 +155,30 @@ func Run(ctx context.Context, m *bitmat.Matrix, opts Options) (*Result, error) {
 	return similarGroups(ctx, m.Cols(), norms, matRowCols(m), opts)
 }
 
-// GroupsMat is Run without a context.
-func GroupsMat(m *bitmat.Matrix, opts Options) (*Result, error) {
-	return Run(context.Background(), m, opts)
+// columnKeys draws one pseudo-random 64-bit key per column: the
+// splitmix64 finalizer of the column index.
+func columnKeys(cols int) []uint64 {
+	keys := make([]uint64, cols)
+	for j := range keys {
+		z := uint64(j) + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		keys[j] = z ^ (z >> 31)
+	}
+	return keys
+}
+
+// hashRow hashes a row's column set as the sum of its columns' keys
+// (Zobrist hashing). The per-column terms are independent table loads,
+// so they pipeline rather than forming one dependency chain. The exact
+// pass splits buckets by true equality, so a collision can cost a
+// comparison but never a group.
+func hashRow(cols []int, keys []uint64) uint64 {
+	h := uint64(0)
+	for _, j := range cols {
+		h += keys[j]
+	}
+	return h
 }
 
 // groupStride is the shared loop stride: the context is polled and the

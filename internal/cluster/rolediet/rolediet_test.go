@@ -11,20 +11,27 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
 	"repro/internal/cluster/dbscan"
+	"repro/internal/matrix"
 )
 
-// groups packs the rows into a bit-matrix arena and runs the grouping
-// over it, the shape of every production call.
-func groups(rows Rows, opts Options) (*Result, error) {
-	return groupsContext(context.Background(), rows, opts)
+// groups lays the rows out as a CSR and runs the grouping over it, the
+// shape of every production call.
+func groups(rows []*bitvec.Vector, opts Options) (*Result, error) {
+	m, err := matrix.FromRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	return Run(context.Background(), matrix.CSRFromDense(m), opts)
 }
 
-func groupsContext(ctx context.Context, rows Rows, opts Options) (*Result, error) {
+// arenaGroups packs the rows into a bit-matrix arena and runs GroupsMat,
+// the arena lane the end-to-end benchmark replays.
+func arenaGroups(rows []*bitvec.Vector, opts Options) (*Result, error) {
 	m, err := bitmat.FromRows(rows)
 	if err != nil {
 		return nil, err
 	}
-	return Run(ctx, m, opts)
+	return GroupsMat(m, opts)
 }
 
 // paperRUAM reconstructs the worked example of §III-C. The co-occurrence
@@ -34,8 +41,8 @@ func groupsContext(ctx context.Context, rows Rows, opts Options) (*Result, error
 //
 // giving norms (1, 2, 0, 2, 1) and g(R02, R04) = 2 with all other
 // off-diagonal co-occurrences zero.
-func paperRUAM() Rows {
-	return Rows{
+func paperRUAM() []*bitvec.Vector {
+	return []*bitvec.Vector{
 		bitvec.FromIndices(4, []int{2}),
 		bitvec.FromIndices(4, []int{0, 1}),
 		bitvec.FromIndices(4, nil),
@@ -46,7 +53,7 @@ func paperRUAM() Rows {
 
 func TestPaperWorkedExample(t *testing.T) {
 	rows := paperRUAM()
-	c := CooccurrenceMatrix(rows)
+	c := CooccurrenceMatrix(toCSR(rows))
 	want := [][]int{
 		{1, 0, 0, 0, 0},
 		{0, 2, 0, 2, 0},
@@ -88,7 +95,7 @@ func TestPaperWorkedExample(t *testing.T) {
 }
 
 func TestIndicatorErrors(t *testing.T) {
-	c := CooccurrenceMatrix(paperRUAM())
+	c := CooccurrenceMatrix(toCSR(paperRUAM()))
 	if _, err := Indicator(c, -1, 0); err == nil {
 		t.Error("negative index accepted")
 	}
@@ -120,15 +127,15 @@ func TestEmptyInput(t *testing.T) {
 }
 
 func TestRowWidthMismatch(t *testing.T) {
-	// Ragged rows never reach Run: packing them into the arena fails.
-	rows := Rows{bitvec.New(3), bitvec.New(4)}
+	// Ragged rows never reach Run: laying them out as a matrix fails.
+	rows := []*bitvec.Vector{bitvec.New(3), bitvec.New(4)}
 	if _, err := groups(rows, Options{}); err == nil {
 		t.Fatal("mismatched row widths accepted")
 	}
 }
 
 func TestEmptyRowsGroupTogetherExact(t *testing.T) {
-	rows := Rows{
+	rows := []*bitvec.Vector{
 		bitvec.New(8),
 		bitvec.FromIndices(8, []int{1}),
 		bitvec.New(8),
@@ -145,7 +152,7 @@ func TestEmptyRowsGroupTogetherExact(t *testing.T) {
 }
 
 func TestSimilarThresholdOne(t *testing.T) {
-	rows := Rows{
+	rows := []*bitvec.Vector{
 		bitvec.FromIndices(8, []int{0, 1, 2}),
 		bitvec.FromIndices(8, []int{0, 1, 2, 3}), // 1 away from row 0
 		bitvec.FromIndices(8, []int{5, 6}),       // far from everything
@@ -164,7 +171,7 @@ func TestSimilarThresholdOne(t *testing.T) {
 
 func TestChainingSemantics(t *testing.T) {
 	// 000, 001, 011 chain at k=1 exactly like the DBSCAN baseline.
-	rows := Rows{
+	rows := []*bitvec.Vector{
 		bitvec.New(3),
 		bitvec.FromIndices(3, []int{2}),
 		bitvec.FromIndices(3, []int{1, 2}),
@@ -187,8 +194,8 @@ func TestGroupOf(t *testing.T) {
 	}
 }
 
-func randRows(r *rand.Rand, n, dim int, density float64) Rows {
-	rows := make(Rows, n)
+func randRows(r *rand.Rand, n, dim int, density float64) []*bitvec.Vector {
+	rows := make([]*bitvec.Vector, n)
 	for i := range rows {
 		v := bitvec.New(dim)
 		for j := 0; j < dim; j++ {
@@ -203,7 +210,7 @@ func randRows(r *rand.Rand, n, dim int, density float64) Rows {
 
 // plantDuplicates overwrites random rows with copies of earlier rows so
 // exact groups are guaranteed to exist.
-func plantDuplicates(r *rand.Rand, rows Rows, count int) {
+func plantDuplicates(r *rand.Rand, rows []*bitvec.Vector, count int) {
 	for c := 0; c < count && len(rows) >= 2; c++ {
 		src := r.Intn(len(rows))
 		dst := r.Intn(len(rows))
@@ -213,7 +220,7 @@ func plantDuplicates(r *rand.Rand, rows Rows, count int) {
 	}
 }
 
-func bruteExactGroups(rows Rows) [][]int {
+func bruteExactGroups(rows []*bitvec.Vector) [][]int {
 	byKey := map[string][]int{}
 	for i, r := range rows {
 		byKey[r.String()] = append(byKey[r.String()], i)
@@ -263,7 +270,7 @@ func TestPropertyExactMatchesBruteForce(t *testing.T) {
 }
 
 // dbscanGroups runs the exact baseline and normalises its output.
-func dbscanGroups(rows Rows, eps float64) [][]int {
+func dbscanGroups(rows []*bitvec.Vector, eps float64) [][]int {
 	m, err := bitmat.FromRows(rows)
 	if err != nil {
 		panic(err)
@@ -349,7 +356,7 @@ func TestPropertyAllReportedPairsWithinThreshold(t *testing.T) {
 func TestPairsExaminedBounded(t *testing.T) {
 	// Disjoint rows share no users, so the inverted index must examine
 	// zero pairs.
-	rows := Rows{
+	rows := []*bitvec.Vector{
 		bitvec.FromIndices(8, []int{0, 1}),
 		bitvec.FromIndices(8, []int{2, 3}),
 		bitvec.FromIndices(8, []int{4, 5}),
@@ -369,7 +376,7 @@ func TestPairsExaminedBounded(t *testing.T) {
 func TestLargeIdenticalBlock(t *testing.T) {
 	// 100 identical rows must come back as one group of 100.
 	base := bitvec.FromIndices(64, []int{1, 5, 9})
-	rows := make(Rows, 100)
+	rows := make([]*bitvec.Vector, 100)
 	for i := range rows {
 		rows[i] = base.Clone()
 	}

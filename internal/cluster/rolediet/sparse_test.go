@@ -7,11 +7,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitvec"
 	"repro/internal/matrix"
 )
 
-// toCSR converts dense test rows to the sparse form.
-func toCSR(rows Rows) *matrix.CSR {
+// toCSR converts test rows to the CSR form Run takes.
+func toCSR(rows []*bitvec.Vector) *matrix.CSR {
 	m, err := matrix.FromRows(rows)
 	if err != nil {
 		panic(err)
@@ -20,7 +21,7 @@ func toCSR(rows Rows) *matrix.CSR {
 }
 
 func TestGroupsCSRPaperExample(t *testing.T) {
-	res, err := RunCSR(context.Background(), toCSR(paperRUAM()), Options{Threshold: 0})
+	res, err := Run(context.Background(), toCSR(paperRUAM()), Options{Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +31,13 @@ func TestGroupsCSRPaperExample(t *testing.T) {
 }
 
 func TestGroupsCSRValidation(t *testing.T) {
-	if _, err := RunCSR(context.Background(), toCSR(paperRUAM()), Options{Threshold: -1}); err == nil {
+	if _, err := Run(context.Background(), toCSR(paperRUAM()), Options{Threshold: -1}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
 }
 
 func TestGroupsCSREmpty(t *testing.T) {
-	res, err := RunCSR(context.Background(), matrix.NewCSR(0, 5), Options{})
+	res, err := Run(context.Background(), matrix.NewCSR(0, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestGroupsCSREmpty(t *testing.T) {
 
 func TestGroupsCSREmptyRowsGroup(t *testing.T) {
 	// Two all-zero rows are identical and must group, exactly like the
-	// dense implementation.
+	// arena lane.
 	c := matrix.NewCSR(3, 4)
 	c.ColIdx = []int{1}
 	c.RowPtr = []int{0, 0, 1, 1} // row 1 has column 1; rows 0 and 2 empty
-	res, err := RunCSR(context.Background(), c, Options{Threshold: 0})
+	res, err := Run(context.Background(), c, Options{Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func TestGroupsCSREmptyRowsGroup(t *testing.T) {
 }
 
 func TestPropertyCSRMatchesDenseGroups(t *testing.T) {
-	// The sparse and dense implementations must agree exactly on every
-	// input and threshold, through both the exact and general paths.
+	// Run over the CSR and GroupsMat over the arena must agree exactly on
+	// every input and threshold, through both the exact and general paths.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(40), 1+r.Intn(16), 0.3)
@@ -71,11 +72,11 @@ func TestPropertyCSRMatchesDenseGroups(t *testing.T) {
 		for _, k := range []int{0, 1, 2} {
 			for _, disable := range []bool{false, true} {
 				opts := Options{Threshold: k, DisableExactHashFastPath: disable}
-				dense, err := groups(rows, opts)
+				dense, err := arenaGroups(rows, opts)
 				if err != nil {
 					return false
 				}
-				sparse, err := RunCSR(context.Background(), csr, opts)
+				sparse, err := Run(context.Background(), csr, opts)
 				if err != nil {
 					return false
 				}
@@ -92,13 +93,12 @@ func TestPropertyCSRMatchesDenseGroups(t *testing.T) {
 }
 
 func TestGroupsCSRSimilarThreshold(t *testing.T) {
-	rows := Rows{}
-	rows = append(rows, paperRUAM()...)
-	res, err := RunCSR(context.Background(), toCSR(rows), Options{Threshold: 1})
+	rows := paperRUAM()
+	res, err := Run(context.Background(), toCSR(rows), Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := groups(rows, Options{Threshold: 1})
+	dense, err := arenaGroups(rows, Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

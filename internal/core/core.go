@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/cluster/rolediet"
 	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
@@ -284,18 +283,6 @@ func filterEmptyRows(c *matrix.CSR) (*matrix.CSR, []int) {
 	return out, remap
 }
 
-// pack copies the side's CSR into a bit-matrix arena, the input the
-// bit-vector baselines read.
-func (s *side) pack() *bitmat.Matrix {
-	m := bitmat.New(s.csr.Rows(), s.csr.Cols())
-	for i := 0; i < s.csr.Rows(); i++ {
-		for _, j := range s.csr.RowCols(i) {
-			m.Set(i, j)
-		}
-	}
-	return m
-}
-
 // Analyze runs every enabled detector and assembles the report.
 func (a *Analyzer) Analyze(opts Options) (*Report, error) {
 	return a.AnalyzeContext(context.Background(), opts)
@@ -342,21 +329,21 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 		gopts.Workers = opts.Workers
 	}
 	start = time.Now()
-	// Role Diet groups over the CSR. The bit-vector baselines read an
-	// arena, packed once per side so the class-4 and class-5 runs share it.
+	// The backends that read an arena get one per side, packed once so
+	// the class-4 and class-5 runs share it.
 	var ruamMat, rpamMat *bitmat.Matrix
-	if opts.Method != MethodRoleDiet {
-		ruamMat, rpamMat = a.ruam.pack(), a.rpam.pack()
+	if opts.Method.readsArena() {
+		ruamMat, rpamMat = bitmat.FromCSR(a.ruam.csr), bitmat.FromCSR(a.rpam.csr)
 	}
 	gopts.Threshold = 0
 	gopts.Progress = progress.span(StageSameUserGroups, fracLinearEnd, fracSameUserEnd)
-	sameUsers, err := findGroups(ctx, &a.ruam, ruamMat, gopts)
+	sameUsers, err := a.ruam.findGroups(ctx, ruamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("same-user groups: %w", err)
 	}
 	progress.emit(StageSameUserGroups, fracSameUserEnd)
 	gopts.Progress = progress.span(StageSamePermissionGroups, fracSameUserEnd, fracSamePermEnd)
-	samePerms, err := findGroups(ctx, &a.rpam, rpamMat, gopts)
+	samePerms, err := a.rpam.findGroups(ctx, rpamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("same-permission groups: %w", err)
 	}
@@ -373,13 +360,13 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	start = time.Now()
 	gopts.Threshold = opts.SimilarThreshold
 	gopts.Progress = progress.span(StageSimilarUserGroups, fracSamePermEnd, fracSimilarUserEnd)
-	similarUsers, err := findGroups(ctx, &a.ruam, ruamMat, gopts)
+	similarUsers, err := a.ruam.findGroups(ctx, ruamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("similar-user groups: %w", err)
 	}
 	progress.emit(StageSimilarUserGroups, fracSimilarUserEnd)
 	gopts.Progress = progress.span(StageSimilarPermissionGroups, fracSimilarUserEnd, fracSimilarPermEnd)
-	similarPerms, err := findGroups(ctx, &a.rpam, rpamMat, gopts)
+	similarPerms, err := a.rpam.findGroups(ctx, rpamMat, gopts)
 	if err != nil {
 		return nil, fmt.Errorf("similar-permission groups: %w", err)
 	}
@@ -426,29 +413,13 @@ func detectLinear(rep *Report, id ids, ruam, rpam counts) {
 	}
 }
 
-// findGroups runs one grouping detector over a side's non-empty rows:
-// Role Diet over the CSR, any other method over m, the side's arena.
-// Group members are remapped back to dataset role indices.
-func findGroups(ctx context.Context, s *side, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
-	if len(s.remap) == 0 {
-		return nil, nil
-	}
-	var groups [][]int
-	if opts.Method == MethodRoleDiet {
-		res, err := rolediet.RunCSR(ctx, s.csr, rolediet.Options{
-			Threshold: opts.Threshold,
-			Workers:   opts.Workers,
-			Progress:  opts.Progress,
-		})
-		if err != nil {
-			return nil, err
-		}
-		groups = res.Groups
-	} else {
-		var err error
-		if groups, err = findRoleGroupsMat(ctx, nil, m, opts); err != nil {
-			return nil, err
-		}
+// findGroups runs one grouping detector over the side's non-empty rows,
+// m being their arena for the methods that read one, and remaps group
+// members back to dataset role indices.
+func (s *side) findGroups(ctx context.Context, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
+	groups, err := findGroups(ctx, s.csr, m, opts)
+	if err != nil {
+		return nil, err
 	}
 	for _, g := range groups {
 		for i, idx := range g {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitvec"
+	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -173,13 +175,13 @@ func TestMethodParseAndString(t *testing.T) {
 
 func TestFindRoleGroupsValidation(t *testing.T) {
 	rows := []*bitvec.Vector{bitvec.New(4), bitvec.New(4)}
-	if _, err := FindRoleGroups(rows, GroupOptions{Threshold: -1}); err == nil {
+	if _, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Threshold: -1}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
-	if _, err := FindRoleGroups(rows, GroupOptions{Method: Method(42)}); err == nil {
+	if _, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: Method(42)}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	groups, err := FindRoleGroups(nil, GroupOptions{})
+	groups, err := FindRoleGroups(context.Background(), matrix.NewCSR(0, 4), GroupOptions{})
 	if err != nil || groups != nil {
 		t.Fatalf("empty input = (%v, %v)", groups, err)
 	}
@@ -190,13 +192,23 @@ func TestFindRoleGroupsDefaultMethod(t *testing.T) {
 		bitvec.FromIndices(8, []int{1, 2}),
 		bitvec.FromIndices(8, []int{1, 2}),
 	}
-	groups, err := FindRoleGroups(rows, GroupOptions{})
+	groups, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(groups, [][]int{{0, 1}}) {
 		t.Fatalf("groups = %v", groups)
 	}
+}
+
+// csrOf lays equal-width rows out as the CSR matrix FindRoleGroups takes.
+func csrOf(rows []*bitvec.Vector) *matrix.CSR {
+	lists := make([][]int, len(rows))
+	width := 0
+	for i, r := range rows {
+		lists[i], width = r.Indices(), r.Len()
+	}
+	return matrix.CSRFromLists(width, lists)
 }
 
 func randRows(r *rand.Rand, n, dim int, density float64, dups int) []*bitvec.Vector {
@@ -224,12 +236,12 @@ func TestPropertyExactMethodsAgreeThroughFacade(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(30), 1+r.Intn(12), 0.3, r.Intn(6))
 		k := r.Intn(3)
-		a, err := FindRoleGroups(rows, GroupOptions{Method: MethodRoleDiet, Threshold: k})
+		a, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: MethodRoleDiet, Threshold: k})
 		if err != nil {
 			return false
 		}
 		for _, m := range []Method{MethodDBSCAN, MethodDBSCANFloat64} {
-			b, err := FindRoleGroups(rows, GroupOptions{Method: m, Threshold: k})
+			b, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: m, Threshold: k})
 			if err != nil {
 				return false
 			}
@@ -255,7 +267,7 @@ func TestPropertyHNSWNeverInventsGroups(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(25), 2+r.Intn(12), 0.3, r.Intn(5))
 		k := r.Intn(2)
-		groups, err := FindRoleGroups(rows, GroupOptions{Method: MethodHNSW, Threshold: k})
+		groups, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: MethodHNSW, Threshold: k})
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,11 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -35,12 +36,12 @@ func ExampleAnalyze() {
 // ExampleFindRoleGroups groups raw assignment rows directly, without a
 // dataset, using the paper's Role Diet algorithm.
 func ExampleFindRoleGroups() {
-	rows := []*bitvec.Vector{
-		bitvec.FromIndices(4, []int{0, 1}),
-		bitvec.FromIndices(4, []int{2}),
-		bitvec.FromIndices(4, []int{0, 1}), // duplicate of row 0
-	}
-	groups, err := core.FindRoleGroups(rows, core.GroupOptions{Threshold: 0})
+	rows := matrix.CSRFromLists(4, [][]int{
+		{0, 1},
+		{2},
+		{0, 1}, // duplicate of row 0
+	})
+	groups, err := core.FindRoleGroups(context.Background(), rows, core.GroupOptions{Threshold: 0})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -52,12 +53,12 @@ func ExampleFindRoleGroups() {
 
 // ExampleFindRoleGroups_similar finds roles within one differing user.
 func ExampleFindRoleGroups_similar() {
-	rows := []*bitvec.Vector{
-		bitvec.FromIndices(8, []int{0, 1, 2}),
-		bitvec.FromIndices(8, []int{0, 1, 2, 3}), // one extra user
-		bitvec.FromIndices(8, []int{5, 6, 7}),    // far away
-	}
-	groups, err := core.FindRoleGroups(rows, core.GroupOptions{Threshold: 1})
+	rows := matrix.CSRFromLists(8, [][]int{
+		{0, 1, 2},
+		{0, 1, 2, 3}, // one extra user
+		{5, 6, 7},    // far away
+	})
+	groups, err := core.FindRoleGroups(context.Background(), rows, core.GroupOptions{Threshold: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

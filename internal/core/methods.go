@@ -7,11 +7,11 @@ import (
 	"sort"
 
 	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/cluster/bitlsh"
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
+	"repro/internal/matrix"
 )
 
 // Method selects the role-group detection algorithm (§III-C evaluates
@@ -126,12 +126,6 @@ type GroupOptions struct {
 	// LSH carries index parameters for MethodLSH; the zero value picks
 	// width- and threshold-dependent defaults.
 	LSH bitlsh.Config `json:"lsh,omitempty"`
-	// IgnoreEmptyRows excludes roles with no assignments on the analysed
-	// side from grouping. All-zero rows are trivially identical to each
-	// other, so without this a dataset's disconnected roles (inefficiency
-	// class 2) would resurface as one giant class-4 group. The Analyzer
-	// enables it; the raw facade defaults to false.
-	IgnoreEmptyRows bool `json:"ignoreEmptyRows,omitempty"`
 	// Workers fans the selected backend's hot phase out over this many
 	// goroutines. 0 (the default) and 1 run the serial implementation;
 	// values >= 2 select the parallel one; negative values are rejected.
@@ -167,98 +161,47 @@ func (o *GroupOptions) UnmarshalJSON(data []byte) error {
 
 // FindRoleGroups detects groups of roles whose rows (RUAM or RPAM) are
 // identical (Threshold 0) or similar (Threshold k). Groups use the
-// connected-component semantics shared by all three methods; every
-// group has at least two members, members ascend, and groups are
-// ordered by smallest member.
-func FindRoleGroups(rows []*bitvec.Vector, opts GroupOptions) ([][]int, error) {
-	return FindRoleGroupsContext(context.Background(), rows, opts)
+// connected-component semantics shared by all the methods; every group
+// has at least two members, members ascend, and groups are ordered by
+// smallest member. Every row is grouped, all-zero ones included (the
+// Analyzer drops those before it calls in). Every backend polls ctx
+// inside its hot loops and aborts with ctx.Err() once it is cancelled.
+func FindRoleGroups(ctx context.Context, c *matrix.CSR, opts GroupOptions) ([][]int, error) {
+	if opts.Method == 0 {
+		opts.Method = MethodRoleDiet
+	}
+	var m *bitmat.Matrix
+	if opts.Method.readsArena() && c.Rows() > 0 {
+		m = bitmat.FromCSR(c)
+	}
+	return findGroups(ctx, c, m, opts)
 }
 
-// FindRoleGroupsContext is FindRoleGroups bound to a context. Every
-// backend polls the context periodically inside its hot loops and
-// aborts with ctx.Err() once it is cancelled.
-func FindRoleGroupsContext(ctx context.Context, rows []*bitvec.Vector, opts GroupOptions) ([][]int, error) {
+// readsArena reports whether the method's backend reads a bit-matrix
+// arena: every one but Role Diet, which runs on the CSR, and the
+// float64 DBSCAN, which reads its rows straight from the CSR.
+func (m Method) readsArena() bool {
+	return m != MethodRoleDiet && m != MethodDBSCANFloat64
+}
+
+// findGroups is the one dispatch behind FindRoleGroups and the
+// Analyzer: it calls the selected backend's entry point on c, or on m,
+// the arena packed from c, for the methods that read one. The Analyzer
+// packs each side once, so its class-4 and class-5 runs share it.
+func findGroups(ctx context.Context, c *matrix.CSR, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
 	if opts.Threshold < 0 {
 		return nil, fmt.Errorf("core: negative threshold %d", opts.Threshold)
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: negative workers %d", opts.Workers)
 	}
-	if len(rows) == 0 {
+	if c.Rows() == 0 {
 		return nil, nil
 	}
-	if opts.IgnoreEmptyRows {
-		kept := make([]*bitvec.Vector, 0, len(rows))
-		remap := make([]int, 0, len(rows))
-		for i, r := range rows {
-			if r.Any() {
-				kept = append(kept, r)
-				remap = append(remap, i)
-			}
-		}
-		inner := opts
-		inner.IgnoreEmptyRows = false
-		groups, err := FindRoleGroupsContext(ctx, kept, inner)
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range groups {
-			for i, idx := range g {
-				g[i] = remap[idx]
-			}
-		}
-		return groups, nil
-	}
-	return findRoleGroupsMat(ctx, rows, nil, opts)
-}
-
-// findRoleGroupsMat is the dispatch behind FindRoleGroupsContext and
-// the Analyzer: one call to the selected backend's entry point over a
-// bit-matrix arena. FindRoleGroupsContext passes its rows and a nil
-// arena, packed here once for the backends that consume one; the
-// Analyzer, for every method but rolediet, passes each side's arena
-// (packed from its CSR snapshot) and nil rows, so its class-4 and
-// class-5 runs share a single packing and the float64 DBSCAN rows are
-// read back from the arena. The input must be non-empty and the caller
-// must already have applied the IgnoreEmptyRows filter.
-func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
-	if opts.Threshold < 0 {
-		return nil, fmt.Errorf("core: negative threshold %d", opts.Threshold)
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("core: negative workers %d", opts.Workers)
-	}
-	method := opts.Method
-	if method == 0 {
-		method = MethodRoleDiet
-	}
-	if method == MethodDBSCANFloat64 {
-		if rows == nil {
-			rows = make([]*bitvec.Vector, m.Rows())
-			for i := range rows {
-				rows[i] = m.RowVector(i)
-			}
-		}
-		floats := make([][]float64, len(rows))
-		for i, r := range rows {
-			floats[i] = r.Floats()
-		}
-		res, err := dbscan.RunFloats(ctx, floats, dbscanConfig(opts))
-		if err != nil {
-			return nil, err
-		}
-		return normalizeGroups(res.Groups()), nil
-	}
-	if m == nil {
-		var err error
-		if m, err = bitmat.FromRows(rows); err != nil {
-			return nil, err
-		}
-	}
 	// Every backend takes Workers as-is: 0 and 1 select its serial lane.
-	switch method {
+	switch opts.Method {
 	case MethodRoleDiet:
-		res, err := rolediet.Run(ctx, m, rolediet.Options{
+		res, err := rolediet.Run(ctx, c, rolediet.Options{
 			Threshold: opts.Threshold,
 			Workers:   opts.Workers,
 			Progress:  opts.Progress,
@@ -267,6 +210,19 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 			return nil, err
 		}
 		return res.Groups, nil
+	case MethodDBSCANFloat64:
+		floats := make([][]float64, c.Rows())
+		for i := range floats {
+			floats[i] = make([]float64, c.Cols())
+			for _, j := range c.RowCols(i) {
+				floats[i][j] = 1
+			}
+		}
+		res, err := dbscan.RunFloats(ctx, floats, dbscanConfig(opts))
+		if err != nil {
+			return nil, err
+		}
+		return normalizeGroups(res.Groups()), nil
 	case MethodDBSCAN:
 		res, err := dbscan.Run(ctx, m, dbscanConfig(opts))
 		if err != nil {
@@ -296,7 +252,7 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 		}
 		return res.Groups, nil
 	default:
-		return nil, fmt.Errorf("core: unknown method %d", int(method))
+		return nil, fmt.Errorf("core: unknown method %d", int(opts.Method))
 	}
 }
 

@@ -131,7 +131,7 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed options: %+v -> %+v", in, out)
 	}
 
-	gin := core.GroupOptions{Method: core.MethodLSH, Threshold: 2, IgnoreEmptyRows: true}
+	gin := core.GroupOptions{Method: core.MethodLSH, Threshold: 2, Workers: 3}
 	graw, err := json.Marshal(gin)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func ExampleMatrix() {
 	for _, grp := range g.Planted {
 		inClusters += len(grp)
 	}
-	fmt.Println("rows:", len(g.Rows))
+	fmt.Println("rows:", g.Rows.Rows())
 	fmt.Println("roles planted in clusters:", inClusters)
 	// Output:
 	// rows: 100

@@ -12,10 +12,12 @@
 package gen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"repro/internal/bitvec"
+	"repro/internal/matrix"
 )
 
 // MatrixParams parameterises the §IV-A generator.
@@ -73,9 +75,9 @@ func (p MatrixParams) Validate() error {
 
 // GeneratedMatrix is the generator output.
 type GeneratedMatrix struct {
-	// Rows are the generated role rows, shuffled so planted clusters are
-	// scattered across the matrix.
-	Rows []*bitvec.Vector
+	// Rows holds the generated role rows, shuffled so planted clusters
+	// are scattered across the matrix.
+	Rows *matrix.CSR
 	// Planted lists the ground-truth clusters as ascending row indices
 	// (after shuffling), ordered by smallest member. With SimilarNoise
 	// == 0 these are exactly the groups every exact method must find.
@@ -84,10 +86,10 @@ type GeneratedMatrix struct {
 
 // Matrix generates a synthetic assignment matrix with planted clusters.
 //
-// Base rows are drawn at the configured density and re-drawn on hash
-// collision, so with SimilarNoise == 0 the planted clusters are the
-// *only* groups of identical rows — the detectors' output can be
-// compared against Planted exactly.
+// Base rows are drawn at the configured density and re-drawn when they
+// repeat a row already drawn, so with SimilarNoise == 0 the planted
+// clusters are the *only* groups of identical rows — the detectors'
+// output can be compared against Planted exactly.
 func Matrix(p MatrixParams) (*GeneratedMatrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -100,24 +102,35 @@ func Matrix(p MatrixParams) (*GeneratedMatrix, error) {
 		clustered = 0 // a cluster needs at least two members
 	}
 
+	// seen holds every row drawn so far, keyed by its column list.
 	seen := make(map[string]struct{}, p.Rows)
-	newDistinctRow := func() *bitvec.Vector {
+	var key []byte
+	register := func(cols []int) bool {
+		key = key[:0]
+		for _, j := range cols {
+			key = binary.AppendUvarint(key, uint64(j))
+		}
+		if _, dup := seen[string(key)]; dup {
+			return false
+		}
+		seen[string(key)] = struct{}{}
+		return true
+	}
+	newDistinctRow := func() []int {
 		for {
-			v := bitvec.New(p.Cols)
+			var cols []int
 			for j := 0; j < p.Cols; j++ {
 				if rng.Float64() < p.Density {
-					v.Set(j)
+					cols = append(cols, j)
 				}
 			}
-			key := v.String()
-			if _, dup := seen[key]; !dup {
-				seen[key] = struct{}{}
-				return v
+			if register(cols) {
+				return cols
 			}
 		}
 	}
 
-	rows := make([]*bitvec.Vector, 0, p.Rows)
+	rows := make([][]int, 0, p.Rows)
 	// clusterOf[i] is the planted cluster id of row i, or -1.
 	clusterOf := make([]int, 0, p.Rows)
 
@@ -133,16 +146,18 @@ func Matrix(p MatrixParams) (*GeneratedMatrix, error) {
 		}
 		base := newDistinctRow()
 		for m := 0; m < size; m++ {
-			member := base.Clone()
+			member := base
 			if p.SimilarNoise > 0 && m > 0 {
+				member = slices.Clone(base)
 				for f := rng.Intn(p.SimilarNoise + 1); f > 0; f-- {
-					member.SetTo(rng.Intn(p.Cols), rng.Intn(2) == 1)
+					j := rng.Intn(p.Cols)
+					member = setTo(member, j, rng.Intn(2) == 1)
 				}
 				// Register the noisy variant too, so the background rows
 				// drawn below can never accidentally duplicate a planted
 				// member — without this, ground-truth recall measurements
 				// would see phantom groups at SimilarNoise > 0.
-				seen[member.String()] = struct{}{}
+				register(member)
 			}
 			rows = append(rows, member)
 			clusterOf = append(clusterOf, clusterID)
@@ -173,7 +188,19 @@ func Matrix(p MatrixParams) (*GeneratedMatrix, error) {
 	// groups by smallest member for the detectors' output contract.
 	sortGroupsByHead(planted)
 
-	return &GeneratedMatrix{Rows: rows, Planted: planted}, nil
+	return &GeneratedMatrix{Rows: matrix.CSRFromLists(p.Cols, rows), Planted: planted}, nil
+}
+
+// setTo sets (on) or clears column j in the sorted column list cols.
+func setTo(cols []int, j int, on bool) []int {
+	i, found := slices.BinarySearch(cols, j)
+	switch {
+	case on && !found:
+		return slices.Insert(cols, i, j)
+	case !on && found:
+		return slices.Delete(cols, i, i+1)
+	}
+	return cols
 }
 
 func sortGroupsByHead(groups [][]int) {

@@ -1,26 +1,38 @@
 package gen
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
-	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/cluster/rolediet"
+	"repro/internal/matrix"
 )
 
 // exactGroups runs the Role Diet exact pass over the rows.
-func exactGroups(t *testing.T, rows []*bitvec.Vector) *rolediet.Result {
+func exactGroups(t *testing.T, rows *matrix.CSR) *rolediet.Result {
 	t.Helper()
-	m, err := bitmat.FromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rolediet.GroupsMat(m, rolediet.Options{})
+	res, err := rolediet.Run(context.Background(), rows, rolediet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// hamming counts the columns in exactly one of two ascending lists.
+func hamming(a, b []int) int {
+	d := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a, d = a[1:], d+1
+		case a[0] > b[0]:
+			b, d = b[1:], d+1
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	return d + len(a) + len(b)
 }
 
 func TestMatrixValidate(t *testing.T) {
@@ -47,12 +59,15 @@ func TestMatrixShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 200 {
-		t.Fatalf("rows = %d, want 200", len(g.Rows))
+	if g.Rows.Rows() != 200 || g.Rows.Cols() != 100 {
+		t.Fatalf("shape = %dx%d, want 200x100", g.Rows.Rows(), g.Rows.Cols())
 	}
-	for i, r := range g.Rows {
-		if r.Len() != 100 {
-			t.Fatalf("row %d length %d", i, r.Len())
+	for i := 0; i < g.Rows.Rows(); i++ {
+		cols := g.Rows.RowCols(i)
+		for k, j := range cols {
+			if j < 0 || j >= 100 || (k > 0 && j <= cols[k-1]) {
+				t.Fatalf("row %d columns %v not ascending in [0,100)", i, cols)
+			}
 		}
 	}
 }
@@ -105,10 +120,8 @@ func TestMatrixDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Rows {
-		if !a.Rows[i].Equal(b.Rows[i]) {
-			t.Fatalf("row %d differs between runs with same seed", i)
-		}
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatal("rows differ between runs with same seed")
 	}
 	if !reflect.DeepEqual(a.Planted, b.Planted) {
 		t.Fatal("planted groups differ between runs")
@@ -139,8 +152,8 @@ func TestMatrixSingleClusterRowDowngraded(t *testing.T) {
 	if len(g.Planted) != 0 {
 		t.Fatalf("planted = %v, want none for a 1-row cluster budget", g.Planted)
 	}
-	if len(g.Rows) != 10 {
-		t.Fatalf("rows = %d", len(g.Rows))
+	if g.Rows.Rows() != 10 {
+		t.Fatalf("rows = %d", g.Rows.Rows())
 	}
 }
 
@@ -154,9 +167,9 @@ func TestMatrixSimilarNoise(t *testing.T) {
 	}
 	// Every noised member stays within Hamming 1 of its group head.
 	for _, grp := range g.Planted {
-		head := g.Rows[grp[0]]
+		head := g.Rows.RowCols(grp[0])
 		for _, m := range grp[1:] {
-			if d := head.Hamming(g.Rows[m]); d > 1 {
+			if d := hamming(head, g.Rows.RowCols(m)); d > 1 {
 				t.Fatalf("noised member at distance %d from head", d)
 			}
 		}
@@ -168,7 +181,7 @@ func TestMatrixEmptyRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 0 || len(g.Planted) != 0 {
-		t.Fatalf("empty generation produced %d rows", len(g.Rows))
+	if g.Rows.Rows() != 0 || len(g.Planted) != 0 {
+		t.Fatalf("empty generation produced %d rows", g.Rows.Rows())
 	}
 }

@@ -1,6 +1,9 @@
 package gen
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestBackgroundRowsDistinctFromNoisyMembers: the generator registers
 // noisy cluster members in its dedup set, so a background ("distinct")
@@ -22,17 +25,18 @@ func TestBackgroundRowsDistinctFromNoisyMembers(t *testing.T) {
 				planted[i] = true
 			}
 		}
-		for i, ri := range g.Rows {
+		for i := 0; i < g.Rows.Rows(); i++ {
 			if planted[i] {
 				continue
 			}
-			for j, rj := range g.Rows {
+			ri := g.Rows.RowCols(i)
+			for j := 0; j < g.Rows.Rows(); j++ {
 				if i == j || !planted[j] {
 					continue
 				}
-				if ri.Equal(rj) {
-					t.Fatalf("noise=%d: background row %d duplicates planted row %d (%s)",
-						noise, i, j, ri.String())
+				if slices.Equal(ri, g.Rows.RowCols(j)) {
+					t.Fatalf("noise=%d: background row %d duplicates planted row %d (%v)",
+						noise, i, j, ri)
 				}
 			}
 		}

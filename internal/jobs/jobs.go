@@ -305,12 +305,14 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// Submit enqueues a task. It returns ErrQueueFull when the queue is at
-// capacity — backpressure the caller must surface, not absorb — and
-// ErrClosed after Close.
-func (m *Manager) Submit(kind string, task Task) (*Job, error) {
+// Submit enqueues a task and returns the job with its queued snapshot,
+// taken before any worker can see the job: a worker may start it before
+// Submit returns, so a later Snapshot can already read running. It
+// returns ErrQueueFull when the queue is at capacity — backpressure the
+// caller must surface, not absorb — and ErrClosed after Close.
+func (m *Manager) Submit(kind string, task Task) (*Job, Snapshot, error) {
 	if task == nil {
-		return nil, fmt.Errorf("jobs: nil task")
+		return nil, Snapshot{}, fmt.Errorf("jobs: nil task")
 	}
 	ctx, cancel := context.WithCancel(m.base)
 	j := &Job{
@@ -323,24 +325,25 @@ func (m *Manager) Submit(kind string, task Task) (*Job, error) {
 		progress: Progress{Stage: "queued", Fraction: 0},
 		created:  time.Now(),
 	}
+	snap := j.Snapshot()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		cancel()
-		return nil, ErrClosed
+		return nil, Snapshot{}, ErrClosed
 	}
 	m.jobs[j.id] = j
 	m.mu.Unlock()
 
 	select {
 	case m.queue <- j:
-		return j, nil
+		return j, snap, nil
 	default:
 		m.mu.Lock()
 		delete(m.jobs, j.id)
 		m.mu.Unlock()
 		cancel()
-		return nil, ErrQueueFull
+		return nil, Snapshot{}, ErrQueueFull
 	}
 }
 

@@ -31,7 +31,7 @@ func TestJobRunsToCompletion(t *testing.T) {
 	m := NewManager(Options{Workers: 2})
 	defer m.Close()
 
-	j, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		progress("half", 0.5)
 		return 42, nil
 	})
@@ -67,7 +67,7 @@ func TestJobProgressMonotonic(t *testing.T) {
 		mu.Unlock()
 	}
 
-	j, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		// Deliberately misbehaving task: regressions and overshoot must
 		// be clamped by the store.
 		progress("a", 0.3)
@@ -102,7 +102,7 @@ func TestJobFailure(t *testing.T) {
 	defer m.Close()
 
 	boom := errors.New("boom")
-	j, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		return nil, boom
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestJobPanicBecomesFailure(t *testing.T) {
 	m := NewManager(Options{Workers: 1})
 	defer m.Close()
 
-	j, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		panic("poisoned dataset")
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestJobPanicBecomesFailure(t *testing.T) {
 	waitStatus(t, j, StatusFailed)
 
 	// The worker survived the panic and keeps serving.
-	j2, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j2, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		return "ok", nil
 	})
 	if err != nil {
@@ -144,7 +144,7 @@ func TestCancelRunningJobFreesWorker(t *testing.T) {
 	defer m.Close()
 
 	started := make(chan struct{})
-	j, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -159,7 +159,7 @@ func TestCancelRunningJobFreesWorker(t *testing.T) {
 	waitStatus(t, j, StatusCanceled)
 
 	// The single worker slot must be reusable after the cancellation.
-	j2, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j2, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		return nil, nil
 	})
 	if err != nil {
@@ -177,7 +177,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	defer m.Close()
 
 	release := make(chan struct{})
-	blocker, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	blocker, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -190,7 +190,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	waitStatus(t, blocker, StatusRunning)
 
 	ran := make(chan struct{})
-	queued, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	queued, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		close(ran)
 		return nil, nil
 	})
@@ -222,15 +222,15 @@ func TestSubmitQueueFull(t *testing.T) {
 		}
 		return nil, ctx.Err()
 	}
-	running, err := m.Submit("analyze", block)
+	running, _, err := m.Submit("analyze", block)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, running, StatusRunning)
-	if _, err := m.Submit("analyze", block); err != nil {
+	if _, _, err := m.Submit("analyze", block); err != nil {
 		t.Fatalf("queued submit failed: %v", err)
 	}
-	if _, err := m.Submit("analyze", block); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := m.Submit("analyze", block); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit = %v, want ErrQueueFull", err)
 	}
 	close(release)
@@ -240,7 +240,7 @@ func TestResultTTLExpiry(t *testing.T) {
 	m := NewManager(Options{Workers: 1, ResultTTL: 30 * time.Millisecond})
 	defer m.Close()
 
-	j, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		return "r", nil
 	})
 	if err != nil {
@@ -267,7 +267,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 	m := NewManager(Options{Workers: 1, QueueDepth: 8})
 
 	started := make(chan struct{})
-	running, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	running, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -276,7 +276,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	queued, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		return nil, nil
 	})
 	if err != nil {
@@ -290,7 +290,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 	if s := queued.Snapshot().Status; s != StatusCanceled {
 		t.Fatalf("queued job after Close = %s", s)
 	}
-	if _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+	if _, _, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		return nil, nil
 	}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close = %v, want ErrClosed", err)
@@ -308,7 +308,7 @@ func TestConcurrentSubmitAndPoll(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j, err := m.Submit(fmt.Sprintf("kind-%d", i%3),
+			j, _, err := m.Submit(fmt.Sprintf("kind-%d", i%3),
 				func(ctx context.Context, progress func(string, float64)) (any, error) {
 					progress("work", 0.5)
 					return i, nil
@@ -338,4 +338,31 @@ func TestConcurrentSubmitAndPoll(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestSubmitSnapshotIsQueued: the snapshot Submit returns reads queued
+// even once a worker has started the job, so a 202 built from it never
+// reports running.
+func TestSubmitSnapshotIsQueued(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer m.Close()
+
+	started, release := make(chan struct{}), make(chan struct{})
+	j, snap, err := m.Submit("analyze", func(ctx context.Context, progress func(string, float64)) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if snap.Status != StatusQueued || snap.ID != j.ID() || snap.StartedAt != nil {
+		t.Fatalf("Submit snapshot = %+v, want queued for job %s", snap, j.ID())
+	}
+	if got := j.Snapshot().Status; got != StatusRunning {
+		t.Fatalf("live status = %s, want running", got)
+	}
+	close(release)
+	waitStatus(t, j, StatusDone)
 }

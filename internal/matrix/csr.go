@@ -29,6 +29,28 @@ func NewCSR(rows, cols int) *CSR {
 	}
 }
 
+// CSRFromLists builds a CSR matrix of the given width from one column
+// list per row. Each list must ascend strictly and stay inside
+// [0, cols); CSRFromLists panics otherwise.
+func CSRFromLists(cols int, rows [][]int) *CSR {
+	c := NewCSR(len(rows), cols)
+	nnz := 0
+	for _, r := range rows {
+		nnz += len(r)
+	}
+	c.ColIdx = make([]int, 0, nnz)
+	for i, r := range rows {
+		for k, j := range r {
+			if j < 0 || j >= cols || (k > 0 && j <= r[k-1]) {
+				panic(fmt.Sprintf("matrix: row %d: column list %v not ascending in [0,%d)", i, r, cols))
+			}
+		}
+		c.ColIdx = append(c.ColIdx, r...)
+		c.RowPtr[i+1] = len(c.ColIdx)
+	}
+	return c
+}
+
 // CSRFromDense converts a dense BitMatrix to CSR form.
 func CSRFromDense(m *BitMatrix) *CSR {
 	c := &CSR{

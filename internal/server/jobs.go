@@ -53,7 +53,7 @@ func (h *handler) jobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	kind := req.kind
-	j, err := h.jobs.Submit(kind, func(ctx context.Context, progress func(string, float64)) (any, error) {
+	h.enqueueJob(w, kind, "job", func(ctx context.Context, progress func(string, float64)) (any, error) {
 		// The cached path means a job whose (dataset, options, kind)
 		// was already computed — by a sync request, another job, or a
 		// concurrent in-flight run — finishes without touching the
@@ -62,6 +62,15 @@ func (h *handler) jobSubmit(w http.ResponseWriter, r *http.Request) {
 		out, _, err := h.runKindLogged(ctx, "job", kind, req, progress)
 		return out, err
 	})
+}
+
+// enqueueJob submits task as a job of the given kind and answers 202
+// with Location and the job's queued snapshot, 429 with Retry-After
+// when the queue is full, or 503 naming what when the manager is
+// closed. The snapshot is the one Submit took before any worker could
+// start the job, so the 202 body always reads queued.
+func (h *handler) enqueueJob(w http.ResponseWriter, kind, what string, task jobs.Task) {
+	_, snap, err := h.jobs.Submit(kind, task)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		w.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
@@ -69,13 +78,13 @@ func (h *handler) jobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job queue full (%d queued), retry later", h.opts.JobQueueDepth))
 		return
 	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("submit job: %w", err))
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("submit %s: %w", what, err))
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID())
+	w.Header().Set("Location", "/v1/jobs/"+snap.ID)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j.Snapshot())
+	writeJSON(w, snap)
 }
 
 // lookupJob resolves {id}, answering 404 not_found for unknown or

@@ -3,12 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
-	"repro/internal/jobs"
 	"repro/internal/optimize"
 )
 
@@ -85,24 +83,10 @@ func (h *handler) optimize(w http.ResponseWriter, r *http.Request) {
 		req.optKnobs = knobs
 	}
 	if mode := r.URL.Query().Get("mode"); mode == "async" {
-		j, err := h.jobs.Submit(kindOptimize, func(ctx context.Context, progress func(string, float64)) (any, error) {
+		h.enqueueJob(w, kindOptimize, "optimize job", func(ctx context.Context, progress func(string, float64)) (any, error) {
 			out, _, err := h.runKindLogged(ctx, "job", kindOptimize, req, progress)
 			return out, err
 		})
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Errorf("job queue full (%d queued), retry later", h.opts.JobQueueDepth))
-			return
-		case err != nil:
-			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("submit optimize job: %w", err))
-			return
-		}
-		w.Header().Set("Location", "/v1/jobs/"+j.ID())
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		writeJSON(w, j.Snapshot())
 		return
 	}
 	out, hit, err := h.runKindLogged(r.Context(), "api", kindOptimize, req, nil)

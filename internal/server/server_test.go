@@ -12,6 +12,7 @@ import (
 	"repro/internal/consolidate"
 	"repro/internal/core"
 	"repro/internal/rbac"
+	"repro/internal/store"
 )
 
 func newServer(t *testing.T) *httptest.Server {
@@ -365,5 +366,51 @@ func TestDiffEndpoint(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing halves status = %d", resp2.StatusCode)
+	}
+}
+
+// TestRetiredIgnoreEmptyRowsField: "ignoreEmptyRows" has left the
+// options schema. Options keep the result-cache fingerprints they had
+// while it existed, and a body still carrying it is served like one
+// without it, from the same cache line.
+func TestRetiredIgnoreEmptyRowsField(t *testing.T) {
+	for _, tc := range []struct {
+		opts core.Options
+		want string
+	}{
+		{core.Options{}, "d0ce56966b4a11f00544a04a177e9843b884690a6a66ae1d25e5d9d2a59ca1f5"},
+		{core.Options{Method: core.MethodHNSW, SimilarThreshold: 2, Group: core.GroupOptions{HNSWSearchEf: 32, Workers: 2}},
+			"b83ecdd8b64d6f730b0a41cc8cac4491dc18fe624a0598cf419f01e694d43612"},
+	} {
+		fp, err := store.Fingerprint(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != tc.want {
+			t.Errorf("Fingerprint(%+v) = %s, want %s", tc.opts, fp, tc.want)
+		}
+	}
+
+	srv := newServer(t)
+	dataset := figure1Body(t).String()
+	read := func(body, wantCache string) []byte {
+		t.Helper()
+		resp := post(t, srv, "/v1/analyze", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Cache"); got != wantCache {
+			t.Fatalf("X-Cache = %q, want %q", got, wantCache)
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plain := read(`{"options":{"threshold":2},"dataset":`+dataset+`}`, "miss")
+	withField := read(`{"options":{"threshold":2,"group":{"ignoreEmptyRows":true}},"dataset":`+dataset+`}`, "hit")
+	if !bytes.Equal(plain, withField) {
+		t.Fatalf("body with ignoreEmptyRows differs:\n%s\n%s", plain, withField)
 	}
 }

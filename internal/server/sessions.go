@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/continuous"
-	"repro/internal/jobs"
 	"repro/internal/rbac"
 	"repro/internal/replay"
 	"repro/internal/session"
@@ -241,27 +240,13 @@ func (h *handler) sessionAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if mode := r.URL.Query().Get("mode"); mode == "async" {
-		j, err := h.jobs.Submit("session-audit", func(_ context.Context, progress func(string, float64)) (any, error) {
+		h.enqueueJob(w, "session-audit", "audit job", func(_ context.Context, progress func(string, float64)) (any, error) {
 			audit := s.Audit()
 			if progress != nil {
 				progress("audit", 1)
 			}
 			return audit, nil
 		})
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Errorf("job queue full (%d queued), retry later", h.opts.JobQueueDepth))
-			return
-		case err != nil:
-			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("submit audit job: %w", err))
-			return
-		}
-		w.Header().Set("Location", "/v1/jobs/"+j.ID())
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		writeJSON(w, j.Snapshot())
 		return
 	}
 	writeJSON(w, s.Audit())

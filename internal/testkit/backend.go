@@ -15,9 +15,9 @@ import (
 )
 
 // Backend is one clustering implementation under differential test. Run
-// packs the rows into the bit-matrix arena (or CSR) and invokes the very
-// entry point internal/core ships, returning the partition in canonical
-// form.
+// lays the rows out as a CSR (rolediet) or packs them into the bit-matrix
+// arena (the other backends) and invokes the very entry point
+// internal/core ships, returning the partition in canonical form.
 type Backend struct {
 	// Name identifies the backend in failure messages and case files.
 	Name string
@@ -64,8 +64,8 @@ type family struct {
 	run       func(ctx context.Context, rows []*bitvec.Vector, threshold, workers int) ([][]int, error)
 }
 
-// onArena adapts a run over the bit-matrix arena — the storage every
-// production grouping call receives — to the harness's row input.
+// onArena adapts a run over the bit-matrix arena — the storage core
+// packs for every backend but rolediet — to the harness's row input.
 func onArena(run func(ctx context.Context, m *bitmat.Matrix, threshold, workers int) ([][]int, error)) func(context.Context, []*bitvec.Vector, int, int) ([][]int, error) {
 	return func(ctx context.Context, rows []*bitvec.Vector, threshold, workers int) ([][]int, error) {
 		m, err := bitmat.FromRows(rows)
@@ -101,20 +101,13 @@ func onArena(run func(ctx context.Context, m *bitmat.Matrix, threshold, workers 
 // EXPERIMENTS.md ("Differential correctness harness").
 func Backends() []Backend {
 	families := []family{
-		{name: "rolediet", exact: true, run: onArena(func(ctx context.Context, m *bitmat.Matrix, threshold, workers int) ([][]int, error) {
-			res, err := rolediet.Run(ctx, m, rolediet.Options{Threshold: threshold, Workers: workers})
-			if err != nil {
-				return nil, err
-			}
-			return res.Groups, nil
-		})},
-		// The CSR storage format, the lane core.Analyze runs for rolediet.
-		{name: "rolediet-csr", exact: true, run: func(ctx context.Context, rows []*bitvec.Vector, threshold, workers int) ([][]int, error) {
+		// The CSR lane core runs for rolediet.
+		{name: "rolediet", exact: true, run: func(ctx context.Context, rows []*bitvec.Vector, threshold, workers int) ([][]int, error) {
 			c, err := rowsToCSR(rows)
 			if err != nil {
 				return nil, err
 			}
-			res, err := rolediet.RunCSR(ctx, c, rolediet.Options{Threshold: threshold, Workers: workers})
+			res, err := rolediet.Run(ctx, c, rolediet.Options{Threshold: threshold, Workers: workers})
 			if err != nil {
 				return nil, err
 			}
@@ -122,7 +115,7 @@ func Backends() []Backend {
 		}},
 		{name: "dbscan", exact: true, run: onArena(func(ctx context.Context, m *bitmat.Matrix, threshold, workers int) ([][]int, error) {
 			res, err := dbscan.Run(ctx, m, dbscan.Config{
-				// Same epsilon guard as core.FindRoleGroups: distances
+				// Same epsilon guard as core's dispatch: distances
 				// are integral, so +1e-9 cannot admit a false pair.
 				Eps:     float64(threshold) + 1e-9,
 				MinPts:  2,

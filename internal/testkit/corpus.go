@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/gen"
+	"repro/internal/matrix"
 )
 
 // Corpus is one seeded differential-test input: a generator
@@ -45,7 +46,16 @@ func (c Corpus) Rows() ([]*bitvec.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.Rows, nil
+	return vectors(g.Rows), nil
+}
+
+// vectors copies each CSR row into a bit vector, the harness's row form.
+func vectors(c *matrix.CSR) []*bitvec.Vector {
+	out := make([]*bitvec.Vector, c.Rows())
+	for i := range out {
+		out[i] = bitvec.FromIndices(c.Cols(), c.RowCols(i))
+	}
+	return out
 }
 
 // String renders the reproduction recipe printed on failure.

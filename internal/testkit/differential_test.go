@@ -71,7 +71,7 @@ func TestOracleMatchesPlantedClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := Oracle(g.Rows, 0)
+		oracle := Oracle(vectors(g.Rows), 0)
 		if !SamePartition(Normalize(g.Planted), oracle) {
 			t.Errorf("seed %d: oracle %s != planted %s",
 				seed, FormatPartition(oracle), FormatPartition(g.Planted))

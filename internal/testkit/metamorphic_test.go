@@ -268,7 +268,7 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := bitmat.FromRows(rows)
+		m, err := rowsToCSR(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,8 +289,8 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseCSREquivalence: the CSR variant must agree with the dense
-// rows it was derived from.
+// TestDenseCSREquivalence: Run over the CSR must agree with GroupsMat,
+// the arena lane the end-to-end benchmark replays, on the same rows.
 func TestDenseCSREquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range metamorphicCorpora() {
@@ -307,11 +307,11 @@ func TestDenseCSREquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := rolediet.Options{Threshold: c.Threshold}
-		dense, err := rolediet.Run(ctx, m, opts)
+		dense, err := rolediet.GroupsMat(m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := rolediet.RunCSR(ctx, csr, opts)
+		sparse, err := rolediet.Run(ctx, csr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

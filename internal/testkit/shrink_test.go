@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitmat"
 	"repro/internal/bitvec"
 	"repro/internal/cluster/rolediet"
 	"repro/internal/gen"
@@ -20,11 +19,11 @@ func buggyBackend() Backend {
 		Name:  "buggy-drop-last-group",
 		Exact: true,
 		Run: func(ctx context.Context, rows []*bitvec.Vector, threshold int) ([][]int, error) {
-			m, err := bitmat.FromRows(rows)
+			c, err := rowsToCSR(rows)
 			if err != nil {
 				return nil, err
 			}
-			res, err := rolediet.Run(ctx, m, rolediet.Options{Threshold: threshold})
+			res, err := rolediet.Run(ctx, c, rolediet.Options{Threshold: threshold})
 			if err != nil {
 				return nil, err
 			}

@@ -7,8 +7,8 @@
 // tooling: a brute-force O(r²) pairwise oracle computes the ground-truth
 // partition for any row set and threshold, a backend registry runs every
 // clustering implementation over seeded corpora from internal/gen, and
-// the results are compared — exact backends (rolediet dense/CSR/parallel,
-// dbscan) must reproduce the oracle partition bit for bit, approximate
+// the results are compared — exact backends (rolediet and dbscan, serial
+// and parallel) must reproduce the oracle partition bit for bit, approximate
 // backends (hnsw, bitlsh) must stay above documented recall floors and
 // may never invent a pair the oracle does not have.
 //
