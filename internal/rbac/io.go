@@ -1,6 +1,7 @@
 package rbac
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -8,9 +9,9 @@ import (
 	"sort"
 )
 
-// datasetJSON is the serialised form of a Dataset. Assignments are
-// stored as explicit edge lists so the format round-trips exactly and
-// stays diff-friendly.
+// datasetJSON is the serialised form of a Dataset, as MarshalJSON
+// writes it. Assignments are stored as explicit edge lists so the
+// format round-trips exactly and stays diff-friendly.
 type datasetJSON struct {
 	Users           []UserID       `json:"users"`
 	Roles           []RoleID       `json:"roles"`
@@ -67,37 +68,16 @@ func (d *Dataset) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler through ReadJSON, so a
+// dataset embedded in a larger document follows the same rules as one
+// read on its own. null is a no-op, per the encoding/json convention.
 func (d *Dataset) UnmarshalJSON(data []byte) error {
-	var in datasetJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("rbac: decode dataset: %w", err)
+	if string(data) == "null" {
+		return nil
 	}
-	fresh := NewDataset()
-	for _, u := range in.Users {
-		if err := fresh.AddUser(u); err != nil {
-			return err
-		}
-	}
-	for _, r := range in.Roles {
-		if err := fresh.AddRole(r); err != nil {
-			return err
-		}
-	}
-	for _, p := range in.Permissions {
-		if err := fresh.AddPermission(p); err != nil {
-			return err
-		}
-	}
-	for _, e := range in.UserAssignments {
-		if err := fresh.AssignUser(e.Role, e.User); err != nil {
-			return err
-		}
-	}
-	for _, e := range in.PermAssignments {
-		if err := fresh.AssignPermission(e.Role, e.Permission); err != nil {
-			return err
-		}
+	fresh, err := ReadJSON(bytes.NewReader(data))
+	if err != nil {
+		return err
 	}
 	*d = *fresh
 	return nil
@@ -111,18 +91,6 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("rbac: write dataset: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON parses a dataset from r.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("rbac: read dataset: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }
 
 // CSV edge-list formats. Each file is a headered two-column CSV:

@@ -2,7 +2,6 @@ package rbac
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"runtime"
 	"strings"
@@ -34,11 +33,12 @@ func streamFixture(t testing.TB, roles, users int) (*Dataset, []byte) {
 	return ds, buf.Bytes()
 }
 
-// TestReadJSONStreamMatchesBuffered: the streaming decoder must land on
-// the same dataset as the buffered one for a full round-tripped export.
+// TestReadJSONStreamMatchesBuffered: the decoder must land on the same
+// dataset as the encoding/json reference for a full round-tripped
+// export.
 func TestReadJSONStreamMatchesBuffered(t *testing.T) {
 	_, raw := streamFixture(t, 120, 80)
-	buffered, err := ReadJSON(bytes.NewReader(raw))
+	buffered, err := decodeReference(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,28 +46,27 @@ func TestReadJSONStreamMatchesBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := json.Marshal(buffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bj, sj := marshal(t, buffered), marshal(t, streamed)
 	if !bytes.Equal(bj, sj) {
 		t.Fatalf("streamed decode differs from buffered decode:\n  buffered: %.200s\n  streamed: %.200s", bj, sj)
 	}
 }
 
+// forwardRefDoc lists its edges before the entities they name.
+const forwardRefDoc = `{
+	"userAssignments": [{"role":"r1","user":"u1"},{"role":"r2","user":"u1"}],
+	"permissionAssignments": [{"role":"r1","permission":"p1"}],
+	"users": ["u1"], "roles": ["r1","r2"], "permissions": ["p1"]
+}`
+
+// unknownEdgeDoc has an edge to a role that never appears.
+const unknownEdgeDoc = `{"users":["u1"],"roles":["r1"],"permissions":[],
+	"userAssignments":[{"role":"ghost","user":"u1"}],"permissionAssignments":[]}`
+
 // TestReadJSONStreamForwardReferences: edges may precede the entity
 // arrays in the document; the pending buffer must resolve them.
 func TestReadJSONStreamForwardReferences(t *testing.T) {
-	doc := `{
-		"userAssignments": [{"role":"r1","user":"u1"},{"role":"r2","user":"u1"}],
-		"permissionAssignments": [{"role":"r1","permission":"p1"}],
-		"users": ["u1"], "roles": ["r1","r2"], "permissions": ["p1"]
-	}`
-	ds, err := ReadJSONStream(strings.NewReader(doc))
+	ds, err := ReadJSONStream(strings.NewReader(forwardRefDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +89,32 @@ func TestReadJSONStreamRejectsTruncated(t *testing.T) {
 // TestReadJSONStreamRejectsUnknownEdges: an edge naming an entity that
 // never appears must fail validation at the end of the stream.
 func TestReadJSONStreamRejectsUnknownEdges(t *testing.T) {
-	doc := `{"users":["u1"],"roles":["r1"],"permissions":[],
-		"userAssignments":[{"role":"ghost","user":"u1"}],"permissionAssignments":[]}`
-	if _, err := ReadJSONStream(strings.NewReader(doc)); err == nil {
+	if _, err := ReadJSONStream(strings.NewReader(unknownEdgeDoc)); err == nil {
 		t.Fatal("edge to unknown role decoded without error")
+	}
+}
+
+// TestReadJSONDepthLimit: nesting is held to encoding/json's limit of
+// 10000 levels, counting the top-level object, in skipped fields and
+// inside edges alike; the reference decoder draws the line at the same
+// depth. The inputs are too large to be useful fuzz seeds.
+func TestReadJSONDepthLimit(t *testing.T) {
+	edge := `{"users":["u"],"roles":["r"],"userAssignments":[{"role":"r","user":"u","x":`
+	for _, tc := range []struct {
+		name string
+		doc  string
+		ok   bool
+	}{
+		{"skipped field at the limit", `{"x":` + nested(maxDepth-1, "") + `}`, true},
+		{"skipped field past the limit", `{"x":` + nested(maxDepth, "") + `}`, false},
+		{"edge at the limit", edge + nested(maxDepth-3, "") + `}]}`, true},
+		{"edge past the limit", edge + nested(maxDepth-2, "") + `}]}`, false},
+	} {
+		_, err := ReadJSON(strings.NewReader(tc.doc))
+		_, refErr := decodeReference([]byte(tc.doc))
+		if (err == nil) != tc.ok || (refErr == nil) != tc.ok {
+			t.Errorf("%s: ReadJSON err %v, reference err %v, want ok=%v", tc.name, err, refErr, tc.ok)
+		}
 	}
 }
 

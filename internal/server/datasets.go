@@ -39,12 +39,13 @@ type datasetPutResponse struct {
 // SHA-256 content digest. Re-uploading identical content answers 200
 // with the same digest; new content answers 201.
 //
-// The body is decoded incrementally — memory is proportional to the
-// dataset's entities and edges, never to the upload's byte length —
-// and MaxUploadBytes is enforced as the stream is consumed: an
-// oversized body fails with 400 payload_too_large after at most the
-// cap has been read, and a truncated or malformed body fails with 400
-// before the store admits anything. Nothing partial is ever stored;
+// The body streams into rbac.ReadJSON, the decoder inline bodies use
+// too — memory is proportional to the dataset's entities and edges,
+// never to the upload's byte length — and MaxUploadBytes is enforced
+// as the stream is consumed: an oversized body fails with 400
+// payload_too_large after at most the cap has been read, and a
+// truncated or malformed body fails with 400 before the store admits
+// anything. Nothing partial is ever stored;
 // the digest is computed from the fully decoded, canonicalized
 // dataset.
 //
@@ -63,7 +64,7 @@ func (h *handler) datasetPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer closeBody()
-	ds, err := rbac.ReadJSONStream(body)
+	ds, err := rbac.ReadJSON(body)
 	if err != nil {
 		writeBodyError(w, "parse dataset", err)
 		return

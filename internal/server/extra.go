@@ -121,10 +121,6 @@ func (h *handler) diffSide(w http.ResponseWriter, r *http.Request, name string, 
 	case ref != "":
 		return h.resolveRef(w, r, ref)
 	}
-	if err := inline.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("diff: %s: %w", name, err))
-		return nil, "", false
-	}
 	digest, _, err := store.DigestOf(inline)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)

@@ -119,10 +119,18 @@
 // answers 404 not_found; supplying both the inline field and its ref is
 // a 400.
 //
+// A body carrying any envelope key ("dataset", "dataset_ref",
+// "options", "optimize", "kind") is an envelope and must carry exactly
+// one of a non-null "dataset" and a "dataset_ref"; any other body is a
+// bare export. Every dataset, inline or uploaded, goes through the one
+// decoder, rbac.ReadJSON: exact top-level keys, and a repeated key,
+// trailing data or a null dataset body is a 400.
+//
 // Request bodies on every POST endpoint may be compressed with
 // Content-Encoding: gzip; the decompressed size is bounded by the same
-// MaxBodyBytes limit as plain bodies, and any other Content-Encoding
-// is rejected with 415.
+// limit as plain bodies, and any other Content-Encoding is rejected
+// with 415. Every body past its limit (MaxBodyBytes, or MaxUploadBytes
+// for uploads) answers 400 payload_too_large.
 //
 // Sync and async requests share one decode, validation, and dispatch
 // path, so a job's result is byte-for-byte the corresponding sync
@@ -184,9 +192,9 @@
 //	                   inconsistent dataset (Validate()d before analysis)
 //	400 invalid_page_token  unparseable or foreign ?page_token on a list
 //	                   endpoint
-//	400 payload_too_large  dataset upload exceeding MaxUploadBytes, or an
-//	                   event log exceeding the line/event caps; nothing
-//	                   partial is admitted
+//	400 payload_too_large  request body past its byte cap, or an event
+//	                   log exceeding the line/event caps; nothing partial
+//	                   is admitted
 //	404 not_found      unknown or expired job id; unknown dataset digest
 //	409 conflict       job result not ready yet, or cancel of a finished job
 //	415 unsupported_media_type  Content-Encoding other than gzip/identity
@@ -214,6 +222,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/consolidate"
 	"repro/internal/continuous"
@@ -237,8 +246,9 @@ const (
 
 // Options configures the handler.
 type Options struct {
-	// MaxBodyBytes caps request bodies; defaults to 256 MiB, enough for
-	// an organisation-scale dataset export.
+	// MaxBodyBytes caps request bodies (decompressed when gzipped);
+	// past it a request fails with 400 payload_too_large. Defaults to
+	// 256 MiB, enough for an organisation-scale dataset export.
 	MaxBodyBytes int64
 	// MaxUploadBytes caps POST /v1/datasets bodies specifically
 	// (decompressed when gzipped). The ingest path decodes the body
@@ -660,18 +670,43 @@ type v1Request struct {
 }
 
 // v1Envelope is the unified request body: {"dataset" or "dataset_ref",
-// "options"} plus "kind" for job submissions. Decoding
-// options goes through core.Options.UnmarshalJSON, the schema shared
-// with the CLI.
+// "options"} plus "kind" for job submissions. A body carrying any of
+// these keys is an envelope; any other body is a bare dataset export.
+// Each member records whether its key appeared, null included, so the
+// one json.Unmarshal that decodes the envelope also tells the two forms
+// apart. Options decode through core.Options.UnmarshalJSON, the schema
+// shared with the CLI; the dataset through rbac.Dataset.UnmarshalJSON,
+// the decoder every ingest path shares.
 type v1Envelope struct {
-	Kind       string          `json:"kind"`
-	Dataset    json.RawMessage `json:"dataset"`
-	DatasetRef string          `json:"dataset_ref"`
-	Options    *core.Options   `json:"options"`
+	Kind       member[string]        `json:"kind"`
+	Dataset    member[*rbac.Dataset] `json:"dataset"`
+	DatasetRef member[string]        `json:"dataset_ref"`
+	Options    member[*core.Options] `json:"options"`
 	// Optimize carries the /v1/optimize planner knobs. Its analysis
 	// member is ignored: analysis options always come from "options",
 	// so every kind shares one options schema and one fingerprint.
-	Optimize *optimize.Knobs `json:"optimize"`
+	Optimize member[*optimize.Knobs] `json:"optimize"`
+}
+
+// member is one envelope value plus whether its key appeared. A
+// repeated key is an error, as it is in a dataset.
+type member[T any] struct {
+	v   T
+	set bool
+}
+
+func (m *member[T]) UnmarshalJSON(b []byte) error {
+	if m.set {
+		return errors.New("an envelope key appears twice")
+	}
+	m.set = true
+	// An escape-free string is its own text, so a by-ref body decodes
+	// its digest without a nested json.Unmarshal.
+	if s, ok := any(&m.v).(*string); ok && b[0] == '"' && bytes.IndexByte(b, '\\') < 0 && utf8.Valid(b) {
+		*s = string(b[1 : len(b)-1])
+		return nil
+	}
+	return json.Unmarshal(b, &m.v)
 }
 
 // queryOptions extracts method/threshold/workers parameters — the
@@ -709,47 +744,32 @@ func queryOptions(r *http.Request) (core.Options, error) {
 	return opts, nil
 }
 
-// readBody drains the (size-capped) request body, transparently
-// decompressing Content-Encoding: gzip. The compressed stream goes
-// through MaxBytesReader and the decompressed output is held to the
-// same MaxBodyBytes limit, so a gzip bomb cannot sidestep the cap.
-// Encodings other than gzip/identity answer 415.
+// readBody drains the request body through bodyStream, so it shares
+// the upload path's size cap, decompression and error codes.
 func (h *handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	rd := io.Reader(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes))
-	switch enc := strings.ToLower(strings.TrimSpace(r.Header.Get("Content-Encoding"))); enc {
-	case "", "identity":
-	case "gzip", "x-gzip":
-		gz, err := gzip.NewReader(rd)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("gzip body: %w", err))
-			return nil, false
-		}
-		defer gz.Close()
-		rd = io.LimitReader(gz, h.opts.MaxBodyBytes+1)
-	default:
-		writeError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("unsupported Content-Encoding %q (use gzip or no encoding)", enc))
+	rd, closeBody, ok := h.bodyStream(w, r, h.opts.MaxBodyBytes)
+	if !ok {
 		return nil, false
 	}
+	defer closeBody()
 	body, err := io.ReadAll(rd)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return nil, false
-	}
-	if int64(len(body)) > h.opts.MaxBodyBytes {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("decompressed body exceeds the %d byte limit", h.opts.MaxBodyBytes))
+		writeBodyError(w, "read body", err)
 		return nil, false
 	}
 	return body, true
 }
 
-// limitError reports a body exceeding a byte cap on the streaming
-// ingest path; the HTTP layer maps it to 400 payload_too_large.
-type limitError struct{ limit int64 }
+// limitError reports a body exceeding a byte cap; the HTTP layer maps
+// it to 400 payload_too_large. what names the stream that overflowed:
+// "body" on the wire, "decompressed body" after gzip.
+type limitError struct {
+	what  string
+	limit int64
+}
 
 func (e *limitError) Error() string {
-	return fmt.Sprintf("body exceeds the %d byte limit", e.limit)
+	return fmt.Sprintf("%s exceeds the %d byte limit", e.what, e.limit)
 }
 
 // limitedReader hands out at most limit bytes and then fails with a
@@ -760,6 +780,7 @@ func (e *limitError) Error() string {
 type limitedReader struct {
 	r         io.Reader
 	remaining int64
+	what      string
 	limit     int64
 }
 
@@ -773,7 +794,7 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 		var probe [1]byte
 		n, err := l.r.Read(probe[:])
 		if n > 0 {
-			return 0, &limitError{l.limit}
+			return 0, &limitError{l.what, l.limit}
 		}
 		if err != nil {
 			return 0, err
@@ -788,14 +809,14 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// bodyStream prepares the request body for incremental decoding: the
-// returned reader enforces limit as it is consumed (both on the wire
+// bodyStream prepares the request body for reading: the returned
+// reader enforces limit as it is consumed (both on the wire
 // bytes and, for gzip, on the decompressed stream) and fails with a
 // typed *limitError past it. The caller owns closing via the returned
 // func. A false return means the error response was already written
 // (415 for unknown encodings, 400 for a broken gzip header).
 func (h *handler) bodyStream(w http.ResponseWriter, r *http.Request, limit int64) (io.Reader, func(), bool) {
-	rd := io.Reader(&limitedReader{r: http.MaxBytesReader(w, r.Body, limit+1), remaining: limit, limit: limit})
+	rd := io.Reader(&limitedReader{r: http.MaxBytesReader(w, r.Body, limit+1), remaining: limit, what: "body", limit: limit})
 	closeFn := func() {}
 	switch enc := strings.ToLower(strings.TrimSpace(r.Header.Get("Content-Encoding"))); enc {
 	case "", "identity":
@@ -806,7 +827,7 @@ func (h *handler) bodyStream(w http.ResponseWriter, r *http.Request, limit int64
 			return nil, nil, false
 		}
 		closeFn = func() { gz.Close() }
-		rd = &limitedReader{r: gz, remaining: limit, limit: limit}
+		rd = &limitedReader{r: gz, remaining: limit, what: "decompressed body", limit: limit}
 	default:
 		writeError(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("unsupported Content-Encoding %q (use gzip or no encoding)", enc))
@@ -830,9 +851,10 @@ func writeBodyError(w http.ResponseWriter, context string, err error) {
 // decodeRequest is the one decode path every dataset-consuming
 // endpoint (sync and async) goes through. It merges query parameters
 // with the optional body envelope (body wins), resolves "dataset_ref"
-// against the registry (404 for unknown digests) or parses and
-// Validate()s the inline dataset, and reports decode failures as 400
-// with code bad_request.
+// against the registry (404 for unknown digests) or decodes the inline
+// dataset, and reports decode failures as 400 with code bad_request.
+// An envelope must carry exactly one of a non-null "dataset" and a
+// non-empty "dataset_ref".
 func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Request, bool) {
 	opts, err := queryOptions(r)
 	if err != nil {
@@ -843,61 +865,40 @@ func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Requ
 	if !ok {
 		return nil, false
 	}
-
-	req := &v1Request{opts: opts}
-	datasetJSON := body
-
-	// Envelope sniff: a body whose top-level object carries "dataset"
-	// or "dataset_ref" is the v1 envelope; anything else is a bare
-	// dataset export.
-	var probe struct {
-		Dataset    json.RawMessage `json:"dataset"`
-		DatasetRef string          `json:"dataset_ref"`
-	}
-	if err := json.Unmarshal(body, &probe); err == nil && (len(probe.Dataset) > 0 || probe.DatasetRef != "") {
-		var env v1Envelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parse request envelope: %w", err))
-			return nil, false
-		}
-		req.kind = env.Kind
-		req.optKnobs = env.Optimize
-		if env.Options != nil {
-			req.opts = *env.Options
-		}
-		if env.DatasetRef != "" {
-			if len(env.Dataset) > 0 {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("request carries both dataset and dataset_ref; send one"))
-				return nil, false
-			}
-			ds, digest, ok := h.resolveRef(w, r, env.DatasetRef)
-			if !ok {
-				return nil, false
-			}
-			req.dataset = ds
-			req.digest = digest
-		}
-		datasetJSON = env.Dataset
+	var env v1Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parse request: %w", err))
+		return nil, false
 	}
 
+	req := &v1Request{opts: opts, kind: env.Kind.v, dataset: env.Dataset.v, optKnobs: env.Optimize.v}
+	if env.Options.v != nil {
+		req.opts = *env.Options.v
+	}
 	if req.opts.Workers == 0 {
 		req.opts.Workers = h.opts.DefaultWorkers
 	}
-	if req.dataset != nil {
-		return req, true
-	}
-
-	ds, err := rbac.ReadJSON(bytes.NewReader(datasetJSON))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse dataset: %w", err))
+	ref := env.DatasetRef.v
+	switch {
+	case !env.Kind.set && !env.Dataset.set && !env.DatasetRef.set && !env.Options.set && !env.Optimize.set:
+		// No envelope key: the body is a bare dataset export.
+		if req.dataset, err = rbac.ReadJSON(bytes.NewReader(body)); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("parse dataset: %w", err))
+			return nil, false
+		}
+	case req.dataset != nil && ref != "":
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("request carries both dataset and dataset_ref; send one"))
+		return nil, false
+	case ref != "":
+		if req.dataset, req.digest, ok = h.resolveRef(w, r, ref); !ok {
+			return nil, false
+		}
+	case req.dataset == nil:
+		writeError(w, http.StatusBadRequest,
+			errors.New(`request envelope needs a "dataset" or a "dataset_ref"`))
 		return nil, false
 	}
-	if err := ds.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid dataset: %w", err))
-		return nil, false
-	}
-	req.dataset = ds
 	return req, true
 }
 
@@ -944,26 +945,17 @@ func (h *handler) fetchThrough(w http.ResponseWriter, r *http.Request, digest st
 		return nil, false
 	}
 	if _, perr := h.store.PutCanonical(digest, raw); perr != nil {
-		// Too large for the local budget or otherwise inadmissible:
-		// still serve this request from the verified bytes.
 		h.opts.Logf("fleet: dataset %s fetched from %s not cached locally: %v", digest, peer, perr)
-		ds, derr := rbac.ReadJSON(bytes.NewReader(raw))
-		if derr != nil {
-			writeError(w, http.StatusInternalServerError, derr)
-			return nil, false
-		}
+	} else if ds, _, ok := h.store.GetDataset(digest); ok {
 		return ds, true
 	}
-	ds, _, ok := h.store.GetDataset(digest)
-	if !ok {
-		// Cached and immediately evicted (pathological budget); parse
-		// the bytes we already hold rather than failing the request.
-		ds, derr := rbac.ReadJSON(bytes.NewReader(raw))
-		if derr != nil {
-			writeError(w, http.StatusInternalServerError, derr)
-			return nil, false
-		}
-		return ds, true
+	// Too large for the local budget, otherwise inadmissible, or cached
+	// and immediately evicted (pathological budget): still serve this
+	// request from the verified bytes.
+	ds, err := rbac.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return nil, false
 	}
 	return ds, true
 }

@@ -259,6 +259,9 @@ func TestBodySizeLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body status = %d, want 400", resp.StatusCode)
 	}
+	if eb := decodeErrorBody(t, resp); eb.Code != CodePayloadTooLarge {
+		t.Fatalf("oversized body code = %q, want %q", eb.Code, CodePayloadTooLarge)
+	}
 }
 
 func TestQueryEndpoint(t *testing.T) {

@@ -339,8 +339,8 @@ func (s *Store) genLocked(key Key) uint64 {
 // PutCanonical registers a dataset from its canonical bytes — the
 // fleet replication/fetch path, where the bytes arrived from a peer
 // already canonicalized. The bytes are verified against the expected
-// digest (a corrupt transfer is rejected, never stored) and the parsed
-// dataset is validated like any upload.
+// digest (a corrupt transfer is rejected, never stored) and parsed by
+// the decoder every upload goes through.
 func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error) {
 	sum := sha256.Sum256(raw)
 	if got := hex.EncodeToString(sum[:]); got != digest {
@@ -352,9 +352,6 @@ func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error
 	ds, err := rbac.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
 		return false, fmt.Errorf("store: parse verified snapshot: %w", err)
-	}
-	if err := ds.Validate(); err != nil {
-		return false, fmt.Errorf("store: invalid dataset %s: %w", digest, err)
 	}
 	return s.PutDataset(digest, raw, ds)
 }
