@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster/rolediet"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/incremental"
 	"repro/internal/matrix"
 )
 
@@ -293,45 +292,6 @@ func BenchmarkExtensionLSH(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExtensionIncremental measures the incremental index: cost of
-// one assignment mutation plus a group readout, on a pre-populated
-// 10,000-role index — the steady-state cost the batch framework pays a
-// full re-run for.
-func BenchmarkExtensionIncremental(b *testing.B) {
-	x := incremental.New(1)
-	const (
-		roles = 10000
-		width = 1000
-	)
-	for r := 0; r < roles; r++ {
-		if err := x.AddRole(r); err != nil {
-			b.Fatal(err)
-		}
-		for c := r % width; c < width; c += 97 {
-			if err := x.Assign(r, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("mutation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			role := i % roles
-			col := i % width
-			if err := x.Assign(role, col); err != nil {
-				b.Fatal(err)
-			}
-			if err := x.Revoke(role, col); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("groups-readout", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = x.Groups(incremental.GroupOptions{IgnoreEmpty: true})
-		}
-	})
 }
 
 // BenchmarkAblationParallel measures the multi-core fan-out of the Role

@@ -19,7 +19,7 @@ import (
 //
 //	rolediet drift -before a.json -after b.json
 //	    local drift audit: reconcile the snapshots, replay the delta
-//	    through an incremental session, print the DriftReport JSON
+//	    through a mutation session, print the DriftReport JSON
 //	rolediet drift -normalize report.json
 //	    canonicalise the duplicate-group view of any audit-shaped JSON
 //	    (session audit, /v1/analyze report, or DriftReport) so two

@@ -1,7 +1,8 @@
-// Incrementalwatch demonstrates keeping the duplicate-role index (the
+// Incrementalwatch demonstrates keeping the duplicate-role view (the
 // class-4 inefficiency) current under live assignment churn, instead of
-// re-running the batch framework periodically: every mutation is an
-// O(1) hash update, and group queries read straight off the index.
+// re-running the batch framework periodically: a mutation session
+// applies each event to its dataset and an O(1) hash update, and group
+// queries read straight off its buckets.
 //
 // The simulation replays a day of IAM events — role creation,
 // assignment, revocation — against a department that keeps cloning its
@@ -17,13 +18,23 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/incremental"
+	"repro/internal/rbac"
+	"repro/internal/replay"
+	"repro/internal/session"
 )
 
 // event is one IAM mutation.
 type event struct {
 	desc string
-	do   func(x *incremental.Index) error
+	e    replay.Event
+}
+
+func create(role rbac.RoleID) replay.Event {
+	return replay.Event{Op: replay.OpAddRole, Role: role}
+}
+
+func assign(role rbac.RoleID, user rbac.UserID) replay.Event {
+	return replay.Event{Op: replay.OpAssignUser, Role: role, User: user}
 }
 
 func main() {
@@ -33,71 +44,63 @@ func main() {
 }
 
 func run() error {
-	// Roles are ints here; a deployment would map its role ids.
-	const (
-		viewer      = 0
-		viewerClone = 1
-		editor      = 2
-		viewerV2    = 3
-	)
-	users := map[string]int{"alice": 100, "bob": 101, "carol": 102}
+	base := rbac.NewDataset()
+	for _, u := range []rbac.UserID{"alice", "bob", "carol"} {
+		if err := base.AddUser(u); err != nil {
+			return err
+		}
+	}
+	s := session.New("watch", "", base)
 
-	x := incremental.New(2025)
 	events := []event{
-		{"create role viewer", func(x *incremental.Index) error { return x.AddRole(viewer) }},
-		{"assign alice to viewer", func(x *incremental.Index) error { return x.Assign(viewer, users["alice"]) }},
-		{"assign bob to viewer", func(x *incremental.Index) error { return x.Assign(viewer, users["bob"]) }},
-		{"create role editor", func(x *incremental.Index) error { return x.AddRole(editor) }},
-		{"assign carol to editor", func(x *incremental.Index) error { return x.Assign(editor, users["carol"]) }},
+		{"create role viewer", create("viewer")},
+		{"assign alice to viewer", assign("viewer", "alice")},
+		{"assign bob to viewer", assign("viewer", "bob")},
+		{"create role editor", create("editor")},
+		{"assign carol to editor", assign("editor", "carol")},
 		// A second team recreates viewer under a new name for the same
 		// people: a class-4 inefficiency is born.
-		{"create role viewer-clone", func(x *incremental.Index) error { return x.AddRole(viewerClone) }},
-		{"assign alice to viewer-clone", func(x *incremental.Index) error { return x.Assign(viewerClone, users["alice"]) }},
-		{"assign bob to viewer-clone", func(x *incremental.Index) error { return x.Assign(viewerClone, users["bob"]) }},
+		{"create role viewer-clone", create("viewer-clone")},
+		{"assign alice to viewer-clone", assign("viewer-clone", "alice")},
+		{"assign bob to viewer-clone", assign("viewer-clone", "bob")},
 		// A migration drifts it apart again...
-		{"assign carol to viewer-clone", func(x *incremental.Index) error { return x.Assign(viewerClone, users["carol"]) }},
+		{"assign carol to viewer-clone", assign("viewer-clone", "carol")},
 		// ...and a revocation re-aligns it.
-		{"revoke carol from viewer-clone", func(x *incremental.Index) error { return x.Revoke(viewerClone, users["carol"]) }},
+		{"revoke carol from viewer-clone", replay.Event{Op: replay.OpRevokeUser, Role: "viewer-clone", User: "carol"}},
 		// A v2 role duplicates it a second time.
-		{"create role viewer-v2", func(x *incremental.Index) error { return x.AddRole(viewerV2) }},
-		{"assign alice to viewer-v2", func(x *incremental.Index) error { return x.Assign(viewerV2, users["alice"]) }},
-		{"assign bob to viewer-v2", func(x *incremental.Index) error { return x.Assign(viewerV2, users["bob"]) }},
+		{"create role viewer-v2", create("viewer-v2")},
+		{"assign alice to viewer-v2", assign("viewer-v2", "alice")},
+		{"assign bob to viewer-v2", assign("viewer-v2", "bob")},
 		// Cleanup removes the first clone.
-		{"remove role viewer-clone", func(x *incremental.Index) error { return x.RemoveRole(viewerClone) }},
+		{"remove role viewer-clone", replay.Event{Op: replay.OpRemoveRole, Role: "viewer-clone"}},
 	}
 
-	names := map[int]string{
-		viewer: "viewer", viewerClone: "viewer-clone",
-		editor: "editor", viewerV2: "viewer-v2",
-	}
+	var groups [][]rbac.RoleID
 	for _, ev := range events {
-		if err := ev.do(x); err != nil {
+		if _, err := s.Apply([]replay.Event{ev.e}); err != nil {
 			return fmt.Errorf("%s: %w", ev.desc, err)
 		}
-		groups := x.Groups(incremental.GroupOptions{IgnoreEmpty: true})
+		groups = s.Audit().SameUserGroups
 		fmt.Printf("%-32s -> ", ev.desc)
 		if len(groups) == 0 {
 			fmt.Println("no duplicate roles")
 			continue
 		}
 		for _, g := range groups {
-			fmt.Print("[")
-			for i, r := range g {
-				if i > 0 {
-					fmt.Print(" ")
-				}
-				fmt.Print(names[r])
-			}
-			fmt.Print("] ")
+			fmt.Print(g, " ")
 		}
 		fmt.Println()
 	}
 
-	// Point queries work too.
-	same, err := x.SameAs(viewer)
-	if err != nil {
-		return err
+	// Point queries read off the same audit.
+	same := 0
+	for _, g := range groups {
+		for _, r := range g {
+			if r == "viewer" {
+				same = len(g) - 1
+			}
+		}
 	}
-	fmt.Printf("\nroles currently identical to viewer: %d\n", len(same))
+	fmt.Printf("\nroles currently identical to viewer: %d\n", same)
 	return nil
 }

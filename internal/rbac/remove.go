@@ -15,21 +15,7 @@ func (d *Dataset) RemoveUser(user UserID) error {
 	for i := ui; i < len(d.users); i++ {
 		d.userIdx[d.users[i]] = i
 	}
-	for ri, set := range d.roleUsers {
-		if _, had := set[ui]; had {
-			delete(set, ui)
-		}
-		// Shift indices above the removed one.
-		shifted := make(map[int]struct{}, len(set))
-		for idx := range set {
-			if idx > ui {
-				shifted[idx-1] = struct{}{}
-			} else {
-				shifted[idx] = struct{}{}
-			}
-		}
-		d.roleUsers[ri] = shifted
-	}
+	shiftOut(d.roleUsers, ui)
 	return nil
 }
 
@@ -45,19 +31,30 @@ func (d *Dataset) RemovePermission(perm PermissionID) error {
 	for i := pi; i < len(d.perms); i++ {
 		d.permIdx[d.perms[i]] = i
 	}
-	for ri, set := range d.rolePerms {
-		if _, had := set[pi]; had {
-			delete(set, pi)
-		}
-		shifted := make(map[int]struct{}, len(set))
-		for idx := range set {
-			if idx > pi {
-				shifted[idx-1] = struct{}{}
-			} else {
-				shifted[idx] = struct{}{}
+	shiftOut(d.rolePerms, pi)
+	return nil
+}
+
+// shiftOut deletes column idx from every role's set and renumbers the
+// columns above it down by one, in the existing maps. A set's shifted
+// keys all leave before any re-enters, so a key never lands on one
+// still waiting to move.
+func shiftOut(sets []map[int]struct{}, idx int) {
+	var buf [64]int
+	above := buf[:0]
+	for _, set := range sets {
+		delete(set, idx)
+		above = above[:0]
+		for k := range set {
+			if k > idx {
+				above = append(above, k)
 			}
 		}
-		d.rolePerms[ri] = shifted
+		for _, k := range above {
+			delete(set, k)
+		}
+		for _, k := range above {
+			set[k-1] = struct{}{}
+		}
 	}
-	return nil
 }

@@ -1,13 +1,12 @@
 // Package replay defines a JSONL event-log format for RBAC mutations
-// and a replayer that drives a dataset (and optionally the incremental
-// duplicate index) through it.
+// and a replayer that drives a dataset through it.
 //
 // The paper's operating model is periodic batch audits; real IAM
 // platforms, though, emit change events continuously. An event log
 // bridges the two: exports can be reconciled into a log (Reconcile),
 // replayed onto a dataset snapshot (Replayer), and audited at any
-// point in the stream — with the incremental index keeping the class-4
-// view current between full audits.
+// point in the stream — with a mutation session (internal/session)
+// keeping the class-4 view current between full audits.
 package replay
 
 import (

@@ -55,8 +55,8 @@ type sessionCreateResponse struct {
 
 // sessionCreate opens a live mutation session from {"base_ref":
 // "<digest>"}. The base must be registered (fleet fetch-through
-// applies); the session starts as a clone of it with both incremental
-// indices built. In a fleet, a non-owner node forwards creation to the
+// applies); the session starts as a clone of it with both duplicate
+// bucket indices built. In a fleet, a non-owner node forwards creation to the
 // digest's owner and relays its answer, so the session lives where the
 // dataset does; if the owner is unreachable the session opens locally
 // with degraded:true.

@@ -33,7 +33,7 @@ type DriftReport struct {
 // the event delta, the delta replays through a throwaway session of
 // before, and the report carries the after-side duplicate groups plus
 // the set difference per side. Computing the delta walks both corpora
-// once; the audits themselves read off the incremental index without
+// once; the audits themselves read off the session's buckets without
 // an engine run.
 func Drift(beforeRef, afterRef string, before, after *rbac.Dataset) (*DriftReport, error) {
 	events := replay.Reconcile(before, after)

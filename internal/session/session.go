@@ -1,15 +1,23 @@
 // Package session maintains live mutation sessions: a dataset snapshot
-// plus two incremental duplicate-role indices (user side and
-// permission side) that are kept current as replay events apply, so a
-// duplicate-group audit reads off the index in time proportional to
-// the answer instead of re-running the detection engine over the
-// corpus.
+// plus, per assignment side, a Zobrist hash bucket index over its
+// roles, kept current as replay events apply, so a duplicate-group
+// audit reads candidate groups off the buckets instead of re-running
+// the detection engine over the corpus.
+//
+// The dataset is the only copy of the graph. The buckets hold a hash
+// per role id; each user or permission contributes a word derived from
+// its id string, so index shifts inside rbac never move a hash. An
+// audit splits each multi-role bucket by the paper's exact-group test
+// run on the dataset's own rows: roles i and j are one group iff
+// |Rⁱ| = g⁽ⁱ'ʲ⁾ = |Rʲ|. A hash collision therefore never merges
+// distinct roles.
 //
 // A Session is the O(delta) counterpart of core.Analyze's class-4
 // findings: after any event sequence, Audit() returns exactly the
 // same-user and same-permission groups a full re-analysis of the
 // mutated dataset would report (the differential suite in
-// internal/testkit proves this over every seeded corpus).
+// internal/testkit proves this over every seeded corpus, and
+// FuzzSessionAudit under adversarial event orders).
 package session
 
 import (
@@ -21,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/incremental"
 	"repro/internal/rbac"
 	"repro/internal/replay"
 	"repro/internal/ttl"
@@ -35,18 +42,8 @@ var (
 	ErrTooManySessions = errors.New("session: too many live sessions")
 )
 
-// defaultSeed perturbs the Zobrist column hashes. Any fixed value is
-// fine for correctness (collisions are verified away); a constant keeps
-// audits reproducible across restarts.
-const defaultSeed = 0x726f6c6564696574 // "rolediet"
-
 // Session is one live mutation stream over a base dataset. All methods
 // are safe for concurrent use.
-//
-// Role identities inside the indices are session-stable ints that are
-// never reused: rbac.Dataset indices shift when entities are removed,
-// so the session keeps its own id maps and mirrors every event into
-// them alongside the dataset itself.
 type Session struct {
 	mu sync.Mutex
 
@@ -56,21 +53,8 @@ type Session struct {
 	touched time.Time
 
 	ds    *rbac.Dataset
-	users *incremental.Index // role -> assigned user set
-	perms *incremental.Index // role -> granted permission set
-
-	roleInt map[rbac.RoleID]int
-	roleOf  map[int]rbac.RoleID
-	userInt map[rbac.UserID]int
-	permInt map[rbac.PermissionID]int
-
-	// Reverse adjacency: column int -> set of role ints holding it, so
-	// removing a user/permission revokes only its own edges (O(degree),
-	// not O(roles)).
-	userRoles map[int]map[int]struct{}
-	permRoles map[int]map[int]struct{}
-
-	nextRole, nextUser, nextPerm int
+	users bucketIndex // roles by the hash of their user set
+	perms bucketIndex // roles by the hash of their permission set
 
 	applied int // events applied over the session's lifetime
 }
@@ -79,52 +63,16 @@ type Session struct {
 // carried verbatim into Info/Audit for correlation; it is not
 // recomputed here.
 func New(id, digest string, base *rbac.Dataset) *Session {
-	s := &Session{
-		id:        id,
-		base:      digest,
-		created:   time.Now(),
-		touched:   time.Now(),
-		ds:        base.Clone(),
-		users:     incremental.New(defaultSeed),
-		perms:     incremental.New(defaultSeed ^ 0x5045524d), // "PERM"
-		roleInt:   make(map[rbac.RoleID]int),
-		roleOf:    make(map[int]rbac.RoleID),
-		userInt:   make(map[rbac.UserID]int),
-		permInt:   make(map[rbac.PermissionID]int),
-		userRoles: make(map[int]map[int]struct{}),
-		permRoles: make(map[int]map[int]struct{}),
+	ds := base.Clone()
+	return &Session{
+		id:      id,
+		base:    digest,
+		created: time.Now(),
+		touched: time.Now(),
+		ds:      ds,
+		users:   newBucketIndex(ds, userRows(ds)),
+		perms:   newBucketIndex(ds, permRows(ds)),
 	}
-	for _, u := range s.ds.Users() {
-		s.userInt[u] = s.nextUser
-		s.userRoles[s.nextUser] = make(map[int]struct{})
-		s.nextUser++
-	}
-	for _, p := range s.ds.Permissions() {
-		s.permInt[p] = s.nextPerm
-		s.permRoles[s.nextPerm] = make(map[int]struct{})
-		s.nextPerm++
-	}
-	for _, r := range s.ds.Roles() {
-		ri := s.nextRole
-		s.nextRole++
-		s.roleInt[r] = ri
-		s.roleOf[ri] = r
-		_ = s.users.AddRole(ri)
-		_ = s.perms.AddRole(ri)
-		us, _ := s.ds.RoleUsers(r)
-		for _, u := range us {
-			ui := s.userInt[u]
-			_ = s.users.Assign(ri, ui)
-			s.userRoles[ui][ri] = struct{}{}
-		}
-		ps, _ := s.ds.RolePermissions(r)
-		for _, p := range ps {
-			pi := s.permInt[p]
-			_ = s.perms.Assign(ri, pi)
-			s.permRoles[pi][ri] = struct{}{}
-		}
-	}
-	return s
 }
 
 // ID returns the session identifier.
@@ -134,123 +82,92 @@ func (s *Session) ID() string { return s.id }
 func (s *Session) Base() string { return s.base }
 
 // Apply validates and applies events in order, mutating the dataset
-// and both indices. It stops at the first failing event and reports
-// how many events before it applied cleanly — the session stays
-// consistent at that prefix; nothing of the failed event takes effect.
+// and both bucket indices. It stops at the first failing event and
+// reports how many events before it applied cleanly — the session
+// stays consistent at that prefix; nothing of the failed event takes
+// effect.
 func (s *Session) Apply(events []replay.Event) (applied int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touched = time.Now()
 	for i, e := range events {
-		if err := replay.Apply(s.ds, e); err != nil {
+		if err := s.apply(e); err != nil {
 			return i, fmt.Errorf("event %d (%s): %w", i, e.Op, err)
-		}
-		if err := s.mirror(e); err != nil {
-			// The dataset accepted the event, so a mirror failure is an
-			// internal invariant break, not bad input.
-			return i, fmt.Errorf("event %d (%s): index mirror: %w", i, e.Op, err)
 		}
 		s.applied++
 	}
 	return len(events), nil
 }
 
-// mirror folds one already-dataset-applied event into the indices and
-// id maps. replay.Apply has validated the event against the dataset,
-// so entity lookups here cannot miss.
-func (s *Session) mirror(e replay.Event) error {
+// apply runs one event against the dataset and folds it into the
+// buckets. Whatever the buckets need from the pre-event dataset is
+// read first; the buckets move only once the dataset accepted the
+// event.
+func (s *Session) apply(e replay.Event) error {
+	var (
+		x       *bucketIndex
+		word    uint64
+		toggled []rbac.RoleID // roles whose set gains or loses the column
+	)
+	// An assign or revoke changes a set only when the edge is not
+	// already as the event leaves it.
 	switch e.Op {
-	case replay.OpAddUser:
-		s.userInt[e.User] = s.nextUser
-		s.userRoles[s.nextUser] = make(map[int]struct{})
-		s.nextUser++
+	case replay.OpAssignUser, replay.OpRevokeUser:
+		x, word = &s.users, hashID(string(e.User))
+		if s.ds.HasAssignment(e.Role, e.User) != (e.Op == replay.OpAssignUser) {
+			toggled = []rbac.RoleID{e.Role}
+		}
+	case replay.OpAssignPermission, replay.OpRevokePermission:
+		x, word = &s.perms, hashID(string(e.Permission))
+		if s.ds.HasPermission(e.Role, e.Permission) != (e.Op == replay.OpAssignPermission) {
+			toggled = []rbac.RoleID{e.Role}
+		}
 	case replay.OpRemoveUser:
-		ui := s.userInt[e.User]
-		for ri := range s.userRoles[ui] {
-			if err := s.users.Revoke(ri, ui); err != nil {
-				return err
-			}
+		x, word = &s.users, hashID(string(e.User))
+		if ui, ok := s.ds.UserIndex(e.User); ok {
+			toggled = s.holders(userRows(s.ds), ui)
 		}
-		delete(s.userRoles, ui)
-		delete(s.userInt, e.User)
-	case replay.OpAddPermission:
-		s.permInt[e.Permission] = s.nextPerm
-		s.permRoles[s.nextPerm] = make(map[int]struct{})
-		s.nextPerm++
 	case replay.OpRemovePermission:
-		pi := s.permInt[e.Permission]
-		for ri := range s.permRoles[pi] {
-			if err := s.perms.Revoke(ri, pi); err != nil {
-				return err
-			}
+		x, word = &s.perms, hashID(string(e.Permission))
+		if pi, ok := s.ds.PermissionIndex(e.Permission); ok {
+			toggled = s.holders(permRows(s.ds), pi)
 		}
-		delete(s.permRoles, pi)
-		delete(s.permInt, e.Permission)
+	}
+	if err := replay.Apply(s.ds, e); err != nil {
+		return err
+	}
+	switch e.Op {
 	case replay.OpAddRole:
-		ri := s.nextRole
-		s.nextRole++
-		s.roleInt[e.Role] = ri
-		s.roleOf[ri] = e.Role
-		if err := s.users.AddRole(ri); err != nil {
-			return err
-		}
-		if err := s.perms.AddRole(ri); err != nil {
-			return err
-		}
+		s.users.add(e.Role, 0)
+		s.perms.add(e.Role, 0)
 	case replay.OpRemoveRole:
-		ri := s.roleInt[e.Role]
-		ucols, _ := s.users.Columns(ri)
-		for _, ui := range ucols {
-			delete(s.userRoles[ui], ri)
-		}
-		pcols, _ := s.perms.Columns(ri)
-		for _, pi := range pcols {
-			delete(s.permRoles[pi], ri)
-		}
-		if err := s.users.RemoveRole(ri); err != nil {
-			return err
-		}
-		if err := s.perms.RemoveRole(ri); err != nil {
-			return err
-		}
-		delete(s.roleInt, e.Role)
-		delete(s.roleOf, ri)
-	case replay.OpAssignUser:
-		ri, ui := s.roleInt[e.Role], s.userInt[e.User]
-		if err := s.users.Assign(ri, ui); err != nil {
-			return err
-		}
-		s.userRoles[ui][ri] = struct{}{}
-	case replay.OpRevokeUser:
-		ri, ui := s.roleInt[e.Role], s.userInt[e.User]
-		if err := s.users.Revoke(ri, ui); err != nil {
-			return err
-		}
-		delete(s.userRoles[ui], ri)
-	case replay.OpAssignPermission:
-		ri, pi := s.roleInt[e.Role], s.permInt[e.Permission]
-		if err := s.perms.Assign(ri, pi); err != nil {
-			return err
-		}
-		s.permRoles[pi][ri] = struct{}{}
-	case replay.OpRevokePermission:
-		ri, pi := s.roleInt[e.Role], s.permInt[e.Permission]
-		if err := s.perms.Revoke(ri, pi); err != nil {
-			return err
-		}
-		delete(s.permRoles[pi], ri)
-	default:
-		return fmt.Errorf("session: unknown op %q", e.Op)
+		s.users.remove(e.Role)
+		s.perms.remove(e.Role)
+	}
+	for _, r := range toggled {
+		x.toggle(r, word)
 	}
 	return nil
 }
 
-// Audit is the O(answer) duplicate-group report: role groups sharing
-// identical user sets and identical permission sets, matching the
-// class-4 findings of a full core.Analyze of the mutated dataset
-// (empty assignment sets are excluded, as the framework files those
-// under class 2). Groups and members are sorted lexically so equal
-// audits are byte-identical when encoded.
+// holders lists the roles whose row on one side holds column c, by an
+// O(roles) scan of the dataset.
+func (s *Session) holders(side rows, c int) []rbac.RoleID {
+	var out []rbac.RoleID
+	for ri := 0; ri < s.ds.NumRoles(); ri++ {
+		if side.has(ri, c) {
+			out = append(out, s.ds.Role(ri))
+		}
+	}
+	return out
+}
+
+// Audit is the duplicate-group report: role groups sharing identical
+// user sets and identical permission sets, matching the class-4
+// findings of a full core.Analyze of the mutated dataset (empty
+// assignment sets are excluded, as the framework files those under
+// class 2). Groups and members are sorted lexically so equal audits
+// are byte-identical when encoded.
 type Audit struct {
 	Base                 string          `json:"base"`
 	Events               int             `json:"events"`
@@ -259,7 +176,7 @@ type Audit struct {
 	SamePermissionGroups [][]rbac.RoleID `json:"samePermissionGroups"`
 }
 
-// Audit snapshots the current duplicate groups off the indices — no
+// Audit snapshots the current duplicate groups off the buckets — no
 // engine run, no matrix materialisation.
 func (s *Session) Audit() Audit {
 	s.mu.Lock()
@@ -269,26 +186,9 @@ func (s *Session) Audit() Audit {
 		Base:                 s.base,
 		Events:               s.applied,
 		Stats:                s.ds.Stats(),
-		SameUserGroups:       s.groupIDs(s.users),
-		SamePermissionGroups: s.groupIDs(s.perms),
+		SameUserGroups:       s.users.groups(s.ds, userRows(s.ds)),
+		SamePermissionGroups: s.perms.groups(s.ds, permRows(s.ds)),
 	}
-}
-
-// groupIDs reads one index's duplicate groups and maps session ints
-// back to role ids in canonical order.
-func (s *Session) groupIDs(idx *incremental.Index) [][]rbac.RoleID {
-	raw := idx.Groups(incremental.GroupOptions{IgnoreEmpty: true})
-	out := make([][]rbac.RoleID, 0, len(raw))
-	for _, g := range raw {
-		ids := make([]rbac.RoleID, 0, len(g))
-		for _, ri := range g {
-			ids = append(ids, s.roleOf[ri])
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out = append(out, ids)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }
 
 // Dataset returns a snapshot clone of the session's current dataset.

@@ -2,7 +2,6 @@ package testkit
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
-	"repro/internal/incremental"
 	"repro/internal/matrix"
 )
 
@@ -27,10 +25,6 @@ type Backend struct {
 	// (ignored when Exact). The floors are derived from the measured
 	// sweep in results/recall.txt — see Backends for the derivation.
 	MinRecall float64
-	// ZeroThresholdOnly marks backends that only detect exact duplicates
-	// (threshold 0). Harness call sites skip them at other thresholds —
-	// see CheckBackend — and Run rejects nonzero thresholds outright.
-	ZeroThresholdOnly bool
 	// Run executes the backend over the rows at the given threshold.
 	Run func(ctx context.Context, rows []*bitvec.Vector, threshold int) ([][]int, error)
 }
@@ -78,7 +72,7 @@ func onArena(run func(ctx context.Context, m *bitmat.Matrix, threshold, workers 
 
 // Backends returns every clustering backend in the repository: each
 // family at one worker (the plain name) and at parallelWorkers (the
-// "-parallel" name), plus the incremental index.
+// "-parallel" name).
 //
 // Recall floors for the approximate backends come from the measured
 // sweep in results/recall.txt (4000×1000 matrix, threshold 0, 800
@@ -162,40 +156,6 @@ func Backends() []Backend {
 			})
 		}
 	}
-	// The live-mutation index (internal/incremental) built from scratch:
-	// one role per row, one Assign per set bit, groups read off the
-	// Zobrist hash buckets. Exact duplicates only, so it answers at
-	// threshold 0 and is skipped elsewhere. It keeps all-zero rows
-	// (matching the oracle, which groups them), unlike the engine's
-	// class-4 view.
-	out = append(out, Backend{
-		Name:              "incremental",
-		Exact:             true,
-		ZeroThresholdOnly: true,
-		Run: func(ctx context.Context, rows []*bitvec.Vector, threshold int) ([][]int, error) {
-			if threshold != 0 {
-				return nil, fmt.Errorf("incremental backend answers threshold 0 only, got %d", threshold)
-			}
-			idx := incremental.New(0x7465737464696574)
-			for i, row := range rows {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := idx.AddRole(i); err != nil {
-					return nil, err
-				}
-				var aerr error
-				row.ForEach(func(j int) bool {
-					aerr = idx.Assign(i, j)
-					return aerr == nil
-				})
-				if aerr != nil {
-					return nil, aerr
-				}
-			}
-			return Normalize(idx.Groups(incremental.GroupOptions{})), nil
-		},
-	})
 	return out
 }
 

@@ -33,11 +33,6 @@ func (f *Failure) Error() string {
 //     candidate with the true distance, so a false pair is a real bug,
 //     not an accuracy artefact) and pair recall of at least b.MinRecall.
 func CheckBackend(ctx context.Context, b Backend, rows []*bitvec.Vector, threshold int, oracle [][]int) string {
-	if b.ZeroThresholdOnly && threshold != 0 {
-		// Duplicate-only backends have nothing to say above threshold 0;
-		// vacuous agreement keeps corpus sweeps uniform.
-		return ""
-	}
 	got, err := b.Run(ctx, rows, threshold)
 	if err != nil {
 		return fmt.Sprintf("backend error: %v", err)

@@ -98,10 +98,11 @@ func requireSetIdentical(t *testing.T, label string, want, got map[string]bool) 
 // TestReconcileReplayMatchesAnalyze is the drift-audit differential
 // suite: for every seeded corpus, lift the matrix into a dataset
 // (before), churn it with generated drift events (after), and check
-// that replaying Reconcile(before, after) through the incremental
-// session indices lands on exactly the class-4 groups a full engine
-// re-analysis of after finds — set-identical on both the same-user and
-// same-permission sides. This is the correctness contract behind
+// that a session built over before already reports exactly the class-4
+// groups a full engine run over before finds, and that replaying
+// Reconcile(before, after) through it lands on exactly the groups a
+// full engine re-analysis of after finds — set-identical on both the
+// same-user and same-permission sides. This is the correctness contract behind
 // POST /v1/drift and GET /v1/sessions/{id}/audit: an O(delta) audit
 // must never be distinguishable from a full re-run.
 func TestReconcileReplayMatchesAnalyze(t *testing.T) {
@@ -129,9 +130,22 @@ func TestReconcileReplayMatchesAnalyze(t *testing.T) {
 			}
 
 			// The O(delta) path: diff the snapshots, replay the delta
-			// through the live indices, read the groups off the buckets.
+			// through the session, read the groups off its buckets.
 			delta := replay.Reconcile(before, after)
 			s := session.New("differential", "base", before)
+
+			// Built from scratch, before any delta, the session already
+			// agrees with a full engine run over before.
+			baseReport, err := core.AnalyzeContext(ctx, before, core.Options{SkipSimilar: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseAudit := s.Audit()
+			requireSetIdentical(t, "same-user at base",
+				reportGroupSet(baseReport.SameUserGroups), groupSet(baseAudit.SameUserGroups))
+			requireSetIdentical(t, "same-permission at base",
+				reportGroupSet(baseReport.SamePermissionGroups), groupSet(baseAudit.SamePermissionGroups))
+
 			if n, aerr := s.Apply(delta); aerr != nil {
 				t.Fatalf("replaying reconcile delta stopped at event %d: %v", n, aerr)
 			}

@@ -22,14 +22,11 @@ func metamorphicCorpora() []Corpus {
 }
 
 // exactBackends filters the registry down to the implementations that
-// must reproduce the oracle partition bit for bit. Threshold-0-only
-// backends are excluded: the metamorphic properties probe k and k+1,
-// which those backends cannot answer (the differential sweep and the
-// dedicated incremental tests cover them instead).
+// must reproduce the oracle partition bit for bit.
 func exactBackends() []Backend {
 	var out []Backend
 	for _, b := range Backends() {
-		if b.Exact && !b.ZeroThresholdOnly {
+		if b.Exact {
 			out = append(out, b)
 		}
 	}
