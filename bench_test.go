@@ -15,6 +15,7 @@ package repro
 // real; they are the paper's argument.
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -26,6 +27,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/rbac"
+	"repro/internal/store"
 )
 
 // genMatrix builds the paper's synthetic workload: clusterProportion
@@ -166,6 +169,40 @@ func BenchmarkOrgScale(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkIngest times the two halves of the dataset codec on the
+// paper/10 organisation's indented export, the file an administrator
+// uploads: decode is rbac.ReadJSON over the export's bytes, digest is
+// store.DigestOf's canonical encoding and hash of the decoded dataset.
+// Run with -benchmem; allocation is half of what the codec costs.
+func BenchmarkIngest(b *testing.B) {
+	ds, _, err := gen.Org(gen.DefaultOrgParams().Scaled(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var export bytes.Buffer
+	if err := ds.WriteJSON(&export); err != nil {
+		b.Fatal(err)
+	}
+	raw := export.Bytes()
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			if _, err := rbac.ReadJSON(bytes.NewReader(raw)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("digest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := store.DigestOf(ds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationCooccurrence contrasts the paper's didactic O(r²)

@@ -3,9 +3,65 @@ package rbac
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// datasetJSON is the dataset schema as a struct, the form MarshalJSON
+// and ReadJSON were once written against with encoding/json; the two
+// reference codecs below use it.
+type datasetJSON struct {
+	Users           []UserID       `json:"users"`
+	Roles           []RoleID       `json:"roles"`
+	Permissions     []PermissionID `json:"permissions"`
+	UserAssignments []userEdgeJSON `json:"userAssignments"`
+	PermAssignments []permEdgeJSON `json:"permissionAssignments"`
+}
+
+type userEdgeJSON struct {
+	Role RoleID `json:"role"`
+	User UserID `json:"user"`
+}
+
+type permEdgeJSON struct {
+	Role       RoleID       `json:"role"`
+	Permission PermissionID `json:"permission"`
+}
+
+// encodeReference is the reflective encoding MarshalJSON replaced, kept
+// as the differential oracle for it: every persisted digest so far was
+// computed over these bytes.
+func encodeReference(d *Dataset) ([]byte, error) {
+	out := datasetJSON{
+		Users:           d.Users(),
+		Roles:           d.Roles(),
+		Permissions:     d.Permissions(),
+		UserAssignments: make([]userEdgeJSON, 0, d.NumUserAssignments()),
+		PermAssignments: make([]permEdgeJSON, 0, d.NumPermissionAssignments()),
+	}
+	for ri, set := range d.roleUsers {
+		uis := make([]int, 0, len(set))
+		for ui := range set {
+			uis = append(uis, ui)
+		}
+		sort.Ints(uis)
+		for _, ui := range uis {
+			out.UserAssignments = append(out.UserAssignments, userEdgeJSON{Role: d.roles[ri], User: d.users[ui]})
+		}
+	}
+	for ri, set := range d.rolePerms {
+		pis := make([]int, 0, len(set))
+		for pi := range set {
+			pis = append(pis, pi)
+		}
+		sort.Ints(pis)
+		for _, pi := range pis {
+			out.PermAssignments = append(out.PermAssignments, permEdgeJSON{Role: d.roles[ri], Permission: d.perms[pi]})
+		}
+	}
+	return json.Marshal(out)
+}
 
 // decodeReference is the encoding/json decode of the dataset schema
 // that ReadJSON replaced, kept as the differential oracle for it.
@@ -138,6 +194,39 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"Users":["a"]}`)
 	f.Add(`null`)
 	f.Add(`{"users":null,"roles":[null],"userAssignments":[null]}`)
+	// Edge objects: case-folded (U+017F folds to s) and escaped keys,
+	// repeated keys, null fields, and values that are not strings.
+	edgeDoc := func(edge string) string {
+		return `{"users":["u",""],"roles":["r",""],"userAssignments":[` + edge + `]}`
+	}
+	for _, edge := range []string{
+		`{"ROLE":"r","User":"u"}`,
+		`{"role":"r","uſer":"u"}`,
+		`{"r\u006fle":"r","\u0075ser":"u"}`,
+		`{"role":"x","role":"r","user":"u"}`,
+		`{"role":"r","role":null,"user":"u"}`,
+		`{"role":null,"user":"u"}`,
+		`{"role":"r","user":1}`,
+		`{"role":true,"user":"u"}`,
+		`{"role":{},"user":"u"}`,
+		`{"role":["r"],"user":"u"}`,
+		`"r"`,
+		`{"role":"r","user":"u","x":01}`,
+	} {
+		f.Add(edgeDoc(edge))
+	}
+	f.Add(`{"users":[1]}`)
+	f.Add(`{"users":[true]}`)
+	f.Add(`{"users":"u"}`)
+	f.Add(`{"permissions":["p"],"roles":["r"],"permissionAssignments":[{"Role":"r","PERMISSION":"p"}]}`)
+	// Skipped values still meet the grammar.
+	for _, v := range []string{`01`, `1.`, `-`, `1e`, `1e+`, `-0.5E-7`, `nul`, `tru`, `fals`, `nullx`, `"\x"`, `"\u12"`, "\"\x01\""} {
+		f.Add(`{"x":` + v + `,"users":["a"]}`)
+	}
+	// Surrogate pairs, lone and mismatched surrogates; the prefixes keep
+	// the IDs distinct where several decode to U+FFFD.
+	f.Add(`{"users":["a\ud83d\ude00","b\ud83d","c\ude00","d\ud83d\u0041","e\ud83d\ud83d\ude00","f\udbff\udfff"]}`)
+	f.Add(`{"users":["\ud83dx","\ud83d\n"]}`)
 	f.Fuzz(func(t *testing.T, input string) {
 		ds, err := ReadJSON(strings.NewReader(input))
 		ref, refErr := decodeReference([]byte(input))
@@ -167,6 +256,70 @@ func FuzzReadJSON(f *testing.F) {
 		}
 		if !bytes.Equal(marshal(t, back), marshal(t, ds)) {
 			t.Fatal("round trip changed the dataset")
+		}
+	})
+}
+
+// fuzzDataset builds a small dataset whose IDs are made from a and b:
+// three of each kind (fewer when they coincide), every role holding the
+// users and permissions that mask selects, so rows of several sizes
+// and orders reach the encoder.
+func fuzzDataset(a, b string, mask uint64) *Dataset {
+	d := NewDataset()
+	for _, id := range []string{b, a + b, a} {
+		d.EnsureUser(UserID(id))
+		d.EnsurePermission(PermissionID(b + id))
+	}
+	for _, id := range []string{a, "r" + b, b + a} {
+		d.EnsureRole(RoleID(id))
+	}
+	bit := 0
+	for ri := 0; ri < d.NumRoles(); ri++ {
+		for ui := 0; ui < d.NumUsers(); ui++ {
+			if mask>>(bit%64)&1 == 1 {
+				_ = d.AssignUser(d.Role(ri), d.User(ui))
+			}
+			bit++
+		}
+		for pi := 0; pi < d.NumPermissions(); pi++ {
+			if mask>>(bit%64)&1 == 1 {
+				_ = d.AssignPermission(d.Role(ri), d.Permission(pi))
+			}
+			bit++
+		}
+	}
+	return d
+}
+
+// FuzzMarshalJSON checks the canonical encoder against encodeReference:
+// the bytes must be identical for any ID strings, since persisted
+// digests and fleet peers key datasets by them.
+func FuzzMarshalJSON(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"u1", "r1"},
+		{"", ""},
+		{"<script>", "a&b>c"},
+		{"<", ">"},
+		{"&", "é<"},
+		{"line\u2028sep", "para\u2029sep"},
+		{"bad\xffutf8", "\xc3"},
+		{"\xed\xa0\x80", "\xf4\x90\x80\x80"},
+		{"\x00ctl\x1f", "tab\tnl\n\r\x7f"},
+		{`quote"`, `back\slash`},
+		{"é✓🙂", "\ufffd\u00e9"},
+	} {
+		f.Add(seed[0], seed[1], uint64(0xdeadbeefcafef00d))
+	}
+	f.Add("a", "b", uint64(0))
+	f.Add("a", "b", ^uint64(0))
+	f.Fuzz(func(t *testing.T, a, b string, mask uint64) {
+		d := fuzzDataset(a, b, mask)
+		want, err := encodeReference(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := marshal(t, d); !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON differs from the reflective encoding:\n got %q\nwant %q", got, want)
 		}
 	})
 }

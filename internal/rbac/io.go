@@ -6,66 +6,139 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
-// datasetJSON is the serialised form of a Dataset, as MarshalJSON
-// writes it. Assignments are stored as explicit edge lists so the
-// format round-trips exactly and stays diff-friendly.
-type datasetJSON struct {
-	Users           []UserID       `json:"users"`
-	Roles           []RoleID       `json:"roles"`
-	Permissions     []PermissionID `json:"permissions"`
-	UserAssignments []userEdgeJSON `json:"userAssignments"`
-	PermAssignments []permEdgeJSON `json:"permissionAssignments"`
-}
-
-type userEdgeJSON struct {
-	Role RoleID `json:"role"`
-	User UserID `json:"user"`
-}
-
-type permEdgeJSON struct {
-	Role       RoleID       `json:"role"`
-	Permission PermissionID `json:"permission"`
-}
-
-// MarshalJSON implements json.Marshaler with deterministic edge order.
+// MarshalJSON implements json.Marshaler. It writes the canonical
+// encoding DigestOf hashes, byte for byte what json.Marshal made of the
+// schema's five fields when they were a struct:
+//
+//	{"users":[...],"roles":[...],"permissions":[...],
+//	 "userAssignments":[{"role":...,"user":...},...],
+//	 "permissionAssignments":[{"role":...,"permission":...},...]}
+//
+// Entities are in index order, and each role's edges follow the role
+// order, sorted by the other endpoint's index. The output is compact and
+// escaped as encoding/json escapes strings, HTML characters included.
+// It is appended into one buffer sized by a first pass over the IDs and
+// rows.
 func (d *Dataset) MarshalJSON() ([]byte, error) {
-	out := datasetJSON{
-		Users:           d.Users(),
-		Roles:           d.Roles(),
-		Permissions:     d.Permissions(),
-		UserAssignments: make([]userEdgeJSON, 0, d.NumUserAssignments()),
-		PermAssignments: make([]permEdgeJSON, 0, d.NumPermissionAssignments()),
+	n := len(`{"users":[],"roles":[],"permissions":[],"userAssignments":[],"permissionAssignments":[]}`) +
+		idsLen(d.users) + idsLen(d.roles) + idsLen(d.perms) +
+		edgesLen(d.roles, d.roleUsers, d.users, len(`{"role":,"user":},`)) +
+		edgesLen(d.roles, d.rolePerms, d.perms, len(`{"role":,"permission":},`))
+	b := make([]byte, 0, n)
+	b = append(b, `{"users":`...)
+	b = appendIDs(b, d.users)
+	b = append(b, `,"roles":`...)
+	b = appendIDs(b, d.roles)
+	b = append(b, `,"permissions":`...)
+	b = appendIDs(b, d.perms)
+	var row []int
+	b = append(b, `,"userAssignments":`...)
+	b, row = appendEdges(b, row, d.roles, d.roleUsers, d.users, `,"user":`)
+	b = append(b, `,"permissionAssignments":`...)
+	b, _ = appendEdges(b, row, d.roles, d.rolePerms, d.perms, `,"permission":`)
+	return append(b, '}'), nil
+}
+
+// quotedLen bounds the encoded length of s: exact for a plain string,
+// and six bytes (a \u escape) per byte otherwise.
+func quotedLen[S ~string](s S) int {
+	if plain(s) {
+		return len(s) + 2
 	}
-	for ri, set := range d.roleUsers {
-		uis := make([]int, 0, len(set))
-		for ui := range set {
-			uis = append(uis, ui)
-		}
-		sort.Ints(uis)
-		for _, ui := range uis {
-			out.UserAssignments = append(out.UserAssignments, userEdgeJSON{
-				Role: d.roles[ri],
-				User: d.users[ui],
-			})
+	return 6*len(s) + 2
+}
+
+// idsLen bounds the encoded length of an ID array's elements.
+func idsLen[S ~string](ids []S) int {
+	n := 0
+	for _, id := range ids {
+		n += quotedLen(id) + 1
+	}
+	return n
+}
+
+// edgesLen bounds the encoded length of one side's edge objects, each
+// costing fixed bytes besides its two quoted endpoints.
+func edgesLen[S ~string](roles []RoleID, rows []map[int]struct{}, ids []S, fixed int) int {
+	n := 0
+	for ri, set := range rows {
+		n += len(set) * (fixed + quotedLen(roles[ri]))
+		for i := range set {
+			n += quotedLen(ids[i])
 		}
 	}
-	for ri, set := range d.rolePerms {
-		pis := make([]int, 0, len(set))
-		for pi := range set {
-			pis = append(pis, pi)
+	return n
+}
+
+func appendIDs[S ~string](b []byte, ids []S) []byte {
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		sort.Ints(pis)
-		for _, pi := range pis {
-			out.PermAssignments = append(out.PermAssignments, permEdgeJSON{
-				Role:       d.roles[ri],
-				Permission: d.perms[pi],
-			})
+		b = appendString(b, id)
+	}
+	return append(b, ']')
+}
+
+// appendEdges appends one side's edge array, each role's row sorted
+// through the reusable index slice row, which it returns.
+func appendEdges[S ~string](b []byte, row []int, roles []RoleID, rows []map[int]struct{}, ids []S, key string) ([]byte, []int) {
+	b = append(b, '[')
+	first := true
+	for ri, set := range rows {
+		row = sortedRow(row, set)
+		for _, i := range row {
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = append(b, `{"role":`...)
+			b = appendString(b, roles[ri])
+			b = append(b, key...)
+			b = appendString(b, ids[i])
+			b = append(b, '}')
 		}
 	}
-	return json.Marshal(out)
+	return append(b, ']'), row
+}
+
+// sortedRow returns the members of set in ascending order, reusing
+// row's storage.
+func sortedRow(row []int, set map[int]struct{}) []int {
+	row = row[:0]
+	for i := range set {
+		row = append(row, i)
+	}
+	slices.Sort(row)
+	return row
+}
+
+// plain reports whether encoding/json writes s as itself between
+// quotes: printable ASCII with nothing it escapes.
+func plain[S ~string](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendString appends s as a JSON string. A string plain does not
+// cover goes through json.Marshal itself, so its escaping is
+// encoding/json's by construction.
+func appendString[S ~string](b []byte, s S) []byte {
+	if plain(s) {
+		b = append(b, '"')
+		b = append(b, s...)
+		return append(b, '"')
+	}
+	q, _ := json.Marshal(string(s)) // a string always encodes
+	return append(b, q...)
 }
 
 // UnmarshalJSON implements json.Unmarshaler through ReadJSON, so a
@@ -107,13 +180,10 @@ func (d *Dataset) WriteUserAssignmentsCSV(w io.Writer) error {
 	if err := cw.Write([]string{"role", "user"}); err != nil {
 		return fmt.Errorf("rbac: write csv header: %w", err)
 	}
+	var row []int
 	for ri, set := range d.roleUsers {
-		uis := make([]int, 0, len(set))
-		for ui := range set {
-			uis = append(uis, ui)
-		}
-		sort.Ints(uis)
-		for _, ui := range uis {
+		row = sortedRow(row, set)
+		for _, ui := range row {
 			if err := cw.Write([]string{string(d.roles[ri]), string(d.users[ui])}); err != nil {
 				return fmt.Errorf("rbac: write csv row: %w", err)
 			}
@@ -129,13 +199,10 @@ func (d *Dataset) WritePermissionAssignmentsCSV(w io.Writer) error {
 	if err := cw.Write([]string{"role", "permission"}); err != nil {
 		return fmt.Errorf("rbac: write csv header: %w", err)
 	}
+	var row []int
 	for ri, set := range d.rolePerms {
-		pis := make([]int, 0, len(set))
-		for pi := range set {
-			pis = append(pis, pi)
-		}
-		sort.Ints(pis)
-		for _, pi := range pis {
+		row = sortedRow(row, set)
+		for _, pi := range row {
 			if err := cw.Write([]string{string(d.roles[ri]), string(d.perms[pi])}); err != nil {
 				return fmt.Errorf("rbac: write csv row: %w", err)
 			}

@@ -1,10 +1,13 @@
 package rbac
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // maxDepth is encoding/json's nesting limit, applied to the whole
@@ -16,17 +19,24 @@ const maxDepth = 10000
 // decoder: uploads, inline request bodies, store reloads, fleet
 // transfers, the CLI and Dataset.UnmarshalJSON all go through it.
 //
-// The document streams past token by token, so memory stays
-// proportional to the dataset's entity and edge counts — never to the
-// byte length of the input. The schema is the one MarshalJSON writes
+// It is a byte scanner written for the schema MarshalJSON writes
 // (users/roles/permissions arrays plus userAssignments/
-// permissionAssignments edge lists); entity insertion order per kind is
-// the array order, so DigestOf over the result is that of the exported
-// dataset. Unknown top-level fields are skipped in bounded memory.
+// permissionAssignments edge lists). The input streams through one
+// fixed refill buffer, so memory stays proportional to the dataset's
+// entity and edge counts, never to the byte length of the input or the
+// length of a whitespace run. Each entity ID becomes one string; edge
+// endpoints are looked up without a copy. Entity insertion order per
+// kind is the array order, so DigestOf over the result is that of the
+// exported dataset. Unknown fields are skipped in bounded memory but
+// still checked against the JSON grammar.
 //
-// Where json.Unmarshal into the same schema would be lenient, the
-// decoder is strict, because for an ingest path leniency means
-// silently dropping data:
+// Values decode as json.Unmarshal decodes them into the schema: string
+// escapes, invalid UTF-8 and lone surrogates (U+FFFD) alike; a null ID
+// or edge field is the empty string, a null edge the ("", "") edge; edge
+// keys match case-insensitively and the last non-null value of a
+// repeated edge key wins; any other value type is an error. Where
+// json.Unmarshal would be lenient, the decoder is strict, because for
+// an ingest path leniency means silently dropping data:
 //
 //   - Top-level keys match exactly; "Users" is an unknown field, not
 //     the users array.
@@ -34,7 +44,8 @@ const maxDepth = 10000
 //   - The top-level value must be an object; null is rejected.
 //
 // Like json.Unmarshal, it rejects anything but whitespace after the
-// object and nesting deeper than encoding/json's limit.
+// object and nesting deeper than encoding/json's limit. An error from
+// r is wrapped, so errors.Is and errors.As still find it.
 //
 // Edges may reference entities declared later in the document (any
 // field order is legal JSON); such edges are buffered and applied once
@@ -56,33 +67,42 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 // benchmark's analyze-cold ingest span calls it.
 func ReadJSONStream(r io.Reader) (*Dataset, error) { return ReadJSON(r) }
 
-func readDataset(r io.Reader) (*Dataset, error) {
-	dec := json.NewDecoder(&inputGuard{r: r})
-	// Skipped numbers stay text: converting them could fail on values
-	// (1e999) that json.Unmarshal skips without complaint.
-	dec.UseNumber()
-	d := NewDataset()
+// edge is an assignment whose endpoints were not all registered when it
+// streamed past.
+type edge struct{ role, other string }
 
-	tok, err := dec.Token()
+func readDataset(r io.Reader) (*Dataset, error) {
+	s := &scanner{r: r}
+	d := NewDataset()
+	c, err := s.peek()
 	if err != nil {
 		return nil, err
 	}
-	if delim, ok := tok.(json.Delim); !ok || delim != '{' {
-		return nil, fmt.Errorf("top-level value is %v, want an object", tok)
+	if c != '{' {
+		return nil, fmt.Errorf("top-level value starts with %q, want an object", c)
+	}
+	if err := s.open(); err != nil {
+		return nil, err
 	}
 
 	// Edges seen before their endpoints; applied after the full
 	// document has streamed past.
-	var pendingUsers []userEdgeJSON
-	var pendingPerms []permEdgeJSON
+	var pendingUsers, pendingPerms []edge
 
 	seen := make(map[string]bool, 5)
-	for dec.More() {
-		keyTok, err := dec.Token()
+	for n := 0; ; n++ {
+		more, err := s.elem('}', n)
 		if err != nil {
 			return nil, err
 		}
-		key, _ := keyTok.(string)
+		if !more {
+			break
+		}
+		k, err := s.key()
+		if err != nil {
+			return nil, err
+		}
+		key := string(k)
 		if seen[key] {
 			return nil, fmt.Errorf("field %q appears twice", key)
 		}
@@ -90,204 +110,507 @@ func readDataset(r io.Reader) (*Dataset, error) {
 
 		switch key {
 		case "users":
-			err = decodeIDs(dec, d.AddUser)
+			err = readIDs(s, d.AddUser)
 		case "roles":
-			err = decodeIDs(dec, d.AddRole)
+			err = readIDs(s, d.AddRole)
 		case "permissions":
-			err = decodeIDs(dec, d.AddPermission)
+			err = readIDs(s, d.AddPermission)
 		case "userAssignments":
-			err = decodeArray(dec, func() error {
-				var e userEdgeJSON
-				if err := dec.Decode(&e); err != nil {
-					return err
+			err = s.edges(keyUser, func(role, user []byte) {
+				ri, rok := d.roleIdx[RoleID(role)]
+				ui, uok := d.userIdx[UserID(user)]
+				if rok && uok {
+					d.roleUsers[ri][ui] = struct{}{}
+					return
 				}
-				if aerr := d.AssignUser(e.Role, e.User); aerr != nil {
-					if errors.Is(aerr, ErrUnknownRole) || errors.Is(aerr, ErrUnknownUser) {
-						pendingUsers = append(pendingUsers, e)
-						return nil
-					}
-					return aerr
-				}
-				return nil
+				pendingUsers = append(pendingUsers, edge{string(role), string(user)})
 			})
 		case "permissionAssignments":
-			err = decodeArray(dec, func() error {
-				var e permEdgeJSON
-				if err := dec.Decode(&e); err != nil {
-					return err
+			err = s.edges(keyPermission, func(role, perm []byte) {
+				ri, rok := d.roleIdx[RoleID(role)]
+				pi, pok := d.permIdx[PermissionID(perm)]
+				if rok && pok {
+					d.rolePerms[ri][pi] = struct{}{}
+					return
 				}
-				if aerr := d.AssignPermission(e.Role, e.Permission); aerr != nil {
-					if errors.Is(aerr, ErrUnknownRole) || errors.Is(aerr, ErrUnknownPermission) {
-						pendingPerms = append(pendingPerms, e)
-						return nil
-					}
-					return aerr
-				}
-				return nil
+				pendingPerms = append(pendingPerms, edge{string(role), string(perm)})
 			})
 		default:
-			err = skipValue(dec)
+			err = s.skip()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %w", key, err)
 		}
 	}
-	if _, err := dec.Token(); err != nil { // closing '}'
-		return nil, err
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		if err == nil {
-			err = fmt.Errorf("unexpected %v after the top-level object", tok)
-		}
+	if c, err := s.peek(); err == nil {
+		return nil, fmt.Errorf("unexpected %q after the top-level object", c)
+	} else if s.rerr != io.EOF {
 		return nil, err
 	}
 
 	for _, e := range pendingUsers {
-		if err := d.AssignUser(e.Role, e.User); err != nil {
+		if err := d.AssignUser(RoleID(e.role), UserID(e.other)); err != nil {
 			return nil, fmt.Errorf("userAssignments: %w", err)
 		}
 	}
 	for _, e := range pendingPerms {
-		if err := d.AssignPermission(e.Role, e.Permission); err != nil {
+		if err := d.AssignPermission(RoleID(e.role), PermissionID(e.other)); err != nil {
 			return nil, fmt.Errorf("permissionAssignments: %w", err)
 		}
 	}
 	return d, nil
 }
 
-// decodeArray consumes one JSON array (or null), calling elem once per
-// element with dec positioned at that element.
-func decodeArray(dec *json.Decoder, elem func() error) error {
-	tok, err := dec.Token()
-	if err != nil {
+// readIDs consumes one array of entity IDs (or null), registering each
+// through add. A null element is the empty ID.
+func readIDs[ID ~string](s *scanner, add func(ID) error) error {
+	if null, err := s.arrayOrNull(); null || err != nil {
 		return err
 	}
-	if tok == nil { // null field value, same as absent
-		return nil
-	}
-	if delim, ok := tok.(json.Delim); !ok || delim != '[' {
-		return fmt.Errorf("got %v, want an array", tok)
-	}
-	for dec.More() {
-		if err := elem(); err != nil {
+	for n := 0; ; n++ {
+		more, err := s.elem(']', n)
+		if !more || err != nil {
 			return err
 		}
-	}
-	_, err = dec.Token() // closing ']'
-	return err
-}
-
-// decodeIDs consumes one array of entity IDs (or null), registering
-// each through add.
-func decodeIDs[ID ~string](dec *json.Decoder, add func(ID) error) error {
-	return decodeArray(dec, func() error {
-		var id ID
-		if err := dec.Decode(&id); err != nil {
-			return err
-		}
-		return add(id)
-	})
-}
-
-// skipValue consumes one JSON value of any shape without materialising
-// it: unknown fields stream past in bounded memory too.
-func skipValue(dec *json.Decoder) error {
-	depth := 0
-	for {
-		tok, err := dec.Token()
+		id, _, err := s.strOrNull()
 		if err != nil {
 			return err
 		}
-		switch tok {
-		case json.Delim('['), json.Delim('{'):
-			depth++
-		case json.Delim(']'), json.Delim('}'):
-			depth--
-		}
-		if depth == 0 {
-			return nil
+		if err := add(ID(id)); err != nil {
+			return err
 		}
 	}
 }
 
-// inputGuard sits between the input and the json.Decoder and enforces
-// what the decoder's token API does not:
-//
-//   - It collapses every run of JSON whitespace outside string literals
-//     to a single space. The decoder does not discard inter-token
-//     whitespace until it finds the next token, so a run of whitespace
-//     would grow its buffer to the run's full length — a padding bomb.
-//     Inter-token whitespace is semantically void, so the transform
-//     preserves the document's value exactly (string contents pass
-//     through untouched, escape sequences included).
-//   - It fails nesting deeper than maxDepth, which json.Unmarshal
-//     rejects but Token does not check.
-type inputGuard struct {
-	r        io.Reader
-	buf      [4096]byte
-	pending  []byte // unconsumed tail of the last fill
-	inStr    bool
-	escaped  bool
-	wasSpace bool
-	depth    int
-}
+// Edge-object keys: every edge has a role and a user or a permission.
+var (
+	keyRole       = []byte("role")
+	keyUser       = []byte("user")
+	keyPermission = []byte("permission")
+)
 
-func (s *inputGuard) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
+// edges consumes one edge array (or null), calling add with each edge's
+// role and its other endpoint, the one under the key field. Both slices
+// are scanner scratch, valid only during the call.
+func (s *scanner) edges(field []byte, add func(role, other []byte)) error {
+	if null, err := s.arrayOrNull(); null || err != nil {
+		return err
 	}
-	for {
-		if len(s.pending) == 0 {
-			n, err := s.r.Read(s.buf[:])
-			s.pending = s.buf[:n]
-			if n == 0 {
-				return 0, err
-			}
+	for n := 0; ; n++ {
+		more, err := s.elem(']', n)
+		if !more || err != nil {
+			return err
 		}
-		out := 0
-		for len(s.pending) > 0 && out < len(p) {
-			b := s.pending[0]
-			s.pending = s.pending[1:]
-			if s.inStr {
+		c, err := s.peek()
+		if err != nil {
+			return err
+		}
+		role, other := s.role[:0], s.other[:0]
+		switch c {
+		case 'n':
+			err = s.literal("null")
+		case '{':
+			err = s.open()
+			for m := 0; err == nil; m++ {
+				if more, err = s.elem('}', m); !more || err != nil {
+					break
+				}
+				var k []byte
+				if k, err = s.key(); err != nil {
+					break
+				}
+				// Like encoding/json, an edge key matches its field
+				// case-insensitively, and a null value leaves the field
+				// as it is.
+				var v []byte
+				var null bool
 				switch {
-				case s.escaped:
-					s.escaped = false
-				case b == '\\':
-					s.escaped = true
-				case b == '"':
-					s.inStr = false
+				case bytes.EqualFold(k, keyRole):
+					if v, null, err = s.strOrNull(); err == nil && !null {
+						role = append(role[:0], v...)
+					}
+				case bytes.EqualFold(k, field):
+					if v, null, err = s.strOrNull(); err == nil && !null {
+						other = append(other[:0], v...)
+					}
+				default:
+					err = s.skip()
 				}
-				p[out] = b
-				out++
-				continue
 			}
-			if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
-				if s.wasSpace {
-					continue
-				}
-				s.wasSpace = true
-				p[out] = ' '
-				out++
-				continue
-			}
-			s.wasSpace = false
-			switch b {
-			case '"':
-				s.inStr = true
-			case '[', '{':
-				if s.depth++; s.depth > maxDepth {
-					return 0, fmt.Errorf("exceeded max depth %d", maxDepth)
-				}
-			case ']', '}':
-				s.depth--
-			}
-			p[out] = b
-			out++
+		default:
+			err = fmt.Errorf("edge starts with %q, want an object", c)
 		}
-		// A chunk of pure run-continuation whitespace can squeeze to
-		// nothing; keep filling rather than returning a zero-byte read.
-		if out > 0 {
-			return out, nil
+		if err != nil {
+			return err
+		}
+		add(role, other)
+		s.role, s.other = role, other
+	}
+}
+
+// scanner reads JSON through one fixed refill buffer. Each method
+// consumes one syntactic unit; a returned byte slice stays valid only
+// until the next call.
+type scanner struct {
+	r        io.Reader
+	buf      [32 << 10]byte
+	pos, end int   // unread bytes are buf[pos:end]
+	rerr     error // the reader's error, reported once buf is drained
+	depth    int
+
+	// Reusable scratch: a string literal that needs unquoting or
+	// crosses a refill (raw, str), an object key (keyBuf), and an edge's
+	// two endpoints.
+	raw, str, keyBuf, role, other []byte
+}
+
+// fill refills an exhausted buffer, reporting whether a byte is ready.
+func (s *scanner) fill() bool {
+	for s.pos == s.end {
+		if s.rerr != nil {
+			return false
+		}
+		n, err := s.r.Read(s.buf[:])
+		s.pos, s.end, s.rerr = 0, n, err
+	}
+	return true
+}
+
+// fail is the error for input that ended early: the reader's own
+// error, or io.ErrUnexpectedEOF when the input simply stopped.
+func (s *scanner) fail() error {
+	if s.rerr == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return s.rerr
+}
+
+// peek skips whitespace and returns the next byte without consuming it.
+func (s *scanner) peek() (byte, error) {
+	for s.fill() {
+		for ; s.pos < s.end; s.pos++ {
+			switch c := s.buf[s.pos]; c {
+			case ' ', '\t', '\n', '\r':
+			default:
+				return c, nil
+			}
 		}
 	}
+	return 0, s.fail()
+}
+
+// next returns the next byte, whitespace included, without consuming
+// it; ok is false at the end of the input.
+func (s *scanner) next() (c byte, ok bool) {
+	if !s.fill() {
+		return 0, false
+	}
+	return s.buf[s.pos], true
+}
+
+// open consumes the '{' or '[' at pos, one level deeper.
+func (s *scanner) open() error {
+	s.pos++
+	if s.depth++; s.depth > maxDepth {
+		return fmt.Errorf("exceeded max depth %d", maxDepth)
+	}
+	return nil
+}
+
+// elem moves to element n of the open container that close ends. It
+// consumes the ',' before every element but the first, and reports
+// false, consuming close, at the container's end.
+func (s *scanner) elem(close byte, n int) (bool, error) {
+	c, err := s.peek()
+	switch {
+	case err != nil:
+		return false, err
+	case c == close:
+		s.pos++
+		s.depth--
+		return false, nil
+	case n == 0:
+		return true, nil
+	case c != ',':
+		return false, fmt.Errorf("unexpected %q after an element", c)
+	}
+	s.pos++
+	return true, nil
+}
+
+// arrayOrNull consumes null (reporting true) or the '[' of an array.
+func (s *scanner) arrayOrNull() (null bool, err error) {
+	c, err := s.peek()
+	switch {
+	case err != nil:
+		return false, err
+	case c == 'n':
+		return true, s.literal("null")
+	case c != '[':
+		return false, fmt.Errorf("value starts with %q, want an array", c)
+	}
+	return false, s.open()
+}
+
+// key consumes an object key and the ':' after it. The key is copied
+// to scratch first: the colon may lie past a refill.
+func (s *scanner) key() ([]byte, error) {
+	c, err := s.peek()
+	if err != nil {
+		return nil, err
+	}
+	if c != '"' {
+		return nil, fmt.Errorf("object key starts with %q, want a string", c)
+	}
+	k, err := s.string(true)
+	if err != nil {
+		return nil, err
+	}
+	s.keyBuf = append(s.keyBuf[:0], k...)
+	if c, err = s.peek(); err != nil {
+		return nil, err
+	}
+	if c != ':' {
+		return nil, fmt.Errorf("unexpected %q after an object key", c)
+	}
+	s.pos++
+	return s.keyBuf, nil
+}
+
+// strOrNull consumes a string, returning its value, or null.
+func (s *scanner) strOrNull() (v []byte, null bool, err error) {
+	c, err := s.peek()
+	switch {
+	case err != nil:
+		return nil, false, err
+	case c == '"':
+		v, err = s.string(true)
+		return v, false, err
+	case c == 'n':
+		return nil, true, s.literal("null")
+	}
+	return nil, false, fmt.Errorf("value starts with %q, want a string", c)
+}
+
+// skip consumes one value of any shape, checking its grammar but
+// keeping none of it.
+func (s *scanner) skip() error {
+	c, err := s.peek()
+	if err != nil {
+		return err
+	}
+	switch c {
+	case '{', '[':
+		close := byte('}')
+		if c == '[' {
+			close = ']'
+		}
+		if err := s.open(); err != nil {
+			return err
+		}
+		for n := 0; ; n++ {
+			more, err := s.elem(close, n)
+			if !more || err != nil {
+				return err
+			}
+			if close == '}' {
+				if _, err := s.key(); err != nil {
+					return err
+				}
+			}
+			if err := s.skip(); err != nil {
+				return err
+			}
+		}
+	case '"':
+		_, err = s.string(false)
+	case 't':
+		err = s.literal("true")
+	case 'f':
+		err = s.literal("false")
+	case 'n':
+		err = s.literal("null")
+	default:
+		err = s.number()
+	}
+	return err
+}
+
+// literal consumes the keyword word.
+func (s *scanner) literal(word string) error {
+	for i := 0; i < len(word); i++ {
+		c, ok := s.next()
+		if !ok {
+			return s.fail()
+		}
+		if c != word[i] {
+			return fmt.Errorf("invalid literal: want %q", word)
+		}
+		s.pos++
+	}
+	return nil
+}
+
+// number consumes a number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+// What follows it is the enclosing container's to check, so "01" fails
+// there, on the '1'.
+func (s *scanner) number() error {
+	s.accept("-")
+	if !s.accept("0") && s.digits() == 0 {
+		return errors.New("invalid number")
+	}
+	if s.accept(".") && s.digits() == 0 {
+		return errors.New("invalid number: no digits after the decimal point")
+	}
+	if s.accept("eE") {
+		s.accept("+-")
+		if s.digits() == 0 {
+			return errors.New("invalid number: no digits in the exponent")
+		}
+	}
+	return nil
+}
+
+// accept consumes the next byte if it is one of set.
+func (s *scanner) accept(set string) bool {
+	c, ok := s.next()
+	if ok && strings.IndexByte(set, c) >= 0 {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (s *scanner) digits() int {
+	n := 0
+	for c, ok := s.next(); ok && '0' <= c && c <= '9'; c, ok = s.next() {
+		s.pos++
+		n++
+	}
+	return n
+}
+
+// string consumes the string literal at pos. With keep it returns the
+// literal's value, unquoted as encoding/json unquotes it; otherwise it
+// only checks the literal. A plain-ASCII literal that lies within the
+// buffer is returned as a slice of it; any other goes through scratch.
+func (s *scanner) string(keep bool) ([]byte, error) {
+	s.pos++ // opening quote
+	start := s.pos
+	for ; s.pos < s.end; s.pos++ {
+		c := s.buf[s.pos]
+		if c == '"' {
+			s.pos++
+			return s.buf[start : s.pos-1], nil
+		}
+		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+			break
+		}
+	}
+
+	// The slow path gathers the raw literal, escapes included, checking
+	// its grammar byte by byte across refills.
+	s.raw = s.raw[:0]
+	if keep {
+		s.raw = append(s.raw, s.buf[start:s.pos]...)
+	}
+	escaped, hex, plain := false, 0, true
+	for {
+		if !s.fill() {
+			return nil, s.fail()
+		}
+		c := s.buf[s.pos]
+		s.pos++
+		switch {
+		case hex > 0:
+			if !isHex(c) {
+				return nil, fmt.Errorf("invalid \\u escape: %q is not a hex digit", c)
+			}
+			hex--
+		case escaped:
+			escaped = false
+			switch c {
+			case 'u':
+				hex = 4
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			default:
+				return nil, fmt.Errorf("invalid escape \\%c in string", c)
+			}
+		case c == '"':
+			if !keep || plain && utf8.Valid(s.raw) {
+				return s.raw, nil
+			}
+			s.str = unquote(s.str[:0], s.raw)
+			return s.str, nil
+		case c == '\\':
+			escaped, plain = true, false
+		case c < ' ':
+			return nil, fmt.Errorf("control character %q in string", c)
+		}
+		if keep {
+			s.raw = append(s.raw, c)
+		}
+	}
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// unquote appends the value of raw, a grammatical string literal's
+// contents, to dst. It follows encoding/json: escapes are decoded, a
+// \u surrogate pair combines into one rune, and a lone surrogate or an
+// invalid UTF-8 byte becomes U+FFFD.
+func unquote(dst, raw []byte) []byte {
+	for i := 0; i < len(raw); {
+		c := raw[i]
+		switch {
+		case c == '\\' && raw[i+1] == 'u':
+			r := hex4(raw[i+2:])
+			i += 6
+			if utf16.IsSurrogate(r) {
+				r2 := rune(-1)
+				if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
+					r2 = hex4(raw[i+2:])
+				}
+				if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+					i += 6
+				}
+			}
+			dst = utf8.AppendRune(dst, r)
+		case c == '\\':
+			c = raw[i+1]
+			if j := strings.IndexByte("bfnrt", c); j >= 0 {
+				c = "\b\f\n\r\t"[j]
+			}
+			dst = append(dst, c) // else '"', '\\' or '/', itself
+			i += 2
+		case c < utf8.RuneSelf:
+			dst = append(dst, c)
+			i++
+		default:
+			r, n := utf8.DecodeRune(raw[i:])
+			dst = utf8.AppendRune(dst, r)
+			i += n
+		}
+	}
+	return dst
+}
+
+// hex4 decodes the four hex digits at the start of b.
+func hex4(b []byte) rune {
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c <= 'F':
+			c -= 'A' - 10
+		default:
+			c -= 'a' - 10
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }

@@ -2,10 +2,12 @@ package rbac
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // streamFixture renders a moderately sized dataset as JSON.
@@ -167,5 +169,84 @@ func TestReadJSONStreamBoundedMemory(t *testing.T) {
 	allocated := after.TotalAlloc - before.TotalAlloc
 	if allocated > pad/10 {
 		t.Fatalf("decoding a %d-byte stream allocated %d bytes — decoder is buffering the body", pad+len(raw), allocated)
+	}
+}
+
+// oddDataset holds IDs that take encoding/json's escaping and
+// unquoting paths: HTML characters, line separators, invalid UTF-8,
+// quotes, backslashes, control bytes and multi-byte runes.
+func oddDataset(t testing.TB) *Dataset {
+	t.Helper()
+	d := NewDataset()
+	for i, id := range []string{
+		"<script>", "a>b", "x&y", "line\u2028sep", "para\u2029sep",
+		"bad\xffutf8", "\xc3", `quote"back\slash`, "tab\tnl\n", "\x00ctl\x1f", "é✓🙂",
+	} {
+		role, user, perm := RoleID("r"+id), UserID("u"+id), PermissionID("p"+id)
+		d.EnsureRole(role)
+		d.EnsureUser(user)
+		d.EnsurePermission(perm)
+		if err := d.AssignUser(role, user); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := d.AssignPermission(role, perm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return d
+}
+
+// TestReadJSONChunkedReaders: the scanner refills its buffer wherever
+// the reader stops, so a refill may split a literal, an escape or a
+// number anywhere, and an ID may be longer than the buffer. Whatever
+// the chunking, the dataset must be the one a whole-buffer read gives,
+// and a reader error part-way through must reach the caller.
+func TestReadJSONChunkedReaders(t *testing.T) {
+	_, fixture := streamFixture(t, 120, 80)
+	var odd bytes.Buffer
+	if err := oddDataset(t).WriteJSON(&odd); err != nil {
+		t.Fatal(err)
+	}
+	plainID := strings.Repeat("p", 40<<10)
+	escapedID := strings.Repeat(`\u00e9\n\"`, 40<<10/10)
+	long := `{"users":["` + plainID + `","` + escapedID + `"],"roles":["r"],` +
+		`"userAssignments":[{"role":"r","user":"` + plainID + `"},{"role":"r","user":"` + escapedID + `"}]}`
+
+	for _, doc := range []struct {
+		name string
+		raw  []byte
+	}{{"fixture", fixture}, {"odd IDs", odd.Bytes()}, {"IDs longer than the buffer", []byte(long)}} {
+		whole, err := ReadJSON(bytes.NewReader(doc.raw))
+		if err != nil {
+			t.Fatalf("%s: %v", doc.name, err)
+		}
+		want := marshal(t, whole)
+		ref, err := decodeReference(doc.raw)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", doc.name, err)
+		}
+		if !bytes.Equal(marshal(t, ref), want) {
+			t.Fatalf("%s: ReadJSON differs from the reference decode", doc.name)
+		}
+		for _, rd := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{{"OneByteReader", iotest.OneByteReader}, {"HalfReader", iotest.HalfReader}, {"DataErrReader", iotest.DataErrReader}} {
+			got, err := ReadJSON(rd.wrap(bytes.NewReader(doc.raw)))
+			if err != nil {
+				t.Fatalf("%s through %s: %v", doc.name, rd.name, err)
+			}
+			if !bytes.Equal(marshal(t, got), want) {
+				t.Fatalf("%s through %s: dataset differs from a whole-buffer read", doc.name, rd.name)
+			}
+		}
+	}
+
+	errReset := errors.New("connection reset")
+	_, err := ReadJSON(io.MultiReader(bytes.NewReader(fixture[:len(fixture)/2]), iotest.ErrReader(errReset)))
+	if !errors.Is(err, errReset) {
+		t.Fatalf("reader error part-way through: got %v, want it to wrap %v", err, errReset)
 	}
 }

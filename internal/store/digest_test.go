@@ -78,3 +78,32 @@ func TestDigestOfMatchesJSONMarshal(t *testing.T) {
 		t.Fatalf("Figure 1 digest = %s, want %s", digest, figure1Digest)
 	}
 }
+
+// orgDigests are the DigestOf digests of gen.Org at 1/400 scale, seeds
+// 1 to 3, as the reflective encoder computed them. json.Marshal(ds)
+// calls MarshalJSON itself, so TestDigestOfMatchesJSONMarshal cannot
+// catch an encoder change on its own; these constants can.
+var orgDigests = []string{
+	"000afb648d376577ee5b76063d7087ecff057f739f563745f087857934286ec9",
+	"6bba38799a36a45257496934f629e0ddf08ca6d47ebdd8ec7711ee4a2d6c770f",
+	"03fae0068e9ef5aa84e5f6e4324303bbc5c330a0476fff73bf885ca1481f5675",
+}
+
+// TestDigestOfPinned pins the content digests of generated corpora.
+func TestDigestOfPinned(t *testing.T) {
+	for i, want := range orgDigests {
+		p := gen.DefaultOrgParams().Scaled(400)
+		p.Seed = int64(i + 1)
+		ds, _, err := gen.Org(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DigestOf(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("seed %d: digest %s, want %s", p.Seed, got, want)
+		}
+	}
+}
