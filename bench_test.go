@@ -205,6 +205,63 @@ func BenchmarkIngest(b *testing.B) {
 	})
 }
 
+// BenchmarkDatasetRows times the dataset's row storage at paper/10:
+// a deep copy (clone), the two CSR matrices every analysis starts from
+// (csr), and a pass that revokes every edge of every role and assigns
+// them back in descending order, so each insert lands at the front of
+// its row (assign).
+func BenchmarkDatasetRows(b *testing.B) {
+	ds, _, err := gen.Org(gen.DefaultOrgParams().Scaled(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ds.Clone().NumRoles() != ds.NumRoles() {
+				b.Fatal("clone lost roles")
+			}
+		}
+	})
+	b.Run("csr", func(b *testing.B) {
+		nnz := ds.NumUserAssignments() + ds.NumPermissionAssignments()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ds.RUAMCSR().NNZ()+ds.RPAMCSR().NNZ() != nnz {
+				b.Fatal("CSR lost edges")
+			}
+		}
+	})
+	b.Run("assign", func(b *testing.B) {
+		d := ds.Clone()
+		roles := d.Roles()
+		users := make([][]rbac.UserID, len(roles))
+		perms := make([][]rbac.PermissionID, len(roles))
+		for ri, r := range roles {
+			users[ri], _ = d.RoleUsers(r)
+			perms[ri], _ = d.RolePermissions(r)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for ri, r := range roles {
+				for _, u := range users[ri] {
+					_ = d.RevokeUser(r, u)
+				}
+				for j := len(users[ri]) - 1; j >= 0; j-- {
+					_ = d.AssignUser(r, users[ri][j])
+				}
+				for _, p := range perms[ri] {
+					_ = d.RevokePermission(r, p)
+				}
+				for j := len(perms[ri]) - 1; j >= 0; j-- {
+					_ = d.AssignPermission(r, perms[ri][j])
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkAblationCooccurrence contrasts the paper's didactic O(r²)
 // co-occurrence matrix with the production inverted-index path
 // (DESIGN.md §6): the full matrix touches every role pair, the inverted

@@ -217,33 +217,26 @@ func VerifySafety(before, after *rbac.Dataset) error {
 	touched := make([]int32, 0, 64)
 	for ui := 0; ui < n; ui++ {
 		for _, ri := range bRoles[ui] {
-			before.ForEachRolePermission(int(ri), func(pi int) bool {
-				arena.Set(0, pi)
-				touched = append(touched, int32(pi))
-				return true
-			})
+			for _, pi := range before.RolePermissionRow(int(ri)) {
+				arena.Set(0, int(pi))
+				touched = append(touched, pi)
+			}
 		}
 		aui := ui
 		if userMap != nil {
 			aui = int(userMap[ui])
 		}
-		gained := -1
 		for _, ri := range aRoles[aui] {
-			after.ForEachRolePermission(int(ri), func(pi int) bool {
+			for _, pi := range after.RolePermissionRow(int(ri)) {
 				col := pi
 				if permMap != nil {
-					if col = int(permMap[pi]); col < 0 {
-						gained = pi
-						return false
+					if col = permMap[pi]; col < 0 {
+						return fmt.Errorf("consolidate: user %q gained permission %q",
+							before.User(ui), after.Permission(int(pi)))
 					}
 				}
-				arena.Set(1, col)
-				touched = append(touched, int32(col))
-				return true
-			})
-			if gained >= 0 {
-				return fmt.Errorf("consolidate: user %q gained permission %q",
-					before.User(ui), after.Permission(gained))
+				arena.Set(1, int(col))
+				touched = append(touched, col)
 			}
 		}
 		if !arena.RowEqual(0, 1) {

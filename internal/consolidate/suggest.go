@@ -89,14 +89,12 @@ func suggestionFor(d *rbac.Dataset, eff []map[int]struct{},
 		if !ok {
 			return Suggestion{}, fmt.Errorf("consolidate: role %q not in dataset", r)
 		}
-		d.ForEachRoleUser(ri, func(u int) bool {
-			userUnion[u] = struct{}{}
-			return true
-		})
-		d.ForEachRolePermission(ri, func(p int) bool {
-			permUnion[p] = struct{}{}
-			return true
-		})
+		for _, u := range d.RoleUserRow(ri) {
+			userUnion[int(u)] = struct{}{}
+		}
+		for _, p := range d.RolePermissionRow(ri) {
+			permUnion[int(p)] = struct{}{}
+		}
 	}
 
 	users := make([]int, 0, len(userUnion))

@@ -337,21 +337,21 @@ func (p *planner) eliminate(rep *core.Report) error {
 // hold its user. The check is a universal quantifier: the order the
 // pairs are visited in cannot change its result.
 func coveredElsewhere(d *rbac.Dataset, holders [][]int32, dropped []bool, ri int) bool {
-	covered := true
-	d.ForEachRoleUser(ri, func(ui int) bool {
-		d.ForEachRolePermission(ri, func(pi int) bool {
-			covered = false
+	for _, ui := range d.RoleUserRow(ri) {
+		for _, pi := range d.RolePermissionRow(ri) {
+			covered := false
 			for _, oi := range holders[ui] {
-				if o := int(oi); o != ri && !dropped[o] && d.RoleHasPermission(o, pi) {
+				if o := int(oi); o != ri && !dropped[o] && d.RoleHasPermission(o, int(pi)) {
 					covered = true
 					break
 				}
 			}
-			return covered
-		})
-		return covered
-	})
-	return covered
+			if !covered {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // mergeToConvergence runs merge rounds until one adds no actions (or
@@ -480,8 +480,8 @@ func (p *planner) mergeEdgesDelta(keep rbac.RoleID, remove []rbac.RoleID, side s
 	if !ok {
 		return 0
 	}
-	newUsers := make(map[int]struct{})
-	newPerms := make(map[int]struct{})
+	newUsers := make(map[int32]struct{})
+	newPerms := make(map[int32]struct{})
 	victimEdges := 0
 	for _, r := range remove {
 		ri, ok := d.RoleIndex(r)
@@ -489,18 +489,16 @@ func (p *planner) mergeEdgesDelta(keep rbac.RoleID, remove []rbac.RoleID, side s
 			continue
 		}
 		victimEdges += edges(d, ri)
-		d.ForEachRoleUser(ri, func(ui int) bool {
-			if !d.RoleHasUser(ki, ui) {
+		for _, ui := range d.RoleUserRow(ri) {
+			if !d.RoleHasUser(ki, int(ui)) {
 				newUsers[ui] = struct{}{}
 			}
-			return true
-		})
-		d.ForEachRolePermission(ri, func(pi int) bool {
-			if !d.RoleHasPermission(ki, pi) {
+		}
+		for _, pi := range d.RolePermissionRow(ri) {
+			if !d.RoleHasPermission(ki, int(pi)) {
 				newPerms[pi] = struct{}{}
 			}
-			return true
-		})
+		}
 	}
 	keepGrowth := 0
 	switch side {

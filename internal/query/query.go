@@ -33,14 +33,12 @@ func NewIndex(d *rbac.Dataset) *Index {
 		permRoles: make([][]int, ds.NumPermissions()),
 	}
 	for ri := 0; ri < ds.NumRoles(); ri++ {
-		ds.ForEachRoleUser(ri, func(u int) bool {
+		for _, u := range ds.RoleUserRow(ri) {
 			idx.userRoles[u] = append(idx.userRoles[u], ri)
-			return true
-		})
-		ds.ForEachRolePermission(ri, func(p int) bool {
+		}
+		for _, p := range ds.RolePermissionRow(ri) {
 			idx.permRoles[p] = append(idx.permRoles[p], ri)
-			return true
-		})
+		}
 	}
 	return idx
 }
@@ -79,16 +77,15 @@ func (x *Index) PermissionsOf(user rbac.UserID) ([]rbac.PermissionID, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %w: %q", rbac.ErrUnknownUser, user)
 	}
-	seen := make(map[int]struct{})
+	seen := make(map[int32]struct{})
 	for _, ri := range x.userRoles[ui] {
-		x.ds.ForEachRolePermission(ri, func(p int) bool {
+		for _, p := range x.ds.RolePermissionRow(ri) {
 			seen[p] = struct{}{}
-			return true
-		})
+		}
 	}
 	out := make([]rbac.PermissionID, 0, len(seen))
 	for p := range seen {
-		out = append(out, x.ds.Permission(p))
+		out = append(out, x.ds.Permission(int(p)))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
@@ -101,16 +98,15 @@ func (x *Index) UsersWith(perm rbac.PermissionID) ([]rbac.UserID, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %w: %q", rbac.ErrUnknownPermission, perm)
 	}
-	seen := make(map[int]struct{})
+	seen := make(map[int32]struct{})
 	for _, ri := range x.permRoles[pi] {
-		x.ds.ForEachRoleUser(ri, func(u int) bool {
+		for _, u := range x.ds.RoleUserRow(ri) {
 			seen[u] = struct{}{}
-			return true
-		})
+		}
 	}
 	out := make([]rbac.UserID, 0, len(seen))
 	for u := range seen {
-		out = append(out, x.ds.User(u))
+		out = append(out, x.ds.User(int(u)))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
@@ -168,10 +164,9 @@ func (x *Index) RedundantGrants() []RedundantGrant {
 		// Count grant paths per permission for this user.
 		paths := make(map[int]int)
 		for _, ri := range x.userRoles[ui] {
-			x.ds.ForEachRolePermission(ri, func(p int) bool {
-				paths[p]++
-				return true
-			})
+			for _, p := range x.ds.RolePermissionRow(ri) {
+				paths[int(p)]++
+			}
 		}
 		perms := make([]int, 0, len(paths))
 		for p, n := range paths {

@@ -3,7 +3,7 @@ package rbac
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,22 +40,18 @@ func encodeReference(d *Dataset) ([]byte, error) {
 		UserAssignments: make([]userEdgeJSON, 0, d.NumUserAssignments()),
 		PermAssignments: make([]permEdgeJSON, 0, d.NumPermissionAssignments()),
 	}
-	for ri, set := range d.roleUsers {
-		uis := make([]int, 0, len(set))
-		for ui := range set {
-			uis = append(uis, ui)
-		}
-		sort.Ints(uis)
+	// Each row is sorted from a copy, so the oracle does not lean on
+	// the row invariant the encoder relies on.
+	for ri, row := range d.roleUsers {
+		uis := slices.Clone(row)
+		slices.Sort(uis)
 		for _, ui := range uis {
 			out.UserAssignments = append(out.UserAssignments, userEdgeJSON{Role: d.roles[ri], User: d.users[ui]})
 		}
 	}
-	for ri, set := range d.rolePerms {
-		pis := make([]int, 0, len(set))
-		for pi := range set {
-			pis = append(pis, pi)
-		}
-		sort.Ints(pis)
+	for ri, row := range d.rolePerms {
+		pis := slices.Clone(row)
+		slices.Sort(pis)
 		for _, pi := range pis {
 			out.PermAssignments = append(out.PermAssignments, permEdgeJSON{Role: d.roles[ri], Permission: d.perms[pi]})
 		}

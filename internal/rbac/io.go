@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // MarshalJSON implements json.Marshaler. It writes the canonical
@@ -34,11 +33,10 @@ func (d *Dataset) MarshalJSON() ([]byte, error) {
 	b = appendIDs(b, d.roles)
 	b = append(b, `,"permissions":`...)
 	b = appendIDs(b, d.perms)
-	var row []int
 	b = append(b, `,"userAssignments":`...)
-	b, row = appendEdges(b, row, d.roles, d.roleUsers, d.users, `,"user":`)
+	b = appendEdges(b, d.roles, d.roleUsers, d.users, `,"user":`)
 	b = append(b, `,"permissionAssignments":`...)
-	b, _ = appendEdges(b, row, d.roles, d.rolePerms, d.perms, `,"permission":`)
+	b = appendEdges(b, d.roles, d.rolePerms, d.perms, `,"permission":`)
 	return append(b, '}'), nil
 }
 
@@ -62,11 +60,11 @@ func idsLen[S ~string](ids []S) int {
 
 // edgesLen bounds the encoded length of one side's edge objects, each
 // costing fixed bytes besides its two quoted endpoints.
-func edgesLen[S ~string](roles []RoleID, rows []map[int]struct{}, ids []S, fixed int) int {
+func edgesLen[S ~string](roles []RoleID, rows [][]int32, ids []S, fixed int) int {
 	n := 0
-	for ri, set := range rows {
-		n += len(set) * (fixed + quotedLen(roles[ri]))
-		for i := range set {
+	for ri, row := range rows {
+		n += len(row) * (fixed + quotedLen(roles[ri]))
+		for _, i := range row {
 			n += quotedLen(ids[i])
 		}
 	}
@@ -84,13 +82,12 @@ func appendIDs[S ~string](b []byte, ids []S) []byte {
 	return append(b, ']')
 }
 
-// appendEdges appends one side's edge array, each role's row sorted
-// through the reusable index slice row, which it returns.
-func appendEdges[S ~string](b []byte, row []int, roles []RoleID, rows []map[int]struct{}, ids []S, key string) ([]byte, []int) {
+// appendEdges appends one side's edge array, role by role along the
+// rows.
+func appendEdges[S ~string](b []byte, roles []RoleID, rows [][]int32, ids []S, key string) []byte {
 	b = append(b, '[')
 	first := true
-	for ri, set := range rows {
-		row = sortedRow(row, set)
+	for ri, row := range rows {
 		for _, i := range row {
 			if !first {
 				b = append(b, ',')
@@ -103,18 +100,7 @@ func appendEdges[S ~string](b []byte, row []int, roles []RoleID, rows []map[int]
 			b = append(b, '}')
 		}
 	}
-	return append(b, ']'), row
-}
-
-// sortedRow returns the members of set in ascending order, reusing
-// row's storage.
-func sortedRow(row []int, set map[int]struct{}) []int {
-	row = row[:0]
-	for i := range set {
-		row = append(row, i)
-	}
-	slices.Sort(row)
-	return row
+	return append(b, ']')
 }
 
 // plain reports whether encoding/json writes s as itself between
@@ -180,9 +166,7 @@ func (d *Dataset) WriteUserAssignmentsCSV(w io.Writer) error {
 	if err := cw.Write([]string{"role", "user"}); err != nil {
 		return fmt.Errorf("rbac: write csv header: %w", err)
 	}
-	var row []int
-	for ri, set := range d.roleUsers {
-		row = sortedRow(row, set)
+	for ri, row := range d.roleUsers {
 		for _, ui := range row {
 			if err := cw.Write([]string{string(d.roles[ri]), string(d.users[ui])}); err != nil {
 				return fmt.Errorf("rbac: write csv row: %w", err)
@@ -199,9 +183,7 @@ func (d *Dataset) WritePermissionAssignmentsCSV(w io.Writer) error {
 	if err := cw.Write([]string{"role", "permission"}); err != nil {
 		return fmt.Errorf("rbac: write csv header: %w", err)
 	}
-	var row []int
-	for ri, set := range d.rolePerms {
-		row = sortedRow(row, set)
+	for ri, row := range d.rolePerms {
 		for _, pi := range row {
 			if err := cw.Write([]string{string(d.roles[ri]), string(d.perms[pi])}); err != nil {
 				return fmt.Errorf("rbac: write csv row: %w", err)
@@ -215,26 +197,28 @@ func (d *Dataset) WritePermissionAssignmentsCSV(w io.Writer) error {
 // ReadAssignmentsCSV loads user and permission edge lists into a new
 // dataset, creating entities on first mention. Either reader may be nil
 // to skip that edge type — e.g. analysing only role–permission data.
+// Edges are appended to their rows as they come and the rows sorted
+// once at the end, so no edge order makes the load quadratic.
 func ReadAssignmentsCSV(userEdges, permEdges io.Reader) (*Dataset, error) {
 	d := NewDataset()
 	if userEdges != nil {
 		if err := readEdgeCSV(userEdges, "user", func(role, other string) {
-			d.EnsureRole(RoleID(role))
-			d.EnsureUser(UserID(other))
-			_ = d.AssignUser(RoleID(role), UserID(other))
+			ri, ui := d.EnsureRole(RoleID(role)), d.EnsureUser(UserID(other))
+			d.roleUsers[ri] = append(d.roleUsers[ri], int32(ui))
 		}); err != nil {
 			return nil, err
 		}
 	}
 	if permEdges != nil {
 		if err := readEdgeCSV(permEdges, "permission", func(role, other string) {
-			d.EnsureRole(RoleID(role))
-			d.EnsurePermission(PermissionID(other))
-			_ = d.AssignPermission(RoleID(role), PermissionID(other))
+			ri, pi := d.EnsureRole(RoleID(role)), d.EnsurePermission(PermissionID(other))
+			d.rolePerms[ri] = append(d.rolePerms[ri], int32(pi))
 		}); err != nil {
 			return nil, err
 		}
 	}
+	sortRows(d.roleUsers)
+	sortRows(d.rolePerms)
 	return d, nil
 }
 

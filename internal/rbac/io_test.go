@@ -136,3 +136,22 @@ func TestReadAssignmentsCSVNilReaders(t *testing.T) {
 		t.Fatalf("stats = %+v", d.Stats())
 	}
 }
+
+// TestReadAssignmentsCSVUnsortedRows: edges are appended to their rows
+// in file order and each row sorted once, so a role listing its users
+// and permissions in descending index order, one edge twice, still
+// loads into valid rows.
+func TestReadAssignmentsCSVUnsortedRows(t *testing.T) {
+	users := strings.NewReader("role,user\nr2,u1\nr2,u2\nr2,u3\nr1,u3\nr1,u2\nr1,u1\nr1,u2\n")
+	perms := strings.NewReader("role,permission\nr2,p1\nr2,p2\nr1,p2\nr1,p1\nr1,p2\n")
+	d, err := ReadAssignmentsCSV(users, perms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d.NumUserAssignments() != 6 || d.NumPermissionAssignments() != 4 {
+		t.Fatalf("stats = %+v, want 6 user and 4 permission edges", d.Stats())
+	}
+}

@@ -8,6 +8,8 @@ package rbac
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/matrix"
@@ -35,6 +37,11 @@ var (
 // Dataset is an in-memory RBAC database: the three node sets plus the
 // two edge sets. Iteration orders are insertion orders, so matrix row
 // and column indices are stable and reproducible.
+//
+// The edges are held as the paper's matrix rows: roleUsers[ri] is RUAM
+// row ri, the indices of the users assigned to role ri, and
+// rolePerms[ri] is RPAM row ri. Every row is strictly ascending and
+// inside its column range; Validate checks this invariant.
 type Dataset struct {
 	users []UserID
 	roles []RoleID
@@ -44,10 +51,8 @@ type Dataset struct {
 	roleIdx map[RoleID]int
 	permIdx map[PermissionID]int
 
-	// roleUsers[r] and rolePerms[r] are the assignment sets of role r,
-	// keyed by entity index.
-	roleUsers []map[int]struct{}
-	rolePerms []map[int]struct{}
+	roleUsers [][]int32
+	rolePerms [][]int32
 }
 
 // NewDataset returns an empty dataset.
@@ -76,8 +81,8 @@ func (d *Dataset) AddRole(id RoleID) error {
 	}
 	d.roleIdx[id] = len(d.roles)
 	d.roles = append(d.roles, id)
-	d.roleUsers = append(d.roleUsers, make(map[int]struct{}))
-	d.rolePerms = append(d.rolePerms, make(map[int]struct{}))
+	d.roleUsers = append(d.roleUsers, nil)
+	d.rolePerms = append(d.rolePerms, nil)
 	return nil
 }
 
@@ -119,61 +124,100 @@ func (d *Dataset) EnsurePermission(id PermissionID) int {
 	return d.permIdx[id]
 }
 
-// AssignUser adds a user–role edge. Both entities must already exist.
-// Assigning twice is a no-op.
-func (d *Dataset) AssignUser(role RoleID, user UserID) error {
+// userEdge resolves the endpoints of a user–role edge to indices.
+func (d *Dataset) userEdge(role RoleID, user UserID) (ri, ui int, err error) {
 	ri, ok := d.roleIdx[role]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
-	ui, ok := d.userIdx[user]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownUser, user)
+	if ui, ok = d.userIdx[user]; !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 	}
-	d.roleUsers[ri][ui] = struct{}{}
-	return nil
+	return ri, ui, nil
 }
 
-// AssignPermission adds a role–permission edge.
-func (d *Dataset) AssignPermission(role RoleID, perm PermissionID) error {
+// permEdge resolves the endpoints of a role–permission edge to indices.
+func (d *Dataset) permEdge(role RoleID, perm PermissionID) (ri, pi int, err error) {
 	ri, ok := d.roleIdx[role]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
-	pi, ok := d.permIdx[perm]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownPermission, perm)
+	if pi, ok = d.permIdx[perm]; !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownPermission, perm)
 	}
-	d.rolePerms[ri][pi] = struct{}{}
-	return nil
+	return ri, pi, nil
+}
+
+// AssignUser adds a user–role edge. Both entities must already exist.
+// Assigning twice is a no-op. The edge is a sorted insert into the
+// role's row, O(row degree): the rows of gen.Org hold at most 6 users
+// at both paper/10 and paper/1.
+func (d *Dataset) AssignUser(role RoleID, user UserID) error {
+	ri, ui, err := d.userEdge(role, user)
+	if err == nil {
+		d.roleUsers[ri] = insert(d.roleUsers[ri], ui)
+	}
+	return err
+}
+
+// AssignPermission adds a role–permission edge, a sorted insert like
+// AssignUser.
+func (d *Dataset) AssignPermission(role RoleID, perm PermissionID) error {
+	ri, pi, err := d.permEdge(role, perm)
+	if err == nil {
+		d.rolePerms[ri] = insert(d.rolePerms[ri], pi)
+	}
+	return err
 }
 
 // RevokeUser removes a user–role edge if present.
 func (d *Dataset) RevokeUser(role RoleID, user UserID) error {
-	ri, ok := d.roleIdx[role]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
+	ri, ui, err := d.userEdge(role, user)
+	if err == nil {
+		d.roleUsers[ri] = drop(d.roleUsers[ri], ui)
 	}
-	ui, ok := d.userIdx[user]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownUser, user)
-	}
-	delete(d.roleUsers[ri], ui)
-	return nil
+	return err
 }
 
 // RevokePermission removes a role–permission edge if present.
 func (d *Dataset) RevokePermission(role RoleID, perm PermissionID) error {
-	ri, ok := d.roleIdx[role]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
+	ri, pi, err := d.permEdge(role, perm)
+	if err == nil {
+		d.rolePerms[ri] = drop(d.rolePerms[ri], pi)
 	}
-	pi, ok := d.permIdx[perm]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownPermission, perm)
+	return err
+}
+
+// insert adds column c to a sorted row unless it is already there.
+func insert(row []int32, c int) []int32 {
+	if i, ok := slices.BinarySearch(row, int32(c)); !ok {
+		return slices.Insert(row, i, int32(c))
 	}
-	delete(d.rolePerms[ri], pi)
-	return nil
+	return row
+}
+
+// drop removes column c from a sorted row if it is there.
+func drop(row []int32, c int) []int32 {
+	if i, ok := slices.BinarySearch(row, int32(c)); ok {
+		return slices.Delete(row, i, i+1)
+	}
+	return row
+}
+
+// holds reports whether a sorted row contains column c.
+func holds(row []int32, c int) bool {
+	_, ok := slices.BinarySearch(row, int32(c))
+	return ok
+}
+
+// sortRows restores the row invariant after raw appends: each row is
+// sorted once and its repeats dropped, O(e log e) in the edge count
+// whatever order the edges arrived in.
+func sortRows(rows [][]int32) {
+	for ri, row := range rows {
+		slices.Sort(row)
+		rows[ri] = slices.Compact(row)
+	}
 }
 
 // RemoveRole deletes a role and all its edges. Indices of later roles
@@ -284,30 +328,14 @@ func (d *Dataset) PermissionIndex(id PermissionID) (int, bool) {
 
 // HasAssignment reports whether the user–role edge exists.
 func (d *Dataset) HasAssignment(role RoleID, user UserID) bool {
-	ri, ok := d.roleIdx[role]
-	if !ok {
-		return false
-	}
-	ui, ok := d.userIdx[user]
-	if !ok {
-		return false
-	}
-	_, ok = d.roleUsers[ri][ui]
-	return ok
+	ri, ui, err := d.userEdge(role, user)
+	return err == nil && holds(d.roleUsers[ri], ui)
 }
 
 // HasPermission reports whether the role–permission edge exists.
 func (d *Dataset) HasPermission(role RoleID, perm PermissionID) bool {
-	ri, ok := d.roleIdx[role]
-	if !ok {
-		return false
-	}
-	pi, ok := d.permIdx[perm]
-	if !ok {
-		return false
-	}
-	_, ok = d.rolePerms[ri][pi]
-	return ok
+	ri, pi, err := d.permEdge(role, perm)
+	return err == nil && holds(d.rolePerms[ri], pi)
 }
 
 // RoleUsers returns the sorted user ids assigned to a role.
@@ -317,7 +345,7 @@ func (d *Dataset) RoleUsers(role RoleID) ([]UserID, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
 	out := make([]UserID, 0, len(d.roleUsers[ri]))
-	for ui := range d.roleUsers[ri] {
+	for _, ui := range d.roleUsers[ri] {
 		out = append(out, d.users[ui])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -331,50 +359,30 @@ func (d *Dataset) RolePermissions(role RoleID) ([]PermissionID, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
 	out := make([]PermissionID, 0, len(d.rolePerms[ri]))
-	for pi := range d.rolePerms[ri] {
+	for _, pi := range d.rolePerms[ri] {
 		out = append(out, d.perms[pi])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 
-// ForEachRoleUser calls fn with the index of every user assigned to
-// role index ri, in unspecified order, stopping early when fn returns
-// false. It is the allocation-free, index-space counterpart of
-// RoleUsers for hot paths that must not round-trip through sorted id
-// slices.
-func (d *Dataset) ForEachRoleUser(ri int, fn func(ui int) bool) {
-	for ui := range d.roleUsers[ri] {
-		if !fn(ui) {
-			return
-		}
-	}
-}
+// RoleUserRow returns the indices of the users assigned to role index
+// ri in ascending order: RUAM row ri. Like matrix.CSR.RowCols, the
+// slice aliases the dataset's storage; it is read-only, and valid only
+// until the dataset next changes.
+func (d *Dataset) RoleUserRow(ri int) []int32 { return d.roleUsers[ri] }
 
-// ForEachRolePermission calls fn with the index of every permission
-// assigned to role index ri, in unspecified order, stopping early when
-// fn returns false.
-func (d *Dataset) ForEachRolePermission(ri int, fn func(pi int) bool) {
-	for pi := range d.rolePerms[ri] {
-		if !fn(pi) {
-			return
-		}
-	}
-}
+// RolePermissionRow returns the indices of the permissions role index
+// ri grants in ascending order: RPAM row ri, read-only like RoleUserRow.
+func (d *Dataset) RolePermissionRow(ri int) []int32 { return d.rolePerms[ri] }
 
 // RoleHasUser reports whether user index ui is assigned to role index
 // ri: the index-space counterpart of HasAssignment.
-func (d *Dataset) RoleHasUser(ri, ui int) bool {
-	_, ok := d.roleUsers[ri][ui]
-	return ok
-}
+func (d *Dataset) RoleHasUser(ri, ui int) bool { return holds(d.roleUsers[ri], ui) }
 
 // RoleHasPermission reports whether role index ri grants permission
 // index pi: the index-space counterpart of HasPermission.
-func (d *Dataset) RoleHasPermission(ri, pi int) bool {
-	_, ok := d.rolePerms[ri][pi]
-	return ok
-}
+func (d *Dataset) RoleHasPermission(ri, pi int) bool { return holds(d.rolePerms[ri], pi) }
 
 // NumRoleUsers returns the number of users assigned to role index ri
 // (RUAM row ri's sum).
@@ -407,9 +415,9 @@ func (d *Dataset) NumPermissionAssignments() int {
 // index order), one column per user.
 func (d *Dataset) RUAM() *matrix.BitMatrix {
 	m := matrix.NewBitMatrix(len(d.roles), len(d.users))
-	for ri, set := range d.roleUsers {
-		for ui := range set {
-			m.Set(ri, ui)
+	for ri, row := range d.roleUsers {
+		for _, ui := range row {
+			m.Set(ri, int(ui))
 		}
 	}
 	return m
@@ -419,9 +427,9 @@ func (d *Dataset) RUAM() *matrix.BitMatrix {
 // one column per permission.
 func (d *Dataset) RPAM() *matrix.BitMatrix {
 	m := matrix.NewBitMatrix(len(d.roles), len(d.perms))
-	for ri, set := range d.rolePerms {
-		for pi := range set {
-			m.Set(ri, pi)
+	for ri, row := range d.rolePerms {
+		for _, pi := range row {
+			m.Set(ri, int(pi))
 		}
 	}
 	return m
@@ -431,8 +439,8 @@ func (d *Dataset) RPAM() *matrix.BitMatrix {
 // of the roles assigned to user index ui, in role index order.
 func (d *Dataset) RolesByUser() [][]int32 {
 	out := make([][]int32, len(d.users))
-	for ri, set := range d.roleUsers {
-		for ui := range set {
+	for ri, row := range d.roleUsers {
+		for _, ui := range row {
 			out[ui] = append(out[ui], int32(ri))
 		}
 	}
@@ -448,9 +456,9 @@ func (d *Dataset) EffectivePermissions() []map[int]struct{} {
 		out[i] = make(map[int]struct{})
 	}
 	for ri := range d.roles {
-		for ui := range d.roleUsers[ri] {
-			for pi := range d.rolePerms[ri] {
-				out[ui][pi] = struct{}{}
+		for _, ui := range d.roleUsers[ri] {
+			for _, pi := range d.rolePerms[ri] {
+				out[ui][int(pi)] = struct{}{}
 			}
 		}
 	}
@@ -479,33 +487,39 @@ func (d *Dataset) Stats() Stats {
 
 // Clone returns a deep copy of the dataset.
 func (d *Dataset) Clone() *Dataset {
-	out := NewDataset()
-	for _, u := range d.users {
-		_ = out.AddUser(u)
+	return &Dataset{
+		users:     slices.Clone(d.users),
+		roles:     slices.Clone(d.roles),
+		perms:     slices.Clone(d.perms),
+		userIdx:   maps.Clone(d.userIdx),
+		roleIdx:   maps.Clone(d.roleIdx),
+		permIdx:   maps.Clone(d.permIdx),
+		roleUsers: cloneRows(d.roleUsers),
+		rolePerms: cloneRows(d.rolePerms),
 	}
-	for _, p := range d.perms {
-		_ = out.AddPermission(p)
+}
+
+// cloneRows copies rows into one backing array. Each copy's capacity
+// ends at its own length, so growing one row reallocates it rather than
+// writing over the next.
+func cloneRows(rows [][]int32) [][]int32 {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
 	}
-	for _, r := range d.roles {
-		_ = out.AddRole(r)
-	}
-	for ri, set := range d.roleUsers {
-		for ui := range set {
-			out.roleUsers[ri][ui] = struct{}{}
-		}
-	}
-	for ri, set := range d.rolePerms {
-		for pi := range set {
-			out.rolePerms[ri][pi] = struct{}{}
-		}
+	arena := make([]int32, n)
+	out := make([][]int32, len(rows))
+	for ri, row := range rows {
+		k := copy(arena, row)
+		out[ri], arena = arena[:k:k], arena[k:]
 	}
 	return out
 }
 
-// Validate checks internal consistency (index maps in sync with slices,
-// assignment indices in range). A dataset mutated only through the
-// public API always validates; the check guards hand-built test data
-// and deserialised inputs.
+// Validate checks internal consistency: index maps in sync with
+// slices, and every assignment row strictly ascending and in range. A
+// dataset mutated only through the public API always validates; the
+// check guards hand-built test data and deserialised inputs.
 func (d *Dataset) Validate() error {
 	if len(d.users) != len(d.userIdx) {
 		return fmt.Errorf("rbac: user index map has %d entries for %d users", len(d.userIdx), len(d.users))
@@ -525,17 +539,21 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("rbac: role index map entry %q -> %d inconsistent", id, i)
 		}
 	}
-	for ri, set := range d.roleUsers {
-		for ui := range set {
-			if ui < 0 || ui >= len(d.users) {
-				return fmt.Errorf("rbac: role %q assigned out-of-range user index %d", d.roles[ri], ui)
-			}
-		}
+	if err := d.checkRows(d.roleUsers, len(d.users), "user"); err != nil {
+		return err
 	}
-	for ri, set := range d.rolePerms {
-		for pi := range set {
-			if pi < 0 || pi >= len(d.perms) {
-				return fmt.Errorf("rbac: role %q assigned out-of-range permission index %d", d.roles[ri], pi)
+	return d.checkRows(d.rolePerms, len(d.perms), "permission")
+}
+
+// checkRows checks that every row is strictly ascending inside [0, cols).
+func (d *Dataset) checkRows(rows [][]int32, cols int, kind string) error {
+	for ri, row := range rows {
+		for j, c := range row {
+			if c < 0 || int(c) >= cols {
+				return fmt.Errorf("rbac: role %q assigned out-of-range %s index %d", d.roles[ri], kind, c)
+			}
+			if j > 0 && c <= row[j-1] {
+				return fmt.Errorf("rbac: role %q's %s row is not strictly ascending at index %d", d.roles[ri], kind, c)
 			}
 		}
 	}

@@ -372,6 +372,25 @@ func TestCloneIndependence(t *testing.T) {
 	if !c.RUAM().Equal(c.RUAM()) {
 		t.Fatal("clone RUAM unstable")
 	}
+	// The clone's rows share one backing array; growing each of them
+	// must not spill into the next.
+	before := d.RUAM()
+	for _, r := range c.Roles() {
+		for _, u := range c.Users() {
+			if err := c.AssignUser(r, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.NumUserAssignments(), c.NumRoles()*c.NumUsers(); got != want {
+		t.Fatalf("clone holds %d user edges after assigning all, want %d", got, want)
+	}
+	if !d.RUAM().Equal(before) {
+		t.Fatal("growing the clone's rows mutated the original")
+	}
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
@@ -379,8 +398,18 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	d.roleUsers[0][99] = struct{}{} // out-of-range user index
-	if err := d.Validate(); err == nil {
-		t.Fatal("Validate missed out-of-range assignment")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(d *Dataset)
+	}{
+		{"out-of-range", func(d *Dataset) { d.roleUsers[0] = append(d.roleUsers[0], 99) }},
+		{"unsorted", func(d *Dataset) { d.rolePerms[0] = []int32{1, 0} }},
+		{"duplicate", func(d *Dataset) { d.roleUsers[1] = []int32{0, 0} }},
+	} {
+		d := figure1Dataset(t)
+		tc.corrupt(d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("Validate missed the %s row", tc.name)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package rbac
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RemoveUser deletes a user and every assignment referencing it.
 // Indices of later users shift down by one, like deleting a RUAM
@@ -35,26 +38,18 @@ func (d *Dataset) RemovePermission(perm PermissionID) error {
 	return nil
 }
 
-// shiftOut deletes column idx from every role's set and renumbers the
-// columns above it down by one, in the existing maps. A set's shifted
-// keys all leave before any re-enters, so a key never lands on one
-// still waiting to move.
-func shiftOut(sets []map[int]struct{}, idx int) {
-	var buf [64]int
-	above := buf[:0]
-	for _, set := range sets {
-		delete(set, idx)
-		above = above[:0]
-		for k := range set {
-			if k > idx {
-				above = append(above, k)
-			}
+// shiftOut deletes column idx from every row and renumbers the
+// columns above it down by one. Each row stays sorted: its entries past
+// idx all drop by the same one.
+func shiftOut(rows [][]int32, idx int) {
+	for ri, row := range rows {
+		i, ok := slices.BinarySearch(row, int32(idx))
+		if ok {
+			row = slices.Delete(row, i, i+1)
+			rows[ri] = row
 		}
-		for _, k := range above {
-			delete(set, k)
-		}
-		for _, k := range above {
-			set[k-1] = struct{}{}
+		for ; i < len(row); i++ {
+			row[i]--
 		}
 	}
 }

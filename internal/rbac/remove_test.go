@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -197,10 +198,11 @@ func TestRemoveRolesRejectsUnknownAndRepeated(t *testing.T) {
 }
 
 // sameRoles compares the role side of two datasets: role order, the
-// role index map and both assignment tables.
+// role index map and both assignment tables, row by row, so a nil row
+// and an empty one compare equal.
 func sameRoles(a, b *Dataset) bool {
 	return reflect.DeepEqual(a.Roles(), b.Roles()) &&
 		reflect.DeepEqual(a.roleIdx, b.roleIdx) &&
-		reflect.DeepEqual(a.roleUsers, b.roleUsers) &&
-		reflect.DeepEqual(a.rolePerms, b.rolePerms)
+		slices.EqualFunc(a.roleUsers, b.roleUsers, slices.Equal) &&
+		slices.EqualFunc(a.rolePerms, b.rolePerms, slices.Equal)
 }

@@ -1,10 +1,6 @@
 package rbac
 
-import (
-	"sort"
-
-	"repro/internal/matrix"
-)
+import "repro/internal/matrix"
 
 // RUAMCSR builds the Role-User Assignment Matrix in compressed sparse
 // row form, without materialising the dense bit matrix. At the paper's
@@ -12,30 +8,26 @@ import (
 // ~560 MB while the CSR form needs a few megabytes — the §III-B memory
 // optimisation.
 func (d *Dataset) RUAMCSR() *matrix.CSR {
-	return buildCSR(d.roleUsers, len(d.roles), len(d.users))
+	return buildCSR(d.roleUsers, len(d.users))
 }
 
 // RPAMCSR builds the Role-Permission Assignment Matrix in CSR form.
 func (d *Dataset) RPAMCSR() *matrix.CSR {
-	return buildCSR(d.rolePerms, len(d.roles), len(d.perms))
+	return buildCSR(d.rolePerms, len(d.perms))
 }
 
-// buildCSR lays the sets out in two passes: the first fixes RowPtr from
-// the set sizes, the second writes each row straight into its ColIdx
-// slice and sorts it in place, so the matrix costs a constant number of
-// allocations at any size.
-func buildCSR(sets []map[int]struct{}, rows, cols int) *matrix.CSR {
-	c := matrix.NewCSR(rows, cols)
-	for ri, s := range sets {
-		c.RowPtr[ri+1] = c.RowPtr[ri] + len(s)
+// buildCSR concatenates the rows, already sorted, into one ColIdx, so
+// the matrix costs a constant number of allocations at any size.
+func buildCSR(rows [][]int32, cols int) *matrix.CSR {
+	c := matrix.NewCSR(len(rows), cols)
+	for ri, row := range rows {
+		c.RowPtr[ri+1] = c.RowPtr[ri] + len(row)
 	}
-	c.ColIdx = make([]int, c.RowPtr[rows])
-	for ri, s := range sets {
-		row := c.ColIdx[c.RowPtr[ri]:c.RowPtr[ri]:c.RowPtr[ri+1]]
-		for j := range s {
-			row = append(row, j)
+	c.ColIdx = make([]int, 0, c.RowPtr[len(rows)])
+	for _, row := range rows {
+		for _, j := range row {
+			c.ColIdx = append(c.ColIdx, int(j))
 		}
-		sort.Ints(row)
 	}
 	return c
 }

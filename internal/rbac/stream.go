@@ -120,7 +120,7 @@ func readDataset(r io.Reader) (*Dataset, error) {
 				ri, rok := d.roleIdx[RoleID(role)]
 				ui, uok := d.userIdx[UserID(user)]
 				if rok && uok {
-					d.roleUsers[ri][ui] = struct{}{}
+					d.roleUsers[ri] = append(d.roleUsers[ri], int32(ui))
 					return
 				}
 				pendingUsers = append(pendingUsers, edge{string(role), string(user)})
@@ -130,7 +130,7 @@ func readDataset(r io.Reader) (*Dataset, error) {
 				ri, rok := d.roleIdx[RoleID(role)]
 				pi, pok := d.permIdx[PermissionID(perm)]
 				if rok && pok {
-					d.rolePerms[ri][pi] = struct{}{}
+					d.rolePerms[ri] = append(d.rolePerms[ri], int32(pi))
 					return
 				}
 				pendingPerms = append(pendingPerms, edge{string(role), string(perm)})
@@ -149,15 +149,23 @@ func readDataset(r io.Reader) (*Dataset, error) {
 	}
 
 	for _, e := range pendingUsers {
-		if err := d.AssignUser(RoleID(e.role), UserID(e.other)); err != nil {
+		ri, ui, err := d.userEdge(RoleID(e.role), UserID(e.other))
+		if err != nil {
 			return nil, fmt.Errorf("userAssignments: %w", err)
 		}
+		d.roleUsers[ri] = append(d.roleUsers[ri], int32(ui))
 	}
 	for _, e := range pendingPerms {
-		if err := d.AssignPermission(RoleID(e.role), PermissionID(e.other)); err != nil {
+		ri, pi, err := d.permEdge(RoleID(e.role), PermissionID(e.other))
+		if err != nil {
 			return nil, fmt.Errorf("permissionAssignments: %w", err)
 		}
+		d.rolePerms[ri] = append(d.rolePerms[ri], int32(pi))
 	}
+	// Edges were appended in document order; one sort per row makes
+	// the rows canonical whatever that order was.
+	sortRows(d.roleUsers)
+	sortRows(d.rolePerms)
 	return d, nil
 }
 

@@ -3,6 +3,7 @@ package rbac
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -74,6 +75,57 @@ func TestReadJSONStreamForwardReferences(t *testing.T) {
 	}
 	if !ds.HasAssignment("r1", "u1") || !ds.HasAssignment("r2", "u1") || !ds.HasPermission("r1", "p1") {
 		t.Fatalf("forward-referenced edges missing: %+v", ds.Stats())
+	}
+}
+
+// TestReadJSONUnsortedRows: the decoder appends edges to their rows in
+// document order and sorts each row once, so one role whose edges
+// arrive in descending order, each twice, and its user edges ahead of
+// the entities they name, must decode to the dataset the canonically
+// ordered export gives.
+func TestReadJSONUnsortedRows(t *testing.T) {
+	const n = 300
+	canon := NewDataset()
+	canon.EnsureRole("r")
+	for i := 0; i < n; i++ {
+		u, p := UserID(fmt.Sprintf("u%03d", i)), PermissionID(fmt.Sprintf("p%03d", i))
+		canon.EnsureUser(u)
+		canon.EnsurePermission(p)
+		if err := canon.AssignUser("r", u); err != nil {
+			t.Fatal(err)
+		}
+		if err := canon.AssignPermission("r", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := marshal(t, canon)
+
+	var users, perms, userEdges, permEdges []string
+	for i := 0; i < n; i++ {
+		users = append(users, fmt.Sprintf(`"u%03d"`, i))
+		perms = append(perms, fmt.Sprintf(`"p%03d"`, i))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := n - 1; i >= 0; i-- {
+			userEdges = append(userEdges, fmt.Sprintf(`{"role":"r","user":"u%03d"}`, i))
+			permEdges = append(permEdges, fmt.Sprintf(`{"role":"r","permission":"p%03d"}`, i))
+		}
+	}
+	doc := `{"userAssignments":[` + strings.Join(userEdges, ",") + `],` +
+		`"users":[` + strings.Join(users, ",") + `],"roles":["r"],` +
+		`"permissions":[` + strings.Join(perms, ",") + `],` +
+		`"permissionAssignments":[` + strings.Join(permEdges, ",") + `]}`
+
+	got, err := ReadJSON(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := marshal(t, got); !bytes.Equal(g, want) {
+		t.Fatalf("unsorted rows decoded to\n  %.300s\nwant\n  %.300s", g, want)
+	}
+	if got.NumUserAssignments() != n || got.NumPermissionAssignments() != n {
+		t.Fatalf("decoded %d user and %d permission edges, want %d each",
+			got.NumUserAssignments(), got.NumPermissionAssignments(), n)
 	}
 }
 

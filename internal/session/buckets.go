@@ -1,24 +1,25 @@
 package session
 
-import "repro/internal/rbac"
+import (
+	"slices"
+
+	"repro/internal/rbac"
+)
 
 // rows reads one assignment side of a dataset in role-index space: the
-// RUAM for users, the RPAM for permissions.
+// RUAM for users, the RPAM for permissions. row returns a role's sorted
+// column indices, id a column's entity id.
 type rows struct {
-	size func(ri int) int
-	each func(ri int, fn func(c int) bool)
-	has  func(ri, c int) bool
-	id   func(c int) string
+	row func(ri int) []int32
+	id  func(c int32) string
 }
 
 func userRows(ds *rbac.Dataset) rows {
-	return rows{ds.NumRoleUsers, ds.ForEachRoleUser, ds.RoleHasUser,
-		func(c int) string { return string(ds.User(c)) }}
+	return rows{ds.RoleUserRow, func(c int32) string { return string(ds.User(int(c))) }}
 }
 
 func permRows(ds *rbac.Dataset) rows {
-	return rows{ds.NumRolePermissions, ds.ForEachRolePermission, ds.RoleHasPermission,
-		func(c int) string { return string(ds.Permission(c)) }}
+	return rows{ds.RolePermissionRow, func(c int32) string { return string(ds.Permission(int(c))) }}
 }
 
 // bucketIndex groups one side's roles by a Zobrist hash of their
@@ -40,10 +41,9 @@ func newBucketIndex(ds *rbac.Dataset, side rows) bucketIndex {
 	}
 	for ri := 0; ri < ds.NumRoles(); ri++ {
 		var h uint64
-		side.each(ri, func(c int) bool {
+		for _, c := range side.row(ri) {
 			h ^= hashID(side.id(c))
-			return true
-		})
+		}
 		x.add(ds.Role(ri), h)
 	}
 	return x
@@ -97,9 +97,9 @@ func (x *bucketIndex) toggle(r rbac.RoleID, w uint64) {
 
 // groups splits every multi-role bucket into exact groups by the
 // paper's test run on ds's rows: roles i and j are one group iff
-// |Rⁱ| = g⁽ⁱ'ʲ⁾ = |Rʲ|, i.e. equal row sums and every column of one row
-// held by the other. Empty rows are skipped: the framework files them
-// under class 2, not class 4. Groups come out in SortGroups order.
+// |Rⁱ| = g⁽ⁱ'ʲ⁾ = |Rʲ|, which for sorted rows is plain row equality.
+// Empty rows are skipped: the framework files them under class 2, not
+// class 4. Groups come out in SortGroups order.
 func (x *bucketIndex) groups(ds *rbac.Dataset, side rows) [][]rbac.RoleID {
 	out := [][]rbac.RoleID{}
 	var members []int
@@ -109,7 +109,7 @@ func (x *bucketIndex) groups(ds *rbac.Dataset, side rows) [][]rbac.RoleID {
 		}
 		members = members[:0]
 		for _, r := range b {
-			if ri, _ := ds.RoleIndex(r); side.size(ri) > 0 {
+			if ri, _ := ds.RoleIndex(r); len(side.row(ri)) > 0 {
 				members = append(members, ri)
 			}
 		}
@@ -118,14 +118,7 @@ func (x *bucketIndex) groups(ds *rbac.Dataset, side rows) [][]rbac.RoleID {
 			group := []rbac.RoleID{ds.Role(lead)}
 			rest := members[:0]
 			for _, ri := range members[1:] {
-				same := side.size(ri) == side.size(lead)
-				if same {
-					side.each(lead, func(c int) bool {
-						same = side.has(ri, c)
-						return same
-					})
-				}
-				if same {
+				if slices.Equal(side.row(ri), side.row(lead)) {
 					group = append(group, ds.Role(ri))
 				} else {
 					rest = append(rest, ri)

@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -155,7 +156,7 @@ func (s *Session) apply(e replay.Event) error {
 func (s *Session) holders(side rows, c int) []rbac.RoleID {
 	var out []rbac.RoleID
 	for ri := 0; ri < s.ds.NumRoles(); ri++ {
-		if side.has(ri, c) {
+		if _, ok := slices.BinarySearch(side.row(ri), int32(c)); ok {
 			out = append(out, s.ds.Role(ri))
 		}
 	}
