@@ -207,9 +207,11 @@ func BenchmarkIngest(b *testing.B) {
 
 // BenchmarkDatasetRows times the dataset's row storage at paper/10:
 // a deep copy (clone), the two CSR matrices every analysis starts from
-// (csr), and a pass that revokes every edge of every role and assigns
+// (csr), a pass that revokes every edge of every role and assigns
 // them back in descending order, so each insert lands at the front of
-// its row (assign).
+// its row (assign), and a pass resolving every user, role and
+// permission ID to its index, as session.Audit resolves bucket members
+// (lookup).
 func BenchmarkDatasetRows(b *testing.B) {
 	ds, _, err := gen.Org(gen.DefaultOrgParams().Scaled(10))
 	if err != nil {
@@ -220,6 +222,28 @@ func BenchmarkDatasetRows(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if ds.Clone().NumRoles() != ds.NumRoles() {
 				b.Fatal("clone lost roles")
+			}
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		users, roles, perms := ds.Users(), ds.Roles(), ds.Permissions()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for ui, u := range users {
+				if j, ok := ds.UserIndex(u); !ok || j != ui {
+					b.Fatalf("user %q resolved to %d", u, j)
+				}
+			}
+			for ri, r := range roles {
+				if j, ok := ds.RoleIndex(r); !ok || j != ri {
+					b.Fatalf("role %q resolved to %d", r, j)
+				}
+			}
+			for pi, p := range perms {
+				if j, ok := ds.PermissionIndex(p); !ok || j != pi {
+					b.Fatalf("permission %q resolved to %d", p, j)
+				}
 			}
 		}
 	})

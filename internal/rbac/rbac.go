@@ -6,9 +6,9 @@
 package rbac
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -38,6 +38,12 @@ var (
 // two edge sets. Iteration orders are insertion orders, so matrix row
 // and column indices are stable and reproducible.
 //
+// Each node set is a slice of IDs, whose positions are the matrix
+// indices, plus an index from ID to position: an open-addressed table of
+// int32 positions into the slice, keyed by a hash seeded at random per
+// process (index.go). Clone copies the tables as they are, with no
+// rehash. The zero Dataset is empty and ready to use.
+//
 // The edges are held as the paper's matrix rows: roleUsers[ri] is RUAM
 // row ri, the indices of the users assigned to role ri, and
 // rolePerms[ri] is RPAM row ri. Every row is strictly ascending and
@@ -47,90 +53,77 @@ type Dataset struct {
 	roles []RoleID
 	perms []PermissionID
 
-	userIdx map[UserID]int
-	roleIdx map[RoleID]int
-	permIdx map[PermissionID]int
+	userIdx index[UserID]
+	roleIdx index[RoleID]
+	permIdx index[PermissionID]
 
 	roleUsers [][]int32
 	rolePerms [][]int32
 }
 
 // NewDataset returns an empty dataset.
-func NewDataset() *Dataset {
-	return &Dataset{
-		userIdx: make(map[UserID]int),
-		roleIdx: make(map[RoleID]int),
-		permIdx: make(map[PermissionID]int),
-	}
-}
+func NewDataset() *Dataset { return &Dataset{} }
 
 // AddUser registers a user. Re-adding an existing id is an ErrDuplicate.
 func (d *Dataset) AddUser(id UserID) error {
-	if _, ok := d.userIdx[id]; ok {
+	if _, added := d.userIdx.add(&d.users, id); !added {
 		return fmt.Errorf("%w: user %q", ErrDuplicate, id)
 	}
-	d.userIdx[id] = len(d.users)
-	d.users = append(d.users, id)
 	return nil
 }
 
 // AddRole registers a role.
 func (d *Dataset) AddRole(id RoleID) error {
-	if _, ok := d.roleIdx[id]; ok {
+	if _, added := d.addRole(id); !added {
 		return fmt.Errorf("%w: role %q", ErrDuplicate, id)
 	}
-	d.roleIdx[id] = len(d.roles)
-	d.roles = append(d.roles, id)
-	d.roleUsers = append(d.roleUsers, nil)
-	d.rolePerms = append(d.rolePerms, nil)
 	return nil
+}
+
+// addRole registers the role with empty rows if absent and returns its
+// index.
+func (d *Dataset) addRole(id RoleID) (int, bool) {
+	ri, added := d.roleIdx.add(&d.roles, id)
+	if added {
+		d.roleUsers = push(d.roleUsers, nil)
+		d.rolePerms = push(d.rolePerms, nil)
+	}
+	return ri, added
 }
 
 // AddPermission registers a permission.
 func (d *Dataset) AddPermission(id PermissionID) error {
-	if _, ok := d.permIdx[id]; ok {
+	if _, added := d.permIdx.add(&d.perms, id); !added {
 		return fmt.Errorf("%w: permission %q", ErrDuplicate, id)
 	}
-	d.permIdx[id] = len(d.perms)
-	d.perms = append(d.perms, id)
 	return nil
 }
 
 // EnsureUser registers the user if absent and returns its index.
 func (d *Dataset) EnsureUser(id UserID) int {
-	if i, ok := d.userIdx[id]; ok {
-		return i
-	}
-	_ = d.AddUser(id)
-	return d.userIdx[id]
+	ui, _ := d.userIdx.add(&d.users, id)
+	return ui
 }
 
 // EnsureRole registers the role if absent and returns its index.
 func (d *Dataset) EnsureRole(id RoleID) int {
-	if i, ok := d.roleIdx[id]; ok {
-		return i
-	}
-	_ = d.AddRole(id)
-	return d.roleIdx[id]
+	ri, _ := d.addRole(id)
+	return ri
 }
 
 // EnsurePermission registers the permission if absent and returns its
 // index.
 func (d *Dataset) EnsurePermission(id PermissionID) int {
-	if i, ok := d.permIdx[id]; ok {
-		return i
-	}
-	_ = d.AddPermission(id)
-	return d.permIdx[id]
+	pi, _ := d.permIdx.add(&d.perms, id)
+	return pi
 }
 
 // userEdge resolves the endpoints of a user–role edge to indices.
 func (d *Dataset) userEdge(role RoleID, user UserID) (ri, ui int, err error) {
-	ri, ok := d.roleIdx[role]
-	if !ok {
+	if ri, _ = d.roleIdx.find(d.roles, role); ri < 0 {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
-	if ui, ok = d.userIdx[user]; !ok {
+	if ui, _ = d.userIdx.find(d.users, user); ui < 0 {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 	}
 	return ri, ui, nil
@@ -138,11 +131,10 @@ func (d *Dataset) userEdge(role RoleID, user UserID) (ri, ui int, err error) {
 
 // permEdge resolves the endpoints of a role–permission edge to indices.
 func (d *Dataset) permEdge(role RoleID, perm PermissionID) (ri, pi int, err error) {
-	ri, ok := d.roleIdx[role]
-	if !ok {
+	if ri, _ = d.roleIdx.find(d.roles, role); ri < 0 {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
-	if pi, ok = d.permIdx[perm]; !ok {
+	if pi, _ = d.permIdx.find(d.perms, perm); pi < 0 {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownPermission, perm)
 	}
 	return ri, pi, nil
@@ -223,17 +215,14 @@ func sortRows(rows [][]int32) {
 // RemoveRole deletes a role and all its edges. Indices of later roles
 // shift down by one, exactly like deleting a matrix row.
 func (d *Dataset) RemoveRole(role RoleID) error {
-	ri, ok := d.roleIdx[role]
-	if !ok {
+	ri, _ := d.roleIdx.find(d.roles, role)
+	if ri < 0 {
 		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
-	d.roles = append(d.roles[:ri], d.roles[ri+1:]...)
-	d.roleUsers = append(d.roleUsers[:ri], d.roleUsers[ri+1:]...)
-	d.rolePerms = append(d.rolePerms[:ri], d.rolePerms[ri+1:]...)
-	delete(d.roleIdx, role)
-	for i := ri; i < len(d.roles); i++ {
-		d.roleIdx[d.roles[i]] = i
-	}
+	d.roleIdx.remove(d.roles, ri)
+	d.roles = slices.Delete(d.roles, ri, ri+1)
+	d.roleUsers = slices.Delete(d.roleUsers, ri, ri+1)
+	d.rolePerms = slices.Delete(d.rolePerms, ri, ri+1)
 	return nil
 }
 
@@ -243,24 +232,31 @@ func (d *Dataset) RemoveRole(role RoleID) error {
 // densely. An unknown or repeated id is an ErrUnknownRole and leaves
 // the dataset unchanged.
 func (d *Dataset) RemoveRoles(ids []RoleID) error {
-	gone := make([]bool, len(d.roles))
+	// next[ri] is role ri's index once the removal is done, -1 if gone.
+	next := make([]int32, len(d.roles))
 	for _, id := range ids {
-		ri, ok := d.roleIdx[id]
-		if !ok || gone[ri] {
+		ri, _ := d.roleIdx.find(d.roles, id)
+		if ri < 0 || next[ri] < 0 {
 			return fmt.Errorf("%w: %q", ErrUnknownRole, id)
 		}
-		gone[ri] = true
+		next[ri] = -1
 	}
 	k := 0
-	for ri, id := range d.roles {
-		if gone[ri] {
-			delete(d.roleIdx, id)
+	for ri := range next {
+		if next[ri] < 0 {
+			d.roleIdx.unlink(d.roles, ri)
 			continue
 		}
-		d.roles[k], d.roleUsers[k], d.rolePerms[k] = id, d.roleUsers[ri], d.rolePerms[ri]
-		d.roleIdx[id] = k
+		next[ri] = int32(k)
 		k++
 	}
+	d.roleIdx.renumber(next)
+	for ri, to := range next {
+		if to >= 0 {
+			d.roles[to], d.roleUsers[to], d.rolePerms[to] = d.roles[ri], d.roleUsers[ri], d.rolePerms[ri]
+		}
+	}
+	clear(d.roles[k:])
 	clear(d.roleUsers[k:])
 	clear(d.rolePerms[k:])
 	d.roles = d.roles[:k]
@@ -310,20 +306,20 @@ func (d *Dataset) Permission(i int) PermissionID { return d.perms[i] }
 
 // RoleIndex returns the index of a role id.
 func (d *Dataset) RoleIndex(id RoleID) (int, bool) {
-	i, ok := d.roleIdx[id]
-	return i, ok
+	i, _ := d.roleIdx.find(d.roles, id)
+	return i, i >= 0
 }
 
 // UserIndex returns the index of a user id.
 func (d *Dataset) UserIndex(id UserID) (int, bool) {
-	i, ok := d.userIdx[id]
-	return i, ok
+	i, _ := d.userIdx.find(d.users, id)
+	return i, i >= 0
 }
 
 // PermissionIndex returns the index of a permission id.
 func (d *Dataset) PermissionIndex(id PermissionID) (int, bool) {
-	i, ok := d.permIdx[id]
-	return i, ok
+	i, _ := d.permIdx.find(d.perms, id)
+	return i, i >= 0
 }
 
 // HasAssignment reports whether the user–role edge exists.
@@ -340,7 +336,7 @@ func (d *Dataset) HasPermission(role RoleID, perm PermissionID) bool {
 
 // RoleUsers returns the sorted user ids assigned to a role.
 func (d *Dataset) RoleUsers(role RoleID) ([]UserID, error) {
-	ri, ok := d.roleIdx[role]
+	ri, ok := d.RoleIndex(role)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
@@ -354,7 +350,7 @@ func (d *Dataset) RoleUsers(role RoleID) ([]UserID, error) {
 
 // RolePermissions returns the sorted permission ids assigned to a role.
 func (d *Dataset) RolePermissions(role RoleID) ([]PermissionID, error) {
-	ri, ok := d.roleIdx[role]
+	ri, ok := d.RoleIndex(role)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRole, role)
 	}
@@ -485,15 +481,17 @@ func (d *Dataset) Stats() Stats {
 	}
 }
 
-// Clone returns a deep copy of the dataset.
+// Clone returns a deep copy of the dataset. The ID indexes are copied
+// slot for slot: no ID is hashed again, and the copy shares no storage
+// with d.
 func (d *Dataset) Clone() *Dataset {
 	return &Dataset{
 		users:     slices.Clone(d.users),
 		roles:     slices.Clone(d.roles),
 		perms:     slices.Clone(d.perms),
-		userIdx:   maps.Clone(d.userIdx),
-		roleIdx:   maps.Clone(d.roleIdx),
-		permIdx:   maps.Clone(d.permIdx),
+		userIdx:   slices.Clone(d.userIdx),
+		roleIdx:   slices.Clone(d.roleIdx),
+		permIdx:   slices.Clone(d.permIdx),
 		roleUsers: cloneRows(d.roleUsers),
 		rolePerms: cloneRows(d.rolePerms),
 	}
@@ -516,27 +514,23 @@ func cloneRows(rows [][]int32) [][]int32 {
 	return out
 }
 
-// Validate checks internal consistency: index maps in sync with
-// slices, and every assignment row strictly ascending and in range. A
-// dataset mutated only through the public API always validates; the
-// check guards hand-built test data and deserialised inputs.
+// Validate checks internal consistency: each ID index holding exactly
+// the positions of its slice, every role at its own position, and every
+// assignment row strictly ascending and in range. A dataset mutated
+// only through the public API always validates; the check guards
+// hand-built test data and deserialised inputs.
 func (d *Dataset) Validate() error {
-	if len(d.users) != len(d.userIdx) {
-		return fmt.Errorf("rbac: user index map has %d entries for %d users", len(d.userIdx), len(d.users))
-	}
-	if len(d.roles) != len(d.roleIdx) {
-		return fmt.Errorf("rbac: role index map has %d entries for %d roles", len(d.roleIdx), len(d.roles))
-	}
-	if len(d.perms) != len(d.permIdx) {
-		return fmt.Errorf("rbac: permission index map has %d entries for %d permissions", len(d.permIdx), len(d.perms))
+	if err := cmp.Or(d.userIdx.check(d.users, "user"), d.roleIdx.check(d.roles, "role"),
+		d.permIdx.check(d.perms, "permission")); err != nil {
+		return err
 	}
 	if len(d.roleUsers) != len(d.roles) || len(d.rolePerms) != len(d.roles) {
 		return fmt.Errorf("rbac: assignment tables sized %d/%d for %d roles",
 			len(d.roleUsers), len(d.rolePerms), len(d.roles))
 	}
-	for id, i := range d.roleIdx {
-		if i < 0 || i >= len(d.roles) || d.roles[i] != id {
-			return fmt.Errorf("rbac: role index map entry %q -> %d inconsistent", id, i)
+	for ri, id := range d.roles {
+		if i, _ := d.roleIdx.find(d.roles, id); i != ri {
+			return fmt.Errorf("rbac: role index entry %q -> %d inconsistent", id, i)
 		}
 	}
 	if err := d.checkRows(d.roleUsers, len(d.users), "user"); err != nil {

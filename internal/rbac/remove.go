@@ -9,15 +9,12 @@ import (
 // Indices of later users shift down by one, like deleting a RUAM
 // column.
 func (d *Dataset) RemoveUser(user UserID) error {
-	ui, ok := d.userIdx[user]
-	if !ok {
+	ui, _ := d.userIdx.find(d.users, user)
+	if ui < 0 {
 		return fmt.Errorf("%w: %q", ErrUnknownUser, user)
 	}
-	d.users = append(d.users[:ui], d.users[ui+1:]...)
-	delete(d.userIdx, user)
-	for i := ui; i < len(d.users); i++ {
-		d.userIdx[d.users[i]] = i
-	}
+	d.userIdx.remove(d.users, ui)
+	d.users = slices.Delete(d.users, ui, ui+1)
 	shiftOut(d.roleUsers, ui)
 	return nil
 }
@@ -25,15 +22,12 @@ func (d *Dataset) RemoveUser(user UserID) error {
 // RemovePermission deletes a permission and every assignment
 // referencing it.
 func (d *Dataset) RemovePermission(perm PermissionID) error {
-	pi, ok := d.permIdx[perm]
-	if !ok {
+	pi, _ := d.permIdx.find(d.perms, perm)
+	if pi < 0 {
 		return fmt.Errorf("%w: %q", ErrUnknownPermission, perm)
 	}
-	d.perms = append(d.perms[:pi], d.perms[pi+1:]...)
-	delete(d.permIdx, perm)
-	for i := pi; i < len(d.perms); i++ {
-		d.permIdx[d.perms[i]] = i
-	}
+	d.permIdx.remove(d.perms, pi)
+	d.perms = slices.Delete(d.perms, pi, pi+1)
 	shiftOut(d.rolePerms, pi)
 	return nil
 }

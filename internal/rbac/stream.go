@@ -117,9 +117,8 @@ func readDataset(r io.Reader) (*Dataset, error) {
 			err = readIDs(s, d.AddPermission)
 		case "userAssignments":
 			err = s.edges(keyUser, func(role, user []byte) {
-				ri, rok := d.roleIdx[RoleID(role)]
-				ui, uok := d.userIdx[UserID(user)]
-				if rok && uok {
+				ri, ui := d.roleIdx.findBytes(d.roles, role), d.userIdx.findBytes(d.users, user)
+				if ri >= 0 && ui >= 0 {
 					d.roleUsers[ri] = append(d.roleUsers[ri], int32(ui))
 					return
 				}
@@ -127,9 +126,8 @@ func readDataset(r io.Reader) (*Dataset, error) {
 			})
 		case "permissionAssignments":
 			err = s.edges(keyPermission, func(role, perm []byte) {
-				ri, rok := d.roleIdx[RoleID(role)]
-				pi, pok := d.permIdx[PermissionID(perm)]
-				if rok && pok {
+				ri, pi := d.roleIdx.findBytes(d.roles, role), d.permIdx.findBytes(d.perms, perm)
+				if ri >= 0 && pi >= 0 {
 					d.rolePerms[ri] = append(d.rolePerms[ri], int32(pi))
 					return
 				}

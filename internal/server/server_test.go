@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -261,6 +263,52 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 	if eb := decodeErrorBody(t, resp); eb.Code != CodePayloadTooLarge {
 		t.Fatalf("oversized body code = %q, want %q", eb.Code, CodePayloadTooLarge)
+	}
+}
+
+// TestBodyContentLength holds the inline body read to the error codes
+// it had before it sized its buffer from Content-Length: a body cut
+// short of its declared length is a 400 bad_request, and a declared
+// length past MaxBodyBytes is a 400 payload_too_large once the bytes
+// pass the limit. Each request goes over a raw connection, half-closed
+// after the bytes actually sent.
+func TestBodyContentLength(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(Options{MaxBodyBytes: 1 << 10}))
+	defer srv.Close()
+	for _, tc := range []struct {
+		name     string
+		declared int
+		body     string
+		code     string
+	}{
+		{"short body", 100, `{"users":["a"]}`, CodeBadRequest},
+		{"declared past the limit", 1 << 30, `{"users":[` + strings.Repeat(" ", 2<<10), CodePayloadTooLarge},
+	} {
+		for _, path := range []string{"/v1/analyze", "/v1/optimize"} {
+			t.Run(tc.name+path, func(t *testing.T) {
+				conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+					path, tc.declared, tc.body)
+				if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status = %d, want 400", resp.StatusCode)
+				}
+				if eb := decodeErrorBody(t, resp); eb.Code != tc.code {
+					t.Fatalf("code = %q, want %q", eb.Code, tc.code)
+				}
+			})
+		}
 	}
 }
 
