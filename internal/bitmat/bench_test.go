@@ -32,7 +32,11 @@ func benchCorpus() ([]*bitvec.Vector, *Matrix) {
 		}
 		for f := 0; f < 3; f++ {
 			j := rng.Intn(benchCols)
-			v.SetTo(j, !v.Get(j))
+			if v.Get(j) {
+				v.Clear(j)
+			} else {
+				v.Set(j)
+			}
 		}
 		rows[i] = v
 	}

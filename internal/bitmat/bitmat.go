@@ -129,9 +129,6 @@ func (m *Matrix) Cols() int { return m.cols }
 // Words returns the number of payload words per row.
 func (m *Matrix) Words() int { return m.words }
 
-// Stride returns the arena row stride in words.
-func (m *Matrix) Stride() int { return m.stride }
-
 // checkRow panics if i is out of range.
 func (m *Matrix) checkRow(i int) {
 	if i < 0 || i >= m.rows {
@@ -306,29 +303,6 @@ func (m *Matrix) Intersection(i, j int) int {
 	return total
 }
 
-// HammingWords returns the Hamming distance between an external query
-// (given as packed words for the matrix width, len(q) >= m.Words()) and
-// row i. Used for queries that are not arena rows, e.g. HNSW searches
-// with a caller-supplied vector.
-func (m *Matrix) HammingWords(q []uint64, i int) int {
-	m.checkRow(i)
-	nw := m.words
-	q = q[:nw]
-	r := m.RowWords(i)
-	total := 0
-	k := 0
-	for ; k+4 <= nw; k += 4 {
-		total += bits.OnesCount64(r[k]^q[k]) +
-			bits.OnesCount64(r[k+1]^q[k+1]) +
-			bits.OnesCount64(r[k+2]^q[k+2]) +
-			bits.OnesCount64(r[k+3]^q[k+3])
-	}
-	for ; k < nw; k++ {
-		total += bits.OnesCount64(r[k] ^ q[k])
-	}
-	return total
-}
-
 // blockRowsFor sizes a row block so the block's arena footprint stays
 // around 32 KiB — comfortably inside L1d — while query rows of the
 // query block stay resident alongside it.
@@ -492,17 +466,6 @@ func (m *Matrix) NeighborsInto(neigh [][]int32, queries []int32, lo, hi, kmax in
 				}
 				neigh[qi] = out
 			}
-		}
-	}
-}
-
-// ForEachSet calls fn for each set column of row i in ascending order.
-func (m *Matrix) ForEachSet(i int, fn func(j int)) {
-	for wi, w := range m.RowWords(i) {
-		base := wi << wordShift
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
 		}
 	}
 }

@@ -3,11 +3,12 @@
 //
 // A Vector is one dense row of an RBAC assignment matrix: bit j of a
 // role's row is 1 iff the role is assigned user (or permission) j. The
-// analysis engine and the §IV-A generator hold rows as CSR instead;
-// vectors remain the rows of the dense matrix.BitMatrix that role mining
-// uses, the input of bitmat.FromRows, and the testkit oracle's row form.
-// Norms, co-occurrences g(i,j) and Hamming distances reduce to popcounts
-// over AND/XOR of packed words.
+// analysis engine, the §IV-A generator and role mining hold rows as CSR
+// or sorted index rows instead; vectors remain the rows of
+// rbac.Dataset.RUAM/RPAM and the input of bitmat.FromRows, which the
+// benchmark module's replay still reads, and the testkit oracle's row
+// form. Norms, co-occurrences g(i,j) and Hamming distances reduce to
+// popcounts over AND/XOR of packed words.
 package bitvec
 
 import (
@@ -29,8 +30,8 @@ const (
 // The zero value is an empty vector of length 0; use New to create a
 // vector with capacity for a given number of bits.
 //
-// Methods that combine two vectors (And, Or, Hamming, ...) require
-// both operands to have the same length and panic otherwise: mixing row
+// Methods that combine two vectors (Hamming, IntersectionCount, ...)
+// require both operands to have the same length and panic otherwise: mixing row
 // widths is a programming error, not a runtime condition.
 type Vector struct {
 	words []uint64
@@ -85,15 +86,6 @@ func (v *Vector) Clear(i int) {
 	v.words[i>>wordShift] &^= 1 << (uint(i) & wordMask)
 }
 
-// SetTo sets bit i to the given value.
-func (v *Vector) SetTo(i int, value bool) {
-	if value {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
-}
-
 // Get reports whether bit i is set.
 func (v *Vector) Get(i int) bool {
 	v.checkIndex(i)
@@ -110,19 +102,6 @@ func (v *Vector) Count() int {
 	return total
 }
 
-// Any reports whether at least one bit is set.
-func (v *Vector) Any() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IsZero reports whether no bit is set.
-func (v *Vector) IsZero() bool { return !v.Any() }
-
 // Clone returns a deep copy of the vector.
 func (v *Vector) Clone() *Vector {
 	out := &Vector{
@@ -131,13 +110,6 @@ func (v *Vector) Clone() *Vector {
 	}
 	copy(out.words, v.words)
 	return out
-}
-
-// Reset clears every bit without reallocating.
-func (v *Vector) Reset() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
 }
 
 // checkSameLen panics unless the two vectors have equal length.
@@ -158,30 +130,6 @@ func (v *Vector) Equal(o *Vector) bool {
 		}
 	}
 	return true
-}
-
-// And sets v to the bitwise AND of v and o.
-func (v *Vector) And(o *Vector) {
-	v.checkSameLen(o)
-	for i := range v.words {
-		v.words[i] &= o.words[i]
-	}
-}
-
-// Or sets v to the bitwise OR of v and o.
-func (v *Vector) Or(o *Vector) {
-	v.checkSameLen(o)
-	for i := range v.words {
-		v.words[i] |= o.words[i]
-	}
-}
-
-// AndNot sets v to the bits of v that are not in o (set difference).
-func (v *Vector) AndNot(o *Vector) {
-	v.checkSameLen(o)
-	for i := range v.words {
-		v.words[i] &^= o.words[i]
-	}
 }
 
 // IntersectionCount returns |v AND o| without allocating: the number of
@@ -262,17 +210,6 @@ func (v *Vector) HammingAtMost(o *Vector, k int) bool {
 	return true
 }
 
-// IsSubsetOf reports whether every set bit of v is also set in o.
-func (v *Vector) IsSubsetOf(o *Vector) bool {
-	v.checkSameLen(o)
-	for i, w := range v.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Indices returns the positions of all set bits in ascending order.
 func (v *Vector) Indices() []int {
 	out := make([]int, 0, v.Count())
@@ -300,31 +237,9 @@ func (v *Vector) ForEach(fn func(i int) bool) {
 	}
 }
 
-// Hash returns a 64-bit FNV-1a style hash over the vector's words.
-// Vectors with equal bits always hash equally; it is used by the Role
-// Diet exact-group fast path to pre-bucket identical rows.
-func (v *Vector) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, w := range v.words {
-		for s := 0; s < wordBits; s += 8 {
-			h ^= (w >> uint(s)) & 0xff
-			h *= prime64
-		}
-	}
-	// Mix the length so vectors of different widths never collide by
-	// construction, even when their word slices coincide.
-	h ^= uint64(v.n)
-	h *= prime64
-	return h
-}
-
 // Words exposes the underlying packed words. The returned slice aliases
-// the vector's storage; callers must treat it as read-only. Used by the
-// matrix package to serialise without re-walking bits.
+// the vector's storage; callers must treat it as read-only. Used by
+// bitmat.FromRows to pack rows without re-walking bits.
 func (v *Vector) Words() []uint64 { return v.words }
 
 // Floats expands the vector into a []float64 of 0.0/1.0 values. The

@@ -94,11 +94,11 @@ func TestExactDuplicatesAlwaysFound(t *testing.T) {
 
 // exactGroups runs the deterministic Role Diet pass at threshold 0.
 func exactGroups(rows []*bitvec.Vector) (*rolediet.Result, error) {
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		return nil, err
+	lists := make([][]int, len(rows))
+	for i, r := range rows {
+		lists[i] = r.Indices()
 	}
-	return rolediet.Run(context.Background(), matrix.CSRFromDense(m), rolediet.Options{})
+	return rolediet.Run(context.Background(), matrix.CSRFromLists(rows[0].Len(), lists), rolediet.Options{})
 }
 
 func TestPropertyExactCaseMatchesRoleDiet(t *testing.T) {
@@ -168,7 +168,11 @@ func TestSimilarPairsHighRecall(t *testing.T) {
 		base := rows[p*2]
 		near := base.Clone()
 		pos := r.Intn(256)
-		near.SetTo(pos, !near.Get(pos)) // flip exactly one position
+		if near.Get(pos) { // flip exactly one position
+			near.Clear(pos)
+		} else {
+			near.Set(pos)
+		}
 		rows[p*2+1] = near
 	}
 	res, err := findGroups(rows, 1, Config{Seed: 5})

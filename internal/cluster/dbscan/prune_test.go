@@ -115,7 +115,11 @@ func TestPrunedMatchesUnprunedSweep(t *testing.T) {
 				}
 				for f := rng.Intn(3); f > 0; f-- {
 					j := rng.Intn(width)
-					v.SetTo(j, !v.Get(j))
+					if v.Get(j) {
+						v.Clear(j)
+					} else {
+						v.Set(j)
+					}
 				}
 			}
 			points[i] = v

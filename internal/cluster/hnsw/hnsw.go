@@ -104,10 +104,11 @@ type Options struct {
 	// to 64.
 	SearchEf int
 	// Workers fans index construction out over this many goroutines.
-	// Values <= 1 run the serial build, which is deterministic for a
-	// seed. With several workers the link sets depend on insertion
-	// interleaving: the graph remains a valid HNSW index with
-	// statistically equivalent recall, it is just not bit-identical.
+	// Values <= 1 insert every row in row order on the calling
+	// goroutine, which is deterministic for a seed. With several
+	// workers the link sets depend on insertion interleaving: the graph
+	// remains a valid HNSW index with statistically equivalent recall,
+	// it is just not bit-identical.
 	Workers int
 	// Progress, when non-nil, receives (rowsDone, totalRows) once per
 	// radius query. It runs on the calling goroutine and must be cheap.
@@ -199,10 +200,9 @@ type node struct {
 }
 
 // index is a hierarchical navigable small world graph over the rows of
-// a bit-matrix arena, node id = row id. It is not safe for concurrent
-// mutation; concurrent searches after construction are safe (each
-// borrows its own scratch from a pool and the distance counter is
-// atomic).
+// a bit-matrix arena, node id = row id. A built index is read-only, so
+// concurrent searches are safe (each borrows its own scratch from a
+// pool and the distance counter is atomic).
 type index struct {
 	cfg      Config
 	mat      *bitmat.Matrix
@@ -211,38 +211,73 @@ type index struct {
 	maxLayer int
 	levelMul float64
 	rng      *rand.Rand
+	// locks guards each node's adjacency while several chunks build
+	// the graph concurrently, and entryMu the entry point and top
+	// layer. locks is nil when one chunk builds and once the index is
+	// built: a single writer needs no lock.
+	locks   []sync.Mutex
+	entryMu sync.RWMutex
 	// distCalls counts cumulative distance evaluations; atomic so
 	// concurrent searches stay race-free.
 	distCalls atomic.Int64
 	scratch   sync.Pool // of *searchScratch
 }
 
-// build constructs the index over every row of m. With workers <= 1 the
-// rows are inserted serially in row order; otherwise the insertions fan
-// out (see pbuild). The index retains m.
+// build constructs the index over every row of m with the standard
+// HNSW batch-construction scheme: every node's adjacency list is
+// guarded by its own mutex, searches snapshot-copy the lists they
+// traverse, and the entry point is swapped under a read-write lock.
+//
+// Levels are drawn up front from the seeded generator in row order, so
+// the layer structure does not depend on workers. Row 0 seeds the
+// graph as the entry point and the other rows are inserted in
+// parallel.Workers(workers) contiguous chunks. A single chunk inserts
+// them in row order on the calling goroutine, which makes the graph
+// deterministic for a seed, and runs without the node locks; with
+// several chunks the link sets depend on insertion interleaving (see
+// Options.Workers). Each chunk polls
+// the context between insertions and the build aborts with ctx.Err(),
+// discarding the partial index. The index retains m.
 func build(ctx context.Context, m *bitmat.Matrix, cfg Config, workers int) (*index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	n := m.Rows()
 	x := &index{
 		cfg:      cfg,
 		mat:      m,
+		nodes:    make([]node, n),
 		entry:    -1,
 		maxLayer: -1,
 		levelMul: 1.0 / math.Log(float64(cfg.M)),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	n := m.Rows()
-	if w := parallel.Workers(workers, n); w >= 2 {
-		return pbuild(ctx, x, n, w)
+	if n == 0 {
+		return x, nil
 	}
-	chk := ctxcheck.New(ctx, 1)
-	for i := 0; i < n; i++ {
-		if err := chk.Err(); err != nil {
-			return nil, err
+	for i := range x.nodes {
+		x.nodes[i].neighbours = make([][]candidate, x.randomLevel()+1)
+	}
+	x.entry, x.maxLayer = 0, len(x.nodes[0].neighbours)-1
+
+	chunks := parallel.SplitRange(n-1, parallel.Workers(workers, n-1))
+	if len(chunks) > 1 {
+		x.locks = make([]sync.Mutex, n)
+	}
+	err := parallel.ForEachChunk(ctx, chunks, 1, func(_ int, c parallel.Chunk, chk *ctxcheck.Checker) error {
+		s := &searchScratch{}
+		for i := c.Lo; i < c.Hi; i++ {
+			if err := chk.Tick(); err != nil {
+				return err
+			}
+			x.insert(i+1, s)
 		}
-		x.insert()
+		return nil
+	})
+	x.locks = nil
+	if err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -288,9 +323,9 @@ func (x *index) normGap(qn, j int, bound float64) bool {
 
 // searchScratch is the reusable state of beam searches: an epoch-stamped
 // visited array replaces the per-call map, and the heaps and copy
-// buffers keep their capacity across calls. Construction threads one
-// scratch through every insertion; searches borrow one from the pool, so
-// concurrent Search calls stay independent and allocation-free.
+// buffers keep their capacity across calls. Each build chunk threads
+// one scratch through its insertions; searches borrow one from the
+// pool, so concurrent searches stay independent and allocation-free.
 type searchScratch struct {
 	visited  []uint32
 	epoch    uint32
@@ -328,38 +363,62 @@ func (s *searchScratch) visit(n int) uint32 {
 	return s.epoch
 }
 
-// insert wires node id = len(x.nodes), arena row id, into the graph.
-func (x *index) insert() {
-	level := x.randomLevel()
-	id := len(x.nodes)
-	x.nodes = append(x.nodes, node{neighbours: make([][]candidate, level+1)})
-
-	if x.entry == -1 {
-		x.entry = id
-		x.maxLayer = level
-		return
+// lock and unlock guard node id's adjacency; without locks (one
+// writer) they do nothing.
+func (x *index) lock(id int) {
+	if x.locks != nil {
+		x.locks[id].Lock()
 	}
+}
 
-	s := x.getScratch()
-	defer x.putScratch(s)
+func (x *index) unlock(id int) {
+	if x.locks != nil {
+		x.locks[id].Unlock()
+	}
+}
 
-	ep := x.entry
+// adjacency returns id's edges at layer. While concurrent inserters may
+// rewrite the list, it is snapshot-copied into buf under the node's
+// lock; otherwise the list itself is returned. Either way the result is
+// read-only.
+func (x *index) adjacency(id, layer int, buf []candidate) []candidate {
+	if x.locks == nil {
+		return x.nodes[id].neighbours[layer]
+	}
+	x.locks[id].Lock()
+	buf = append(buf[:0], x.nodes[id].neighbours[layer]...)
+	x.locks[id].Unlock()
+	return buf
+}
+
+// insert wires node id, arena row id, into the graph under construction.
+func (x *index) insert(id int, s *searchScratch) {
+	level := len(x.nodes[id].neighbours) - 1
+
+	x.entryMu.RLock()
+	ep, maxLayer := x.entry, x.maxLayer
+	x.entryMu.RUnlock()
+
 	// Greedy descent through layers above the insertion level.
-	for l := x.maxLayer; l > level; l-- {
-		ep = x.greedyClosest(id, ep, l)
+	for l := maxLayer; l > level; l-- {
+		ep = x.greedyClosest(id, ep, l, s)
 	}
 
 	// Beam search and linking from min(level, maxLayer) down to 0.
 	eps := append(s.eps[:0], ep)
-	for l := min(level, x.maxLayer); l >= 0; l-- {
+	for l := min(level, maxLayer); l >= 0; l-- {
 		found := x.searchLayer(id, eps, x.cfg.EfConstruction, l, s)
 		s.selected = x.selectNeighboursInto(s.selected[:0], found, x.cfg.M, s)
-		// The adjacency list is retained, so it gets its own exact-size
-		// backing; the scratch buffer is free for the link calls below.
-		nbs := make([]candidate, len(s.selected))
-		copy(nbs, s.selected)
-		x.nodes[id].neighbours[l] = nbs
-		for _, nb := range nbs {
+		// Merge rather than overwrite: concurrent inserters may already
+		// have back-linked into this node's list at this layer.
+		x.lock(id)
+		for _, nb := range s.selected {
+			if !containsEdge(x.nodes[id].neighbours[l], nb.id) {
+				x.nodes[id].neighbours[l] = append(x.nodes[id].neighbours[l], nb)
+			}
+		}
+		x.unlock(id)
+		for _, nb := range s.selected {
 			// The edge distance travels with the back-link: Hamming is
 			// symmetric, so d(nb, id) is the already-measured nb.dist.
 			x.link(nb.id, id, l, nb.dist, s)
@@ -375,39 +434,57 @@ func (x *index) insert() {
 	}
 	s.eps = eps
 
+	x.entryMu.Lock()
 	if level > x.maxLayer {
 		x.maxLayer = level
 		x.entry = id
 	}
+	x.entryMu.Unlock()
 }
 
 // link adds dst (at the given distance from src) to src's adjacency at
-// the given layer, shrinking the list in place with the
-// neighbour-selection policy when it overflows. The stored edge
-// distances make the overflow re-selection free of distance
-// evaluations.
+// the given layer, deduplicating (a pair inserted concurrently can
+// discover each other from both sides) and shrinking the list in place
+// with the neighbour-selection policy when it overflows. The stored
+// edge distances make the overflow re-selection free of distance
+// evaluations; the whole operation runs under src's lock.
 func (x *index) link(src, dst, layer int, dist float64, s *searchScratch) {
-	n := &x.nodes[src]
-	n.neighbours[layer] = append(n.neighbours[layer], candidate{id: dst, dist: dist})
 	limit := x.maxNeighbours(layer)
-	if len(n.neighbours[layer]) <= limit {
+	x.lock(src)
+	defer x.unlock(src)
+	ns := x.nodes[src].neighbours[layer]
+	if containsEdge(ns, dst) {
 		return
 	}
-	s.linkSel = x.selectNeighboursInto(s.linkSel[:0], n.neighbours[layer], limit, s)
-	// The overflowed list has capacity limit+1 >= the selection, so the
-	// shrink reuses its backing.
-	n.neighbours[layer] = append(n.neighbours[layer][:0], s.linkSel...)
+	ns = append(ns, candidate{id: dst, dist: dist})
+	if len(ns) > limit {
+		s.linkSel = x.selectNeighboursInto(s.linkSel[:0], ns, limit, s)
+		// The overflowed list has capacity limit+1 >= the selection, so
+		// the shrink reuses its backing.
+		ns = append(ns[:0], s.linkSel...)
+	}
+	x.nodes[src].neighbours[layer] = ns
+}
+
+func containsEdge(edges []candidate, id int) bool {
+	for _, e := range edges {
+		if e.id == id {
+			return true
+		}
+	}
+	return false
 }
 
 // greedyClosest walks layer l from ep, moving to any strictly closer
 // neighbour until a local minimum is reached (beam width 1).
-func (x *index) greedyClosest(q, ep, layer int) int {
+func (x *index) greedyClosest(q, ep, layer int, s *searchScratch) int {
 	qn := x.mat.Norm(q)
 	cur := ep
 	curDist := x.d(q, cur)
 	for {
 		improved := false
-		for _, e := range x.nodes[cur].neighbours[layer] {
+		s.adj = x.adjacency(cur, layer, s.adj)
+		for _, e := range s.adj {
 			nb := e.id
 			// Same norm-gap lower bound as searchLayer: a neighbour that
 			// provably cannot improve curDist is skipped unmeasured.
@@ -451,7 +528,8 @@ func (x *index) searchLayer(q int, eps []int, ef, layer int, s *searchScratch) [
 		if s.best.len() >= ef && cur.dist > s.best.top().dist {
 			break
 		}
-		for _, e := range x.nodes[cur.id].neighbours[layer] {
+		s.adj = x.adjacency(cur.id, layer, s.adj)
+		for _, e := range s.adj {
 			nb := e.id
 			if s.visited[nb] == epoch {
 				continue
@@ -559,7 +637,7 @@ func (x *index) searchEfRow(q, k, ef int) []neighbour {
 	defer x.putScratch(s)
 	ep := x.entry
 	for l := x.maxLayer; l >= 1; l-- {
-		ep = x.greedyClosest(q, ep, l)
+		ep = x.greedyClosest(q, ep, l, s)
 	}
 	s.eps = append(s.eps[:0], ep)
 	found := x.searchLayer(q, s.eps, ef, 0, s)

@@ -77,20 +77,6 @@ type Result struct {
 	PairsExamined int
 }
 
-// GroupOf returns a role-index → group-id map (-1 for ungrouped roles).
-func (r *Result) GroupOf(numRoles int) []int {
-	out := make([]int, numRoles)
-	for i := range out {
-		out[i] = -1
-	}
-	for gid, g := range r.Groups {
-		for _, i := range g {
-			out[i] = gid
-		}
-	}
-	return out
-}
-
 // Run finds all groups of roles whose rows in the CSR matrix are
 // identical (opts.Threshold == 0) or within Hamming distance Threshold
 // of a chain of group members (Threshold >= 1; connectivity semantics

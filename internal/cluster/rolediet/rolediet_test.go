@@ -2,6 +2,7 @@ package rolediet
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,17 +12,18 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
 	"repro/internal/cluster/dbscan"
-	"repro/internal/matrix"
 )
 
-// groups lays the rows out as a CSR and runs the grouping over it, the
-// shape of every production call.
+// groups lays the rows out as a CSR, refusing ragged rows as a matrix
+// must, and runs the grouping over it, the shape of every production
+// call.
 func groups(rows []*bitvec.Vector, opts Options) (*Result, error) {
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		return nil, err
+	for i, r := range rows {
+		if r.Len() != rows[0].Len() {
+			return nil, fmt.Errorf("row %d has length %d, want %d", i, r.Len(), rows[0].Len())
+		}
 	}
-	return Run(context.Background(), matrix.CSRFromDense(m), opts)
+	return Run(context.Background(), toCSR(rows), opts)
 }
 
 // arenaGroups packs the rows into a bit-matrix arena and runs GroupsMat,
@@ -185,15 +187,6 @@ func TestChainingSemantics(t *testing.T) {
 	}
 }
 
-func TestGroupOf(t *testing.T) {
-	res := &Result{Groups: [][]int{{0, 2}, {1, 4}}}
-	got := res.GroupOf(5)
-	want := []int{0, 1, 0, -1, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("GroupOf = %v, want %v", got, want)
-	}
-}
-
 func randRows(r *rand.Rand, n, dim int, density float64) []*bitvec.Vector {
 	rows := make([]*bitvec.Vector, n)
 	for i := range rows {
@@ -320,7 +313,15 @@ func TestPropertyAllReportedPairsWithinThreshold(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inGroup := res.GroupOf(len(rows))
+		inGroup := make([]int, len(rows)) // group id per role, -1 when ungrouped
+		for i := range inGroup {
+			inGroup[i] = -1
+		}
+		for gid, g := range res.Groups {
+			for _, i := range g {
+				inGroup[i] = gid
+			}
+		}
 		// Chain step soundness.
 		for _, g := range res.Groups {
 			for _, i := range g {

@@ -11,13 +11,17 @@ import (
 	"repro/internal/matrix"
 )
 
-// toCSR converts test rows to the CSR form Run takes.
+// toCSR lists each test row's set columns as the CSR form Run takes.
 func toCSR(rows []*bitvec.Vector) *matrix.CSR {
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		panic(err)
+	cols := 0
+	if len(rows) > 0 {
+		cols = rows[0].Len()
 	}
-	return matrix.CSRFromDense(m)
+	lists := make([][]int, len(rows))
+	for i, r := range rows {
+		lists[i] = r.Indices()
+	}
+	return matrix.CSRFromLists(cols, lists)
 }
 
 func TestGroupsCSRPaperExample(t *testing.T) {

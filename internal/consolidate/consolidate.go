@@ -309,8 +309,8 @@ func effectiveByID(d *rbac.Dataset) map[rbac.UserID]map[rbac.PermissionID]struct
 	out := make(map[rbac.UserID]map[rbac.PermissionID]struct{}, len(eff))
 	for ui, perms := range eff {
 		set := make(map[rbac.PermissionID]struct{}, len(perms))
-		for pi := range perms {
-			set[d.Permission(pi)] = struct{}{}
+		for _, pi := range perms {
+			set[d.Permission(int(pi))] = struct{}{}
 		}
 		out[d.User(ui)] = set
 	}

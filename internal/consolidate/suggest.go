@@ -2,6 +2,7 @@ package consolidate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -80,39 +81,31 @@ func SuggestSimilar(d *rbac.Dataset, rep *core.Report) ([]Suggestion, error) {
 }
 
 // suggestionFor computes the grant delta of merging one group.
-func suggestionFor(d *rbac.Dataset, eff []map[int]struct{},
+func suggestionFor(d *rbac.Dataset, eff [][]int32,
 	roles []rbac.RoleID, side Side) (Suggestion, error) {
-	userUnion := make(map[int]struct{})
-	permUnion := make(map[int]struct{})
+	var users, perms []int32
 	for _, r := range roles {
 		ri, ok := d.RoleIndex(r)
 		if !ok {
 			return Suggestion{}, fmt.Errorf("consolidate: role %q not in dataset", r)
 		}
-		for _, u := range d.RoleUserRow(ri) {
-			userUnion[int(u)] = struct{}{}
-		}
-		for _, p := range d.RolePermissionRow(ri) {
-			permUnion[int(p)] = struct{}{}
-		}
+		users = append(users, d.RoleUserRow(ri)...)
+		perms = append(perms, d.RolePermissionRow(ri)...)
 	}
-
-	users := make([]int, 0, len(userUnion))
-	for u := range userUnion {
-		users = append(users, u)
-	}
-	sort.Ints(users)
-	perms := make([]int, 0, len(permUnion))
-	for p := range permUnion {
-		perms = append(perms, p)
-	}
-	sort.Ints(perms)
+	slices.Sort(users)
+	users = slices.Compact(users)
+	slices.Sort(perms)
+	perms = slices.Compact(perms)
 
 	var added []Grant
 	for _, u := range users {
+		held := eff[u]
 		for _, p := range perms {
-			if _, held := eff[u][p]; !held {
-				added = append(added, Grant{User: d.User(u), Permission: d.Permission(p)})
+			for len(held) > 0 && held[0] < p {
+				held = held[1:]
+			}
+			if len(held) == 0 || held[0] != p {
+				added = append(added, Grant{User: d.User(int(u)), Permission: d.Permission(int(p))})
 			}
 		}
 	}

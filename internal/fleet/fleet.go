@@ -283,16 +283,6 @@ func (f *Fleet) Holders(digest string) []string {
 // Owner is the digest's rank-0 peer.
 func (f *Fleet) Owner(digest string) string { return f.Rank(digest)[0] }
 
-// IsHolder reports whether this node is among the digest's holders.
-func (f *Fleet) IsHolder(digest string) bool {
-	for _, p := range f.Holders(digest) {
-		if p == f.self {
-			return true
-		}
-	}
-	return false
-}
-
 // peerStates snapshots the remote peer state table.
 func (f *Fleet) peerStates() []*peerState {
 	f.mu.Lock()

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -130,7 +131,7 @@ func TestOrgDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.RUAM().Equal(b.RUAM()) || !a.RPAM().Equal(b.RPAM()) {
+	if !reflect.DeepEqual(a.RUAMCSR(), b.RUAMCSR()) || !reflect.DeepEqual(a.RPAMCSR(), b.RPAMCSR()) {
 		t.Fatal("org generation not deterministic")
 	}
 }

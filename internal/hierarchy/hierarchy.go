@@ -223,119 +223,3 @@ func (h *Hierarchy) RedundantEdges() []RedundantEdge {
 	})
 	return out
 }
-
-// SelfContainedSeniors finds inheritance edges that grant nothing: the
-// senior's own flattened permissions (excluding the edge in question)
-// already cover everything the junior provides. Such edges are
-// candidates for removal during a cleanup review.
-func (h *Hierarchy) SelfContainedSeniors() ([]RedundantEdge, error) {
-	n := h.ds.NumRoles()
-	reach := h.transitiveClosure(n)
-
-	// effective[r] = direct + inherited permission indices of role r.
-	effective := make([]map[int]struct{}, n)
-	directPerms := make([][]int, n)
-	for r := 0; r < n; r++ {
-		perms, err := h.ds.RolePermissions(h.ds.Role(r))
-		if err != nil {
-			return nil, err
-		}
-		idxs := make([]int, 0, len(perms))
-		for _, p := range perms {
-			pi, _ := h.ds.PermissionIndex(p)
-			idxs = append(idxs, pi)
-		}
-		directPerms[r] = idxs
-	}
-	for r := 0; r < n; r++ {
-		set := make(map[int]struct{}, len(directPerms[r]))
-		for _, p := range directPerms[r] {
-			set[p] = struct{}{}
-		}
-		for j := range reach[r] {
-			for _, p := range directPerms[j] {
-				set[p] = struct{}{}
-			}
-		}
-		effective[r] = set
-	}
-
-	var out []RedundantEdge
-	for si, set := range h.juniors {
-		for ji := range set {
-			// What the edge actually contributes: junior's effective set.
-			contributes := false
-			check := func(p int) {
-				if _, ok := effective[si][p]; !ok {
-					contributes = true
-				}
-			}
-			for _, p := range directPerms[ji] {
-				check(p)
-			}
-			for jj := range reach[ji] {
-				for _, p := range directPerms[jj] {
-					check(p)
-				}
-			}
-			_ = contributes
-			// The edge is useless iff removing it leaves the senior's
-			// effective set unchanged. Since effective already includes
-			// the edge, recompute without it.
-			without := effectiveWithout(h, directPerms, si, ji)
-			useless := true
-			for p := range effective[si] {
-				if _, ok := without[p]; !ok {
-					useless = false
-					break
-				}
-			}
-			if useless {
-				out = append(out, RedundantEdge{
-					Senior: h.ds.Role(si),
-					Junior: h.ds.Role(ji),
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Senior != out[j].Senior {
-			return out[i].Senior < out[j].Senior
-		}
-		return out[i].Junior < out[j].Junior
-	})
-	return out, nil
-}
-
-// effectiveWithout computes the senior's effective permission indices
-// with one direct edge removed.
-func effectiveWithout(h *Hierarchy, directPerms [][]int, senior, skipJunior int) map[int]struct{} {
-	set := make(map[int]struct{}, len(directPerms[senior]))
-	for _, p := range directPerms[senior] {
-		set[p] = struct{}{}
-	}
-	// BFS over the hierarchy skipping the one edge.
-	var stack []int
-	seen := make(map[int]bool)
-	for j := range h.juniors[senior] {
-		if j == skipJunior {
-			continue
-		}
-		stack = append(stack, j)
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		for _, p := range directPerms[r] {
-			set[p] = struct{}{}
-		}
-		for j := range h.juniors[r] {
-			stack = append(stack, j)
-		}
-	}
-	return set
-}

@@ -234,51 +234,6 @@ func TestCyclicFlattenStillTerminates(t *testing.T) {
 	}
 }
 
-func TestSelfContainedSeniors(t *testing.T) {
-	// senior directly holds A and B; junior only grants A: the edge
-	// contributes nothing.
-	d := rbac.NewDataset()
-	if err := d.AddUser("u"); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []rbac.RoleID{"senior", "junior", "useful"} {
-		if err := d.AddRole(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []rbac.PermissionID{"A", "B", "C"} {
-		if err := d.AddPermission(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []rbac.PermissionID{"A", "B"} {
-		if err := d.AssignPermission("senior", p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.AssignPermission("junior", "A"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AssignPermission("useful", "C"); err != nil {
-		t.Fatal(err)
-	}
-	h := New(d)
-	if err := h.AddInheritance("senior", "junior"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddInheritance("senior", "useful"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := h.SelfContainedSeniors()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []RedundantEdge{{Senior: "senior", Junior: "junior"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SelfContainedSeniors = %v, want %v", got, want)
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	d := buildChain(t, 3)
 	h := New(d)

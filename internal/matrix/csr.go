@@ -51,21 +51,6 @@ func CSRFromLists(cols int, rows [][]int) *CSR {
 	return c
 }
 
-// CSRFromDense converts a dense BitMatrix to CSR form.
-func CSRFromDense(m *BitMatrix) *CSR {
-	c := &CSR{
-		RowPtr: make([]int, m.Rows()+1),
-		ColIdx: make([]int, 0, m.Count()),
-		NRows:  m.Rows(),
-		NCols:  m.Cols(),
-	}
-	for i := 0; i < m.Rows(); i++ {
-		c.ColIdx = append(c.ColIdx, m.Row(i).Indices()...)
-		c.RowPtr[i+1] = len(c.ColIdx)
-	}
-	return c
-}
-
 // Rows returns the number of rows.
 func (c *CSR) Rows() int { return c.NRows }
 

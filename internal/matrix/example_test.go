@@ -6,18 +6,22 @@ import (
 	"repro/internal/matrix"
 )
 
-// Example builds a small RUAM, reads the row/column sums the linear
-// detectors use, and converts to the sparse form.
+// Example builds a small RUAM in sparse form and reads the row and
+// column sums the linear detectors use.
 func Example() {
-	m := matrix.NewBitMatrix(3, 4)
-	m.Set(0, 0)
-	m.Set(0, 1)
-	m.Set(2, 3)
+	c := matrix.CSRFromLists(4, [][]int{{0, 1}, {}, {3}})
 
-	fmt.Println("row sums:", m.RowSums())
-	fmt.Println("zero cols:", m.ZeroCols())
-
-	c := matrix.CSRFromDense(m)
+	var rowSums, zeroCols []int
+	for i := 0; i < c.Rows(); i++ {
+		rowSums = append(rowSums, c.RowSum(i))
+	}
+	for j, n := range c.ColSums() {
+		if n == 0 {
+			zeroCols = append(zeroCols, j)
+		}
+	}
+	fmt.Println("row sums:", rowSums)
+	fmt.Println("zero cols:", zeroCols)
 	fmt.Println("nnz:", c.NNZ())
 	fmt.Println("row 0 cols:", c.RowCols(0))
 	// Output:

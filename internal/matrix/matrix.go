@@ -4,10 +4,10 @@
 //
 // Instead of the full (r+u+p)² adjacency matrix of the tripartite graph,
 // the paper stores the two r×u and r×p sub-matrices (Figure 1, Steps 2-3),
-// needing r*(u+p) cells. This package represents them as bit-packed dense
-// matrices (BitMatrix) and additionally provides a CSR sparse form, as the
+// needing r*(u+p) cells. The analysis runs on the CSR sparse form, as the
 // paper notes sparse representations can further cut memory at some
-// conversion cost.
+// conversion cost. BitMatrix, a dense matrix of bit-vector rows, is what
+// rbac.Dataset.RUAM/RPAM return for the benchmark module's replay.
 package matrix
 
 import (
@@ -21,7 +21,6 @@ import (
 // set iff role i is assigned user/permission j.
 type BitMatrix struct {
 	rows []*bitvec.Vector
-	cols int
 }
 
 // NewBitMatrix returns an all-zero matrix with the given shape.
@@ -29,36 +28,12 @@ func NewBitMatrix(rows, cols int) *BitMatrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("matrix: negative shape %dx%d", rows, cols))
 	}
-	m := &BitMatrix{
-		rows: make([]*bitvec.Vector, rows),
-		cols: cols,
-	}
+	m := &BitMatrix{rows: make([]*bitvec.Vector, rows)}
 	for i := range m.rows {
 		m.rows[i] = bitvec.New(cols)
 	}
 	return m
 }
-
-// FromRows builds a BitMatrix that adopts the given row vectors. All rows
-// must share the same length; the matrix takes ownership of the slices.
-func FromRows(rows []*bitvec.Vector) (*BitMatrix, error) {
-	if len(rows) == 0 {
-		return &BitMatrix{}, nil
-	}
-	cols := rows[0].Len()
-	for i, r := range rows {
-		if r.Len() != cols {
-			return nil, fmt.Errorf("matrix: row %d has length %d, want %d", i, r.Len(), cols)
-		}
-	}
-	return &BitMatrix{rows: rows, cols: cols}, nil
-}
-
-// Rows returns the number of rows.
-func (m *BitMatrix) Rows() int { return len(m.rows) }
-
-// Cols returns the number of columns.
-func (m *BitMatrix) Cols() int { return m.cols }
 
 // checkRow panics if i is out of range.
 func (m *BitMatrix) checkRow(i int) {
@@ -73,143 +48,9 @@ func (m *BitMatrix) Set(i, j int) {
 	m.rows[i].Set(j)
 }
 
-// Clear sets cell (i, j) to 0.
-func (m *BitMatrix) Clear(i, j int) {
-	m.checkRow(i)
-	m.rows[i].Clear(j)
-}
-
-// Get reports whether cell (i, j) is set.
-func (m *BitMatrix) Get(i, j int) bool {
-	m.checkRow(i)
-	return m.rows[i].Get(j)
-}
-
 // Row returns row i. The returned vector aliases the matrix storage;
 // callers that need an independent copy must Clone it.
 func (m *BitMatrix) Row(i int) *bitvec.Vector {
 	m.checkRow(i)
 	return m.rows[i]
-}
-
-// RowSum returns the number of set cells in row i — the role's degree
-// toward users (RUAM) or permissions (RPAM). The linear-time detectors
-// for inefficiency classes 1-3 are built entirely on these sums.
-func (m *BitMatrix) RowSum(i int) int {
-	m.checkRow(i)
-	return m.rows[i].Count()
-}
-
-// RowSums returns the per-row set-bit counts for all rows.
-func (m *BitMatrix) RowSums() []int {
-	out := make([]int, len(m.rows))
-	for i, r := range m.rows {
-		out[i] = r.Count()
-	}
-	return out
-}
-
-// ColSums returns the per-column set-bit counts. Zero entries identify
-// standalone user/permission nodes (inefficiency class 1).
-func (m *BitMatrix) ColSums() []int {
-	out := make([]int, m.cols)
-	for _, r := range m.rows {
-		r.ForEach(func(j int) bool {
-			out[j]++
-			return true
-		})
-	}
-	return out
-}
-
-// ZeroCols returns the indices of all-zero columns in ascending order.
-func (m *BitMatrix) ZeroCols() []int {
-	sums := m.ColSums()
-	var out []int
-	for j, s := range sums {
-		if s == 0 {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Count returns the total number of set cells (edges).
-func (m *BitMatrix) Count() int {
-	total := 0
-	for _, r := range m.rows {
-		total += r.Count()
-	}
-	return total
-}
-
-// Density returns Count / (Rows*Cols), or 0 for an empty matrix.
-func (m *BitMatrix) Density() float64 {
-	cells := m.Rows() * m.Cols()
-	if cells == 0 {
-		return 0
-	}
-	return float64(m.Count()) / float64(cells)
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *BitMatrix) Clone() *BitMatrix {
-	out := &BitMatrix{
-		rows: make([]*bitvec.Vector, len(m.rows)),
-		cols: m.cols,
-	}
-	for i, r := range m.rows {
-		out.rows[i] = r.Clone()
-	}
-	return out
-}
-
-// Equal reports whether two matrices have identical shape and cells.
-func (m *BitMatrix) Equal(o *BitMatrix) bool {
-	if m.Rows() != o.Rows() || m.cols != o.cols {
-		return false
-	}
-	for i, r := range m.rows {
-		if !r.Equal(o.rows[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Transpose returns a new matrix with rows and columns swapped.
-func (m *BitMatrix) Transpose() *BitMatrix {
-	t := NewBitMatrix(m.cols, m.Rows())
-	for i, r := range m.rows {
-		r.ForEach(func(j int) bool {
-			t.rows[j].Set(i)
-			return true
-		})
-	}
-	return t
-}
-
-// AppendRow adds a row to the bottom of the matrix. The row must match
-// the matrix width; on an empty matrix it defines the width.
-func (m *BitMatrix) AppendRow(r *bitvec.Vector) error {
-	if len(m.rows) == 0 && m.cols == 0 {
-		m.cols = r.Len()
-	}
-	if r.Len() != m.cols {
-		return fmt.Errorf("matrix: appended row length %d, want %d", r.Len(), m.cols)
-	}
-	m.rows = append(m.rows, r)
-	return nil
-}
-
-// String renders small matrices for debugging, one 0/1 row per line.
-func (m *BitMatrix) String() string {
-	s := ""
-	for i, r := range m.rows {
-		if i > 0 {
-			s += "\n"
-		}
-		s += r.String()
-	}
-	return s
 }

@@ -2,6 +2,7 @@ package mining_test
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mining"
 	"repro/internal/rbac"
@@ -19,7 +20,7 @@ func Example() {
 	}
 	fmt.Println("existing roles:", src.NumRoles())
 	fmt.Println("mined roles:", res.NumRoles())
-	fmt.Println("lossless:", res.Reconstruct(upa.Rows(), upa.Cols()).Equal(upa))
+	fmt.Println("lossless:", slices.EqualFunc(res.Reconstruct(), upa, slices.Equal[[]int32]))
 	// Output:
 	// existing roles: 5
 	// mined roles: 2

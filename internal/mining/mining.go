@@ -19,19 +19,23 @@
 //     cell is covered. Greedy set cover gives the usual ln(n)
 //     approximation to the minimal role count.
 //
+// The UPA is one strictly ascending permission row per user, the form
+// rbac.Dataset.EffectivePermissions returns; candidates and mined roles
+// are rows of the same form. Membership tests against the UPA and the
+// cells covered so far go through two bitmat arenas.
+//
 // The mined decomposition is lossless: UA x PA reconstructs the UPA
 // exactly (no over- or under-assignment), which Reconstruct verifies.
 package mining
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 
-	"repro/internal/bitvec"
+	"repro/internal/bitmat"
 	"repro/internal/ctxcheck"
-	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/rbac"
 )
@@ -68,7 +72,10 @@ type Options struct {
 	Strategy CandidateStrategy
 	// MaxCandidates caps the candidate pool (0 = unlimited). Pairwise
 	// intersection pools grow quadratically in distinct rows; the cap
-	// keeps the miner usable on large UPAs, trading optimality.
+	// keeps the miner usable on large UPAs, trading optimality. Every
+	// distinct row stays in the pool whatever the cap, so an exact cover
+	// always exists: the cap only limits the intersections added after
+	// them, and a cap below the distinct-row count admits none.
 	MaxCandidates int
 	// Workers fans the per-round candidate-gain evaluation (the greedy
 	// set cover's hot loop) out over this many goroutines. 0 and 1 run
@@ -98,8 +105,8 @@ func (o Options) Validate() error {
 
 // Result is a mined role decomposition.
 type Result struct {
-	// Roles holds each mined role's permission set.
-	Roles []*bitvec.Vector
+	// Roles holds each mined role's permission indices, ascending.
+	Roles [][]int32
 	// Assignment lists, per user, the mined-role indices assigned to
 	// that user (ascending).
 	Assignment [][]int
@@ -111,23 +118,29 @@ type Result struct {
 // NumRoles returns the number of mined roles.
 func (r *Result) NumRoles() int { return len(r.Roles) }
 
-// Reconstruct rebuilds the UPA implied by the decomposition: cell
-// (u, p) is set iff some role assigned to u grants p.
-func (r *Result) Reconstruct(users, perms int) *matrix.BitMatrix {
-	m := matrix.NewBitMatrix(users, perms)
+// Reconstruct rebuilds the UPA implied by the decomposition: user u's
+// row holds p iff some role assigned to u grants p.
+func (r *Result) Reconstruct() [][]int32 {
+	out := make([][]int32, len(r.Assignment))
 	for u, roles := range r.Assignment {
+		var row []int32
 		for _, ri := range roles {
-			r.Roles[ri].ForEach(func(p int) bool {
-				m.Set(u, p)
-				return true
-			})
+			row = append(row, r.Roles[ri]...)
 		}
+		slices.Sort(row)
+		out[u] = slices.Compact(row)
 	}
-	return m
+	return out
 }
 
-// Mine derives a role set covering the UPA exactly.
-func Mine(upa *matrix.BitMatrix, opts Options) (*Result, error) {
+// UPAFromDataset returns a dataset's effective permissions as the UPA:
+// the input a bottom-up miner starts from when the existing role
+// structure is to be rebuilt.
+func UPAFromDataset(d *rbac.Dataset) [][]int32 { return d.EffectivePermissions() }
+
+// Mine derives a role set covering the UPA exactly. Each UPA row must
+// ascend strictly.
+func Mine(upa [][]int32, opts Options) (*Result, error) {
 	return MineContext(context.Background(), upa, opts)
 }
 
@@ -138,7 +151,7 @@ func Mine(upa *matrix.BitMatrix, opts Options) (*Result, error) {
 // goroutine stops within its own stride of a cancellation) and fans out
 // over Options.Workers. The decomposition is bit-identical to the
 // serial run for any worker count; see Options.Workers.
-func MineContext(ctx context.Context, upa *matrix.BitMatrix, opts Options) (*Result, error) {
+func MineContext(ctx context.Context, upa [][]int32, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,7 +161,20 @@ func MineContext(ctx context.Context, upa *matrix.BitMatrix, opts Options) (*Res
 	if opts.Strategy == 0 {
 		opts.Strategy = PairwiseIntersections
 	}
-	users := upa.Rows()
+	users := len(upa)
+	width, remaining := 0, 0
+	for _, row := range upa {
+		if len(row) > 0 {
+			width = max(width, int(row[len(row)-1])+1)
+		}
+		remaining += len(row)
+	}
+	held := bitmat.New(users, width)
+	for u, row := range upa {
+		for _, p := range row {
+			held.Set(u, int(p))
+		}
+	}
 
 	candidates, err := generateCandidates(ctx, upa, opts)
 	if err != nil {
@@ -165,14 +191,11 @@ func MineContext(ctx context.Context, upa *matrix.BitMatrix, opts Options) (*Res
 	err = parallel.ForEachChunk(ctx, chunks, 0, func(_ int, c parallel.Chunk, chk *ctxcheck.Checker) error {
 		for ci := c.Lo; ci < c.Hi; ci++ {
 			cand := candidates[ci]
-			if cand == nil || cand.IsZero() {
-				continue
-			}
 			for u := 0; u < users; u++ {
 				if err := chk.Tick(); err != nil {
 					return err
 				}
-				if cand.IsSubsetOf(upa.Row(u)) {
+				if len(cand) <= len(upa[u]) && countMissing(held, u, cand) == 0 {
 					served[ci] = append(served[ci], int32(u))
 				}
 			}
@@ -188,27 +211,25 @@ func MineContext(ctx context.Context, upa *matrix.BitMatrix, opts Options) (*Res
 	// Gains are recomputed in parallel into a pre-sized slice; the
 	// argmax scan stays serial in candidate order so the strict-greater
 	// tie-break (first candidate wins) is identical for any Workers.
-	covered := matrix.NewBitMatrix(upa.Rows(), upa.Cols())
-	var chosen []*bitvec.Vector
+	covered := bitmat.New(users, width)
+	var chosen [][]int32
 	assignment := make([][]int, users)
 	gains := make([]int, len(candidates))
+	used := make([]bool, len(candidates)) // each candidate used at most once
 
-	remaining := upa.Count()
 	for remaining > 0 {
 		err := parallel.ForEachChunk(ctx, chunks, 0, func(_ int, c parallel.Chunk, chk *ctxcheck.Checker) error {
 			for ci := c.Lo; ci < c.Hi; ci++ {
-				cand := candidates[ci]
 				gains[ci] = 0
-				if cand == nil || cand.IsZero() {
+				if used[ci] {
 					continue
 				}
-				cw := cand.Words()
 				gain := 0
 				for _, u := range served[ci] {
 					if err := chk.Tick(); err != nil {
 						return err
 					}
-					gain += uncoveredCount(cw, covered.Row(int(u)).Words())
+					gain += countMissing(covered, int(u), candidates[ci])
 				}
 				gains[ci] = gain
 			}
@@ -225,121 +246,109 @@ func MineContext(ctx context.Context, upa *matrix.BitMatrix, opts Options) (*Res
 			}
 		}
 		if bestIdx < 0 {
-			// Cannot happen when candidates include the distinct rows
-			// themselves, but guard against a capped pool that lost them.
+			// Cannot happen: the pool always holds every distinct row.
 			return nil, fmt.Errorf("mining: %d cells uncoverable with the candidate pool", remaining)
 		}
 		role := candidates[bestIdx]
 		roleIdx := len(chosen)
-		chosen = append(chosen, role.Clone())
+		chosen = append(chosen, slices.Clone(role))
 		for _, u := range served[bestIdx] {
-			newBits := role.Clone()
-			newBits.AndNot(covered.Row(int(u)))
-			if c := newBits.Count(); c > 0 {
-				remaining -= c
-				covered.Row(int(u)).Or(role)
+			newCells := 0
+			for _, p := range role {
+				if !covered.Get(int(u), int(p)) {
+					covered.Set(int(u), int(p))
+					newCells++
+				}
+			}
+			if newCells > 0 {
+				remaining -= newCells
 				assignment[u] = append(assignment[u], roleIdx)
 			}
 		}
-		candidates[bestIdx] = nil // each candidate used at most once
+		used[bestIdx] = true
 	}
 
-	for _, a := range assignment {
-		sort.Ints(a)
-	}
 	return &Result{
 		Roles:          chosen,
 		Assignment:     assignment,
-		CandidateCount: countNonNil(candidates) + len(chosen),
+		CandidateCount: len(candidates),
 	}, nil
 }
 
-// uncoveredCount counts the bits of cand not present in covered —
-// |cand AND NOT covered| — straight off the word slices, so the greedy
-// re-scoring loop allocates nothing.
-func uncoveredCount(cand, covered []uint64) int {
+// countMissing counts the columns of row that arena row u lacks:
+// |row AND NOT m[u]|.
+func countMissing(m *bitmat.Matrix, u int, row []int32) int {
 	n := 0
-	for i, w := range cand {
-		n += bits.OnesCount64(w &^ covered[i])
-	}
-	return n
-}
-
-func countNonNil(cands []*bitvec.Vector) int {
-	n := 0
-	for _, c := range cands {
-		if c != nil {
+	for _, p := range row {
+		if !m.Get(u, int(p)) {
 			n++
 		}
 	}
 	return n
 }
 
-// generateCandidates builds the candidate pool: distinct non-empty user
-// rows, plus pairwise intersections under the FastMiner strategy,
-// deduplicated, optionally capped (distinct rows are kept first so an
-// exact cover always exists). The pairwise loop — quadratic in distinct
-// rows — polls the context on a ctxcheck stride.
-func generateCandidates(ctx context.Context, upa *matrix.BitMatrix, opts Options) ([]*bitvec.Vector, error) {
-	seen := make(map[uint64][]*bitvec.Vector)
-	var out []*bitvec.Vector
-	add := func(v *bitvec.Vector) {
-		if v.IsZero() {
+// generateCandidates builds the candidate pool: every distinct non-empty
+// user row, then, under the FastMiner strategy, the distinct non-empty
+// pairwise intersections of those rows while the pool is below
+// MaxCandidates. The distinct rows are never cut, so an exact cover
+// always exists. The pairwise loop — quadratic in distinct rows — polls
+// the context on a ctxcheck stride.
+func generateCandidates(ctx context.Context, upa [][]int32, opts Options) ([][]int32, error) {
+	seen := make(map[string]struct{})
+	var out [][]int32
+	var key []byte
+	add := func(row []int32) {
+		if len(row) == 0 {
 			return
 		}
-		h := v.Hash()
-		for _, existing := range seen[h] {
-			if existing.Equal(v) {
-				return
-			}
+		key = key[:0]
+		for _, p := range row {
+			key = binary.LittleEndian.AppendUint32(key, uint32(p))
 		}
-		seen[h] = append(seen[h], v)
-		out = append(out, v)
+		if _, dup := seen[string(key)]; dup {
+			return
+		}
+		seen[string(key)] = struct{}{}
+		out = append(out, row)
 	}
 
-	var distinct []*bitvec.Vector
-	for u := 0; u < upa.Rows(); u++ {
-		before := len(out)
-		add(upa.Row(u).Clone())
-		if len(out) > before {
-			distinct = append(distinct, out[len(out)-1])
-		}
+	for _, row := range upa {
+		add(slices.Clip(row))
 	}
 
 	if opts.Strategy == PairwiseIntersections {
+		distinct := len(out)
 		chk := ctxcheck.New(ctx, 0)
-		for i := 0; i < len(distinct); i++ {
-			for j := i + 1; j < len(distinct); j++ {
+		for i := 0; i < distinct; i++ {
+			for j := i + 1; j < distinct; j++ {
 				if err := chk.Tick(); err != nil {
 					return nil, err
 				}
 				if opts.MaxCandidates > 0 && len(out) >= opts.MaxCandidates {
 					return out, nil
 				}
-				inter := distinct[i].Clone()
-				inter.And(distinct[j])
-				add(inter)
+				add(intersect(out[i], out[j]))
 			}
 		}
-	}
-	if opts.MaxCandidates > 0 && len(out) > opts.MaxCandidates {
-		out = out[:opts.MaxCandidates]
 	}
 	return out, nil
 }
 
-// UPAFromDataset flattens a dataset's effective permissions into a
-// user-permission assignment matrix — the input a bottom-up miner
-// starts from when the existing role structure is to be rebuilt.
-func UPAFromDataset(d *rbac.Dataset) *matrix.BitMatrix {
-	eff := d.EffectivePermissions()
-	m := matrix.NewBitMatrix(d.NumUsers(), d.NumPermissions())
-	for u, perms := range eff {
-		for p := range perms {
-			m.Set(u, p)
+// intersect returns the columns two ascending rows share, ascending.
+func intersect(a, b []int32) []int32 {
+	var out []int32
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			out = append(out, a[0])
+			a, b = a[1:], b[1:]
 		}
 	}
-	return m
+	return out
 }
 
 // ToDataset converts a mined decomposition back into an rbac.Dataset,
@@ -361,13 +370,10 @@ func ToDataset(src *rbac.Dataset, res *Result) (*rbac.Dataset, error) {
 		if err := out.AddRole(id); err != nil {
 			return nil, err
 		}
-		var assignErr error
-		role.ForEach(func(p int) bool {
-			assignErr = out.AssignPermission(id, src.Permission(p))
-			return assignErr == nil
-		})
-		if assignErr != nil {
-			return nil, assignErr
+		for _, p := range role {
+			if err := out.AssignPermission(id, src.Permission(int(p))); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for u, roles := range res.Assignment {

@@ -3,35 +3,53 @@ package mining
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bitvec"
 	"repro/internal/consolidate"
-	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
 // upaFromRows builds a UPA from 0/1 strings.
-func upaFromRows(t *testing.T, rows ...string) *matrix.BitMatrix {
+func upaFromRows(t *testing.T, rows ...string) [][]int32 {
 	t.Helper()
-	vecs := make([]*bitvec.Vector, len(rows))
+	upa := make([][]int32, len(rows))
 	for i, s := range rows {
-		v, err := bitvec.Parse(s)
-		if err != nil {
-			t.Fatal(err)
+		for p, c := range s {
+			switch c {
+			case '1':
+				upa[i] = append(upa[i], int32(p))
+			case '0':
+			default:
+				t.Fatalf("row %d: invalid character %q", i, c)
+			}
 		}
-		vecs[i] = v
 	}
-	m, err := matrix.FromRows(vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return upa
 }
+
+// randomUPA draws a users x perms UPA with each cell set with
+// probability density.
+func randomUPA(r *rand.Rand, users, perms int, density float64) [][]int32 {
+	upa := make([][]int32, users)
+	for u := range upa {
+		for p := 0; p < perms; p++ {
+			if r.Float64() < density {
+				upa[u] = append(upa[u], int32(p))
+			}
+		}
+	}
+	return upa
+}
+
+// sameUPA reports whether two UPAs hold the same cells; a nil and an
+// empty row are equal.
+func sameUPA(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
 
 func TestStrategyString(t *testing.T) {
 	if DistinctRows.String() != "distinct-rows" ||
@@ -50,7 +68,7 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{MaxCandidates: -1}).Validate(); err == nil {
 		t.Fatal("negative cap accepted")
 	}
-	upa := matrix.NewBitMatrix(1, 1)
+	upa := make([][]int32, 1)
 	if _, err := Mine(upa, Options{MaxCandidates: -1}); err == nil {
 		t.Fatal("Mine accepted invalid options")
 	}
@@ -69,7 +87,7 @@ func TestMineExactCoverSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reconstruct(3, 4).Equal(upa) {
+	if !sameUPA(res.Reconstruct(), upa) {
 		t.Fatal("reconstruction mismatch")
 	}
 	if res.NumRoles() > 2 {
@@ -90,7 +108,7 @@ func TestMineSharedSubRole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reconstruct(3, 3).Equal(upa) {
+	if !sameUPA(res.Reconstruct(), upa) {
 		t.Fatal("reconstruction mismatch")
 	}
 	if res.NumRoles() > 3 {
@@ -99,7 +117,7 @@ func TestMineSharedSubRole(t *testing.T) {
 }
 
 func TestMineEmptyUPA(t *testing.T) {
-	upa := matrix.NewBitMatrix(3, 4)
+	upa := make([][]int32, 3)
 	res, err := Mine(upa, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +125,7 @@ func TestMineEmptyUPA(t *testing.T) {
 	if res.NumRoles() != 0 {
 		t.Fatalf("mined %d roles from empty UPA", res.NumRoles())
 	}
-	if !res.Reconstruct(3, 4).Equal(upa) {
+	if !sameUPA(res.Reconstruct(), upa) {
 		t.Fatal("empty reconstruction mismatch")
 	}
 }
@@ -119,20 +137,13 @@ func TestMineNoOverGranting(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		users := 2 + r.Intn(10)
 		perms := 2 + r.Intn(12)
-		upa := matrix.NewBitMatrix(users, perms)
-		for u := 0; u < users; u++ {
-			for p := 0; p < perms; p++ {
-				if r.Float64() < 0.35 {
-					upa.Set(u, p)
-				}
-			}
-		}
+		upa := randomUPA(r, users, perms, 0.35)
 		for _, strat := range []CandidateStrategy{DistinctRows, PairwiseIntersections} {
 			res, err := Mine(upa, Options{Strategy: strat})
 			if err != nil {
 				return false
 			}
-			if !res.Reconstruct(users, perms).Equal(upa) {
+			if !sameUPA(res.Reconstruct(), upa) {
 				return false
 			}
 		}
@@ -154,18 +165,11 @@ func TestMineRoleCountBounded(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		users := 2 + r.Intn(12)
 		perms := 2 + r.Intn(10)
-		upa := matrix.NewBitMatrix(users, perms)
-		for u := 0; u < users; u++ {
-			for p := 0; p < perms; p++ {
-				if r.Float64() < 0.3 {
-					upa.Set(u, p)
-				}
-			}
-		}
+		upa := randomUPA(r, users, perms, 0.3)
 		distinct := map[string]struct{}{}
-		for u := 0; u < users; u++ {
-			if upa.Row(u).Any() {
-				distinct[upa.Row(u).String()] = struct{}{}
+		for _, row := range upa {
+			if len(row) > 0 {
+				distinct[fmt.Sprint(row)] = struct{}{}
 			}
 		}
 		res, err := Mine(upa, Options{Strategy: DistinctRows})
@@ -192,21 +196,44 @@ func TestMaxCandidatesStillCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reconstruct(4, 4).Equal(upa) {
+	if !sameUPA(res.Reconstruct(), upa) {
 		t.Fatal("capped pool failed to cover")
+	}
+}
+
+func TestMaxCandidatesKeepsDistinctRows(t *testing.T) {
+	// A cap below the distinct-row count must not cut a distinct row
+	// under either strategy: the pool keeps all three rows, admits no
+	// intersection, and the cover stays exact.
+	upa := upaFromRows(t,
+		"1100",
+		"0110",
+		"0011",
+	)
+	for _, strat := range []CandidateStrategy{DistinctRows, PairwiseIntersections} {
+		res, err := Mine(upa, Options{Strategy: strat, MaxCandidates: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if !sameUPA(res.Reconstruct(), upa) {
+			t.Fatalf("%s: capped pool failed to cover", strat)
+		}
+		if res.CandidateCount != 3 {
+			t.Fatalf("%s: pool of %d candidates, want the 3 distinct rows", strat, res.CandidateCount)
+		}
 	}
 }
 
 func TestUPAFromDatasetAndToDataset(t *testing.T) {
 	src := rbac.Figure1()
 	upa := UPAFromDataset(src)
-	if upa.Rows() != src.NumUsers() || upa.Cols() != src.NumPermissions() {
-		t.Fatalf("UPA shape %dx%d", upa.Rows(), upa.Cols())
+	if len(upa) != src.NumUsers() {
+		t.Fatalf("UPA has %d rows", len(upa))
 	}
 	// U01 effectively holds P05 and P06 (via R04).
 	u01, _ := src.UserIndex("U01")
 	p05, _ := src.PermissionIndex("P05")
-	if !upa.Get(u01, p05) {
+	if !slices.Contains(upa[u01], int32(p05)) {
 		t.Fatal("UPA missing effective permission")
 	}
 
@@ -237,14 +264,7 @@ func TestMineContextWorkersBitIdentical(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		users := 20 + r.Intn(30)
 		perms := 24 + r.Intn(40)
-		upa := matrix.NewBitMatrix(users, perms)
-		for u := 0; u < users; u++ {
-			for p := 0; p < perms; p++ {
-				if r.Float64() < 0.25 {
-					upa.Set(u, p)
-				}
-			}
-		}
+		upa := randomUPA(r, users, perms, 0.25)
 		serial, err := Mine(upa, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -265,14 +285,7 @@ func TestMineContextCancellation(t *testing.T) {
 	// A pre-cancelled context must abort with ctx.Err() for both the
 	// serial and parallel paths — the candidate and gain loops all poll.
 	r := rand.New(rand.NewSource(5))
-	upa := matrix.NewBitMatrix(40, 64)
-	for u := 0; u < 40; u++ {
-		for p := 0; p < 64; p++ {
-			if r.Float64() < 0.3 {
-				upa.Set(u, p)
-			}
-		}
-	}
+	upa := randomUPA(r, 40, 64, 0.3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{0, 4} {
@@ -307,7 +320,7 @@ func TestMineDeterministic(t *testing.T) {
 		t.Fatal("non-deterministic role count")
 	}
 	for i := range a.Roles {
-		if !a.Roles[i].Equal(b.Roles[i]) {
+		if !slices.Equal(a.Roles[i], b.Roles[i]) {
 			t.Fatal("non-deterministic roles")
 		}
 	}

@@ -34,18 +34,29 @@ func TestGoldenPlans(t *testing.T) {
 		{40, 3, "2d7295a115f81dd5f9cc2cb22c9558d46cb7628d5decb686fcc336a53be9e8ca"},
 		{10, 1, "91bcfb5a7fe5e7895c2777758e1f295cfd4ec4ea956df1c62231bc95175c0cea"},
 	}
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("paper%d-seed%d", c.div, c.seed), func(t *testing.T) {
-			if c.div < 40 && testing.Short() {
+	// The mining pass runs after the merges; these rows pin its
+	// decomposition through the plan's mine action and final dataset.
+	mineCases := []struct {
+		div    int
+		seed   int64
+		digest string
+	}{
+		{80, 1, "0b6978cff9b4b664ec284484b1952141eebcb0459af4a12a52b95fee3dbd52e4"},
+		{80, 2, "e1158fd619492efad28ebe1d1b16cab6a9e3abaa8e25c2de41e3345f892a97ac"},
+		{80, 3, "70fc705050a7db04a1672c333df649b1ee2d169bd0117a5d9998ba758a518d66"},
+	}
+	run := func(name string, div int, seed int64, knobs Knobs, digest string) {
+		t.Run(name, func(t *testing.T) {
+			if div < 40 && testing.Short() {
 				t.Skip("paper/10 corpus skipped in -short mode")
 			}
-			p := gen.DefaultOrgParams().Scaled(c.div)
-			p.Seed = c.seed
+			p := gen.DefaultOrgParams().Scaled(div)
+			p.Seed = seed
 			ds, _, err := gen.Org(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(ds, Knobs{})
+			res, err := Run(ds, knobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,10 +65,16 @@ func TestGoldenPlans(t *testing.T) {
 				t.Fatal(err)
 			}
 			sum := sha256.Sum256(raw)
-			if got := hex.EncodeToString(sum[:]); got != c.digest {
-				t.Fatalf("plan digest %s, want %s", got, c.digest)
+			if got := hex.EncodeToString(sum[:]); got != digest {
+				t.Fatalf("plan digest %s, want %s", got, digest)
 			}
 		})
+	}
+	for _, c := range cases {
+		run(fmt.Sprintf("paper%d-seed%d", c.div, c.seed), c.div, c.seed, Knobs{}, c.digest)
+	}
+	for _, c := range mineCases {
+		run(fmt.Sprintf("paper%d-seed%d-mine", c.div, c.seed), c.div, c.seed, Knobs{Mine: true}, c.digest)
 	}
 }
 

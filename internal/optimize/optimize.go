@@ -568,10 +568,9 @@ func minedRoles(src *rbac.Dataset, res *mining.Result) []MinedRole {
 	out := make([]MinedRole, res.NumRoles())
 	for ri, role := range res.Roles {
 		mr := MinedRole{ID: rbac.RoleID(fmt.Sprintf("mined-%04d", ri))}
-		role.ForEach(func(pi int) bool {
-			mr.Permissions = append(mr.Permissions, src.Permission(pi))
-			return true
-		})
+		for _, pi := range role {
+			mr.Permissions = append(mr.Permissions, src.Permission(int(pi)))
+		}
 		out[ri] = mr
 	}
 	for ui, roles := range res.Assignment {

@@ -153,46 +153,6 @@ func (x *Index) HasAccess(user rbac.UserID, perm rbac.PermissionID) (bool, error
 	return len(grants) > 0, nil
 }
 
-// RedundantGrants finds user-permission pairs granted through more than
-// one role — every extra path is one more thing an auditor must reason
-// about, and consolidating the duplicate/similar roles behind them is
-// exactly what the detection framework proposes. Results are sorted by
-// user, then permission.
-func (x *Index) RedundantGrants() []RedundantGrant {
-	var out []RedundantGrant
-	for ui := 0; ui < x.ds.NumUsers(); ui++ {
-		// Count grant paths per permission for this user.
-		paths := make(map[int]int)
-		for _, ri := range x.userRoles[ui] {
-			for _, p := range x.ds.RolePermissionRow(ri) {
-				paths[int(p)]++
-			}
-		}
-		perms := make([]int, 0, len(paths))
-		for p, n := range paths {
-			if n >= 2 {
-				perms = append(perms, p)
-			}
-		}
-		sort.Ints(perms)
-		for _, p := range perms {
-			out = append(out, RedundantGrant{
-				User:       x.ds.User(ui),
-				Permission: x.ds.Permission(p),
-				Paths:      paths[p],
-			})
-		}
-	}
-	return out
-}
-
-// RedundantGrant is a user-permission pair reachable through >= 2 roles.
-type RedundantGrant struct {
-	User       rbac.UserID       `json:"user"`
-	Permission rbac.PermissionID `json:"permission"`
-	Paths      int               `json:"paths"`
-}
-
 func sortRoles(roles []rbac.RoleID) {
 	sort.Slice(roles, func(i, j int) bool { return roles[i] < roles[j] })
 }

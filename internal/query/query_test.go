@@ -105,39 +105,6 @@ func TestWhyAndHasAccess(t *testing.T) {
 	}
 }
 
-func TestRedundantGrants(t *testing.T) {
-	// Build a dataset where alice gets "read" through two roles.
-	d := rbac.NewDataset()
-	for _, u := range []rbac.UserID{"alice", "bob"} {
-		if err := d.AddUser(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.AddPermission("read"); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []rbac.RoleID{"viewer", "editor"} {
-		if err := d.AddRole(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AssignPermission(r, "read"); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AssignUser(r, "alice"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.AssignUser("viewer", "bob"); err != nil {
-		t.Fatal(err)
-	}
-	x := NewIndex(d)
-	got := x.RedundantGrants()
-	want := []RedundantGrant{{User: "alice", Permission: "read", Paths: 2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RedundantGrants = %v, want %v", got, want)
-	}
-}
-
 func TestSnapshotIsolation(t *testing.T) {
 	d := rbac.Figure1()
 	x := NewIndex(d)

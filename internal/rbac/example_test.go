@@ -35,8 +35,8 @@ func Example() {
 
 	ruam := d.RUAM()
 	rpam := d.RPAM()
-	fmt.Printf("RUAM %dx%d: %s\n", ruam.Rows(), ruam.Cols(), ruam.Row(0))
-	fmt.Printf("RPAM %dx%d: %s\n", rpam.Rows(), rpam.Cols(), rpam.Row(0))
+	fmt.Printf("RUAM %dx%d: %s\n", d.NumRoles(), d.NumUsers(), ruam.Row(0))
+	fmt.Printf("RPAM %dx%d: %s\n", d.NumRoles(), d.NumPermissions(), rpam.Row(0))
 	fmt.Printf("stats: %+v\n", d.Stats())
 	// Output:
 	// RUAM 1x2: 10

@@ -319,20 +319,3 @@ func FuzzMarshalJSON(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadAssignmentsCSV must never panic on arbitrary CSV bytes.
-func FuzzReadAssignmentsCSV(f *testing.F) {
-	f.Add("role,user\nr1,u1\n", "role,permission\nr1,p1\n")
-	f.Add("", "")
-	f.Add("role,user\n", "role,permission\nr1\n")
-	f.Add("x,y\na,b\n", "role,permission\n")
-	f.Fuzz(func(t *testing.T, users, perms string) {
-		ds, err := ReadAssignmentsCSV(strings.NewReader(users), strings.NewReader(perms))
-		if err != nil {
-			return
-		}
-		if err := ds.Validate(); err != nil {
-			t.Fatalf("accepted CSV dataset fails validation: %v", err)
-		}
-	})
-}

@@ -2,7 +2,6 @@ package rbac
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -150,98 +149,4 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("rbac: write dataset: %w", err)
 	}
 	return nil
-}
-
-// CSV edge-list formats. Each file is a headered two-column CSV:
-//
-//	role,user        (user assignments)
-//	role,permission  (permission assignments)
-//
-// Entities appearing only in one file (e.g. standalone users exported as
-// a bare node list) can be added via the node CSVs, a single "id" column.
-
-// WriteUserAssignmentsCSV writes the role,user edge list.
-func (d *Dataset) WriteUserAssignmentsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"role", "user"}); err != nil {
-		return fmt.Errorf("rbac: write csv header: %w", err)
-	}
-	for ri, row := range d.roleUsers {
-		for _, ui := range row {
-			if err := cw.Write([]string{string(d.roles[ri]), string(d.users[ui])}); err != nil {
-				return fmt.Errorf("rbac: write csv row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WritePermissionAssignmentsCSV writes the role,permission edge list.
-func (d *Dataset) WritePermissionAssignmentsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"role", "permission"}); err != nil {
-		return fmt.Errorf("rbac: write csv header: %w", err)
-	}
-	for ri, row := range d.rolePerms {
-		for _, pi := range row {
-			if err := cw.Write([]string{string(d.roles[ri]), string(d.perms[pi])}); err != nil {
-				return fmt.Errorf("rbac: write csv row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadAssignmentsCSV loads user and permission edge lists into a new
-// dataset, creating entities on first mention. Either reader may be nil
-// to skip that edge type — e.g. analysing only role–permission data.
-// Edges are appended to their rows as they come and the rows sorted
-// once at the end, so no edge order makes the load quadratic.
-func ReadAssignmentsCSV(userEdges, permEdges io.Reader) (*Dataset, error) {
-	d := NewDataset()
-	if userEdges != nil {
-		if err := readEdgeCSV(userEdges, "user", func(role, other string) {
-			ri, ui := d.EnsureRole(RoleID(role)), d.EnsureUser(UserID(other))
-			d.roleUsers[ri] = append(d.roleUsers[ri], int32(ui))
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if permEdges != nil {
-		if err := readEdgeCSV(permEdges, "permission", func(role, other string) {
-			ri, pi := d.EnsureRole(RoleID(role)), d.EnsurePermission(PermissionID(other))
-			d.rolePerms[ri] = append(d.rolePerms[ri], int32(pi))
-		}); err != nil {
-			return nil, err
-		}
-	}
-	sortRows(d.roleUsers)
-	sortRows(d.rolePerms)
-	return d, nil
-}
-
-// readEdgeCSV parses a two-column headered CSV and feeds each edge to
-// add. The header's second column must match wantKind.
-func readEdgeCSV(r io.Reader, wantKind string, add func(role, other string)) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("rbac: read csv header: %w", err)
-	}
-	if header[0] != "role" || header[1] != wantKind {
-		return fmt.Errorf("rbac: csv header %v, want [role %s]", header, wantKind)
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("rbac: read csv row: %w", err)
-		}
-		add(rec[0], rec[1])
-	}
 }

@@ -443,20 +443,33 @@ func (d *Dataset) RolesByUser() [][]int32 {
 	return out
 }
 
-// EffectivePermissions returns, for every user index, the set of
-// permission indices reachable through any of the user's roles. It is
-// the semantic ground truth the consolidation planner must preserve.
-func (d *Dataset) EffectivePermissions() []map[int]struct{} {
-	out := make([]map[int]struct{}, len(d.users))
-	for i := range out {
-		out[i] = make(map[int]struct{})
-	}
-	for ri := range d.roles {
-		for _, ui := range d.roleUsers[ri] {
-			for _, pi := range d.rolePerms[ri] {
-				out[ui][int(pi)] = struct{}{}
-			}
+// EffectivePermissions returns, for every user index, the strictly
+// ascending indices of the permissions reachable through any of the
+// user's roles. It is the semantic ground truth the consolidation
+// planner must preserve. The rows share one backing array.
+func (d *Dataset) EffectivePermissions() [][]int32 {
+	ends := make([]int, len(d.users)+1)
+	for ri, row := range d.roleUsers {
+		for _, ui := range row {
+			ends[ui+1] += len(d.rolePerms[ri])
 		}
+	}
+	for ui := range d.users {
+		ends[ui+1] += ends[ui]
+	}
+	buf := make([]int32, ends[len(d.users)])
+	fill := slices.Clone(ends[:len(d.users)]) // next write position per user
+	for ri, row := range d.roleUsers {
+		for _, ui := range row {
+			fill[ui] += copy(buf[fill[ui]:], d.rolePerms[ri])
+		}
+	}
+	out := make([][]int32, len(d.users))
+	for ui := range out {
+		row := buf[ends[ui]:ends[ui+1]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		out[ui] = row[:len(row):len(row)]
 	}
 	return out
 }

@@ -2,7 +2,10 @@ package rbac
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -184,32 +187,38 @@ func TestRoleUsersAndPermissionsSorted(t *testing.T) {
 
 func TestRUAMMatchesPaper(t *testing.T) {
 	d := figure1Dataset(t)
-	ruam := d.RUAM()
+	ruam := d.RUAMCSR()
 	if ruam.Rows() != 5 || ruam.Cols() != 4 {
 		t.Fatalf("RUAM shape %dx%d", ruam.Rows(), ruam.Cols())
 	}
 	wantSums := []int{1, 2, 0, 2, 1}
-	if got := ruam.RowSums(); !reflect.DeepEqual(got, wantSums) {
+	if got := rowSums(ruam); !reflect.DeepEqual(got, wantSums) {
 		t.Fatalf("RUAM row sums = %v, want %v", got, wantSums)
 	}
 	// R02 and R04 rows identical.
-	if !ruam.Row(1).Equal(ruam.Row(3)) {
+	if !slices.Equal(ruam.RowCols(1), ruam.RowCols(3)) {
 		t.Fatal("R02 and R04 RUAM rows differ")
 	}
 }
 
 func TestRPAMMatchesPaper(t *testing.T) {
 	d := figure1Dataset(t)
-	rpam := d.RPAM()
+	rpam := d.RPAMCSR()
 	if rpam.Rows() != 5 || rpam.Cols() != 6 {
 		t.Fatalf("RPAM shape %dx%d", rpam.Rows(), rpam.Cols())
 	}
 	// P01 is standalone: all-zero column 0.
-	if got := rpam.ZeroCols(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("RPAM zero cols = %v, want [0]", got)
+	var zeroCols []int
+	for j, n := range rpam.ColSums() {
+		if n == 0 {
+			zeroCols = append(zeroCols, j)
+		}
+	}
+	if !reflect.DeepEqual(zeroCols, []int{0}) {
+		t.Fatalf("RPAM zero cols = %v, want [0]", zeroCols)
 	}
 	// R04 and R05 share the same permissions.
-	if !rpam.Row(3).Equal(rpam.Row(4)) {
+	if !slices.Equal(rpam.RowCols(3), rpam.RowCols(4)) {
 		t.Fatal("R04 and R05 RPAM rows differ")
 	}
 	// R02 has no permissions.
@@ -229,22 +238,22 @@ func TestIndexAccessorsMatchMatrices(t *testing.T) {
 	}
 	fromMatrix := make([][]int32, d.NumUsers())
 	for ri := 0; ri < d.NumRoles(); ri++ {
-		if got, want := d.NumRoleUsers(ri), ruam.RowSum(ri); got != want {
+		if got, want := d.NumRoleUsers(ri), ruam.Row(ri).Count(); got != want {
 			t.Fatalf("NumRoleUsers(%d) = %d, RUAM row sum %d", ri, got, want)
 		}
-		if got, want := d.NumRolePermissions(ri), rpam.RowSum(ri); got != want {
+		if got, want := d.NumRolePermissions(ri), rpam.Row(ri).Count(); got != want {
 			t.Fatalf("NumRolePermissions(%d) = %d, RPAM row sum %d", ri, got, want)
 		}
 		for ui := 0; ui < d.NumUsers(); ui++ {
-			if d.RoleHasUser(ri, ui) != ruam.Get(ri, ui) {
+			if d.RoleHasUser(ri, ui) != ruam.Row(ri).Get(ui) {
 				t.Fatalf("RoleHasUser(%d, %d) != RUAM cell", ri, ui)
 			}
-			if ruam.Get(ri, ui) {
+			if ruam.Row(ri).Get(ui) {
 				fromMatrix[ui] = append(fromMatrix[ui], int32(ri))
 			}
 		}
 		for pi := 0; pi < d.NumPermissions(); pi++ {
-			if d.RoleHasPermission(ri, pi) != rpam.Get(ri, pi) {
+			if d.RoleHasPermission(ri, pi) != rpam.Row(ri).Get(pi) {
 				t.Fatalf("RoleHasPermission(%d, %d) != RPAM cell", ri, pi)
 			}
 		}
@@ -340,10 +349,10 @@ func TestEffectivePermissions(t *testing.T) {
 	if len(eff[u01]) != 2 {
 		t.Fatalf("U01 effective perms = %v", eff[u01])
 	}
-	if _, ok := eff[u01][p05]; !ok {
+	if !slices.Contains(eff[u01], int32(p05)) {
 		t.Fatal("U01 missing P05")
 	}
-	if _, ok := eff[u01][p06]; !ok {
+	if !slices.Contains(eff[u01], int32(p06)) {
 		t.Fatal("U01 missing P06")
 	}
 	// U03 is only in R01 -> P02.
@@ -352,8 +361,55 @@ func TestEffectivePermissions(t *testing.T) {
 	if len(eff[u03]) != 1 {
 		t.Fatalf("U03 effective perms = %v", eff[u03])
 	}
-	if _, ok := eff[u03][p02]; !ok {
+	if !slices.Contains(eff[u03], int32(p02)) {
 		t.Fatal("U03 missing P02")
+	}
+}
+
+// TestEffectivePermissionsRows checks the rows against a walk of every
+// user's roles on random datasets: each row ascends strictly and holds
+// exactly the permissions of the user's roles.
+func TestEffectivePermissionsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		d := NewDataset()
+		users, roles, perms := 1+rng.Intn(12), 1+rng.Intn(8), 1+rng.Intn(15)
+		for u := 0; u < users; u++ {
+			d.EnsureUser(UserID(fmt.Sprintf("u%d", u)))
+		}
+		for p := 0; p < perms; p++ {
+			d.EnsurePermission(PermissionID(fmt.Sprintf("p%d", p)))
+		}
+		for r := 0; r < roles; r++ {
+			id := RoleID(fmt.Sprintf("r%d", r))
+			d.EnsureRole(id)
+			for k := rng.Intn(5); k > 0; k-- {
+				_ = d.AssignUser(id, UserID(fmt.Sprintf("u%d", rng.Intn(users))))
+				_ = d.AssignPermission(id, PermissionID(fmt.Sprintf("p%d", rng.Intn(perms))))
+			}
+		}
+		eff := d.EffectivePermissions()
+		if len(eff) != users {
+			t.Fatalf("%d rows for %d users", len(eff), users)
+		}
+		for ui, row := range eff {
+			want := map[int32]bool{}
+			for ri := 0; ri < d.NumRoles(); ri++ {
+				if d.RoleHasUser(ri, ui) {
+					for _, p := range d.RolePermissionRow(ri) {
+						want[p] = true
+					}
+				}
+			}
+			if len(row) != len(want) {
+				t.Fatalf("user %d: row %v, want %d permissions", ui, row, len(want))
+			}
+			for k, p := range row {
+				if !want[p] || (k > 0 && p <= row[k-1]) {
+					t.Fatalf("user %d: row %v not the ascending set %v", ui, row, want)
+				}
+			}
+		}
 	}
 }
 
@@ -369,12 +425,12 @@ func TestCloneIndependence(t *testing.T) {
 	if !d.HasAssignment("R02", "U01") {
 		t.Fatal("mutating clone mutated original")
 	}
-	if !c.RUAM().Equal(c.RUAM()) {
+	if !reflect.DeepEqual(c.RUAMCSR(), c.RUAMCSR()) {
 		t.Fatal("clone RUAM unstable")
 	}
 	// The clone's rows share one backing array; growing each of them
 	// must not spill into the next.
-	before := d.RUAM()
+	before := d.RUAMCSR()
 	for _, r := range c.Roles() {
 		for _, u := range c.Users() {
 			if err := c.AssignUser(r, u); err != nil {
@@ -388,7 +444,7 @@ func TestCloneIndependence(t *testing.T) {
 	if got, want := c.NumUserAssignments(), c.NumRoles()*c.NumUsers(); got != want {
 		t.Fatalf("clone holds %d user edges after assigning all, want %d", got, want)
 	}
-	if !d.RUAM().Equal(before) {
+	if !reflect.DeepEqual(d.RUAMCSR(), before) {
 		t.Fatal("growing the clone's rows mutated the original")
 	}
 }

@@ -24,8 +24,8 @@ func TestCSRMatchesDenseMatrices(t *testing.T) {
 			side       string
 			got, dense *matrix.CSR
 		}{
-			{"RUAM", d.RUAMCSR(), matrix.CSRFromDense(d.RUAM())},
-			{"RPAM", d.RPAMCSR(), matrix.CSRFromDense(d.RPAM())},
+			{"RUAM", d.RUAMCSR(), denseCSR(d.RUAM(), d.NumRoles(), d.NumUsers())},
+			{"RPAM", d.RPAMCSR(), denseCSR(d.RPAM(), d.NumRoles(), d.NumPermissions())},
 		} {
 			if !reflect.DeepEqual(tc.got, tc.dense) {
 				t.Errorf("%s %s: CSR %+v, dense gives %+v", name, tc.side, tc.got, tc.dense)
@@ -37,6 +37,24 @@ func TestCSRMatchesDenseMatrices(t *testing.T) {
 			}
 		}
 	}
+}
+
+// denseCSR lists the set columns of each row of a dense matrix as a CSR.
+func denseCSR(m *matrix.BitMatrix, rows, cols int) *matrix.CSR {
+	lists := make([][]int, rows)
+	for i := range lists {
+		lists[i] = m.Row(i).Indices()
+	}
+	return matrix.CSRFromLists(cols, lists)
+}
+
+// rowSums returns the number of set cells in each row of c.
+func rowSums(c *matrix.CSR) []int {
+	out := make([]int, c.Rows())
+	for i := range out {
+		out[i] = c.RowSum(i)
+	}
+	return out
 }
 
 // randomCSRDataset wires 40 roles to 70 users (more than one bit-vector

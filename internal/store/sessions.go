@@ -53,23 +53,6 @@ func (s *Store) AppendSessionLog(id string, data []byte) error {
 	return f.Close()
 }
 
-// ReadSessionLog returns the session's full persisted log; a session
-// that never appended (or a memory-only store) reads as empty.
-func (s *Store) ReadSessionLog(id string) ([]byte, error) {
-	if s.opts.Dir == "" {
-		return nil, nil
-	}
-	path, err := s.sessionLogPath(id)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	return raw, err
-}
-
 // RemoveSessionLog deletes the persisted log when a session closes.
 func (s *Store) RemoveSessionLog(id string) error {
 	if s.opts.Dir == "" {

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
@@ -29,14 +30,21 @@ type Backend struct {
 	Run func(ctx context.Context, rows []*bitvec.Vector, threshold int) ([][]int, error)
 }
 
-// rowsToCSR densifies the rows into a BitMatrix and converts to CSR;
-// corpus rows always share a width, so FromRows cannot fail here.
+// rowsToCSR lists each row's set columns as one CSR row. All rows must
+// share a width, as bitmat.FromRows requires of the arena lanes.
 func rowsToCSR(rows []*bitvec.Vector) (*matrix.CSR, error) {
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		return nil, err
+	cols := 0
+	if len(rows) > 0 {
+		cols = rows[0].Len()
 	}
-	return matrix.CSRFromDense(m), nil
+	lists := make([][]int, len(rows))
+	for i, r := range rows {
+		if r.Len() != cols {
+			return nil, fmt.Errorf("testkit: row %d has length %d, want %d", i, r.Len(), cols)
+		}
+		lists[i] = r.Indices()
+	}
+	return matrix.CSRFromLists(cols, lists), nil
 }
 
 // hnswSearchEf is the beam width the harness queries with. recall.txt

@@ -5,6 +5,7 @@ package repro
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func TestShippedFigure1Dataset(t *testing.T) {
 	if ds.Stats() != want.Stats() {
 		t.Fatalf("shipped dataset stats %+v, want %+v", ds.Stats(), want.Stats())
 	}
-	if !ds.RUAM().Equal(want.RUAM()) || !ds.RPAM().Equal(want.RPAM()) {
+	if !reflect.DeepEqual(ds.RUAMCSR(), want.RUAMCSR()) || !reflect.DeepEqual(ds.RPAMCSR(), want.RPAMCSR()) {
 		t.Fatal("shipped dataset matrices differ from rbac.Figure1()")
 	}
 
