@@ -313,7 +313,7 @@ func generateCandidates(ctx context.Context, upa [][]int32, opts Options) ([][]i
 	}
 
 	for _, row := range upa {
-		add(slices.Clip(row))
+		add(row)
 	}
 
 	if opts.Strategy == PairwiseIntersections {
