@@ -66,7 +66,7 @@ func cmdMine(args []string, stdout io.Writer) error {
 		out      = fs.String("out", "", "write the mined dataset to this path (optional)")
 		strategy = fs.String("strategy", "pairwise-intersections",
 			"candidate strategy: distinct-rows or pairwise-intersections")
-		maxCand = fs.Int("max-candidates", 0, "cap the candidate pool (0 = unlimited)")
+		maxCand = fs.Int("max-candidates", 0, "cap the candidate pool; every distinct user row stays (0 = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
