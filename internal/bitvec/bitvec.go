@@ -31,8 +31,8 @@ const (
 // vector with capacity for a given number of bits.
 //
 // Methods that combine two vectors (Hamming, IntersectionCount, ...)
-// require both operands to have the same length and panic otherwise: mixing row
-// widths is a programming error, not a runtime condition.
+// require both operands to have the same length and panic otherwise:
+// mixing row widths is a programming error, not a runtime condition.
 type Vector struct {
 	words []uint64
 	n     int

@@ -56,7 +56,7 @@ func graphDigest(x *index) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestBuildParallelOneWorkerMatchesSerial: the locked build run as a
+// TestBuildParallelOneWorkerMatchesSerial: the batch builder run as a
 // single chunk must reproduce the graph of the serial insertion routine
 // it replaced exactly — same levels from the same seeded generator,
 // same links. The digests were recorded from that serial routine.
