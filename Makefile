@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-figures bench-json bench-kernels experiments jobs-smoke store-smoke cluster-smoke drift-smoke continuous-smoke optimize-smoke clean
+.PHONY: all build vet test race cover bench bench-figures bench-json bench-kernels experiments clean
 
 all: build vet test
 
@@ -55,47 +55,6 @@ experiments:
 		-values 1000,2000,4000,7000,10000 -runs 5 > results/figure3.txt
 	$(GO) run ./examples/orgaudit > results/orgaudit_full.txt
 	$(GO) run ./cmd/rolediet recall > results/recall.txt
-
-# End-to-end smoke of the async jobs API: starts roledietd and drives
-# submit -> poll -> result -> cancel with curl (see scripts/jobs_smoke.sh).
-jobs-smoke:
-	sh scripts/jobs_smoke.sh
-
-# End-to-end smoke of the dataset registry and result cache: upload ->
-# analyze by reference (miss then hit) -> diff two refs -> restart
-# persistence (see scripts/store_smoke.sh).
-store-smoke:
-	sh scripts/store_smoke.sh
-
-# Fault-injection smoke of the sharded fleet: 3 nodes + oracle, kill
-# one mid-audit, verify routed reads, graceful degradation, the 503
-# peer_unavailable contract, breaker visibility, and retry through
-# injected transport faults (see scripts/cluster_smoke.sh).
-cluster-smoke:
-	sh scripts/cluster_smoke.sh
-
-# End-to-end smoke of streaming ingest + mutation sessions + drift:
-# upload a base, apply a 3-event log, require the session audit to be
-# byte-identical to a standalone full re-analysis after normalization,
-# then exercise /v1/drift caching and the event-log bomb contract
-# (see scripts/drift_smoke.sh).
-drift-smoke:
-	sh scripts/drift_smoke.sh
-
-# End-to-end smoke of the continuous-audit subsystem: register a
-# dataset, point a tight-interval schedule at a live session, mutate
-# the session, and assert the drift alert reaches a webhook, the
-# decision log records both runs, and /metrics counted the loop
-# (see scripts/continuous_smoke.sh).
-continuous-smoke:
-	sh scripts/continuous_smoke.sh
-
-# End-to-end smoke of the optimization subsystem: upload a dataset,
-# optimize by reference (cache miss then byte-identical hit), replay
-# the plan with the CLI, and require the applied dataset to re-analyze
-# with zero class-4 duplicate groups (see scripts/optimize_smoke.sh).
-optimize-smoke:
-	sh scripts/optimize_smoke.sh
 
 clean:
 	rm -f rolediet roledietd

@@ -26,7 +26,7 @@ import (
 //	    sources of the same groups compare byte-for-byte
 //	rolediet drift -gen-base base.json -gen-events 3 -out events.jsonl
 //	    generate a replayable synthetic churn log against a base
-//	    snapshot (the smoke tests feed this to /v1/sessions)
+//	    snapshot (the end-to-end tests feed this to /v1/sessions)
 func cmdDrift(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("drift", flag.ContinueOnError)
 	var (

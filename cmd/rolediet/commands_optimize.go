@@ -16,7 +16,7 @@ import (
 // optional mining pass — prints the explainable plan, and can write
 // the optimized dataset and the plan itself. Alternative modes replay
 // a saved plan (-apply) or canonicalise plan JSON for byte comparison
-// in smoke scripts (-normalize).
+// in end-to-end tests (-normalize).
 func cmdOptimize(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	var (
@@ -155,7 +155,7 @@ func decodePlan(raw []byte) (*optimize.Plan, error) {
 
 // normalizePlan reads plan-shaped JSON (a bare plan, a full optimize
 // result, or a paginated action page) and prints one canonical compact
-// encoding, so smoke scripts can byte-compare plans from different
+// encoding, so end-to-end tests can byte-compare plans from different
 // surfaces.
 func normalizePlan(path string, w io.Writer) error {
 	var raw []byte

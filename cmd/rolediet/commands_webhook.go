@@ -14,7 +14,7 @@ import (
 
 // cmdWebhook runs a tiny webhook receiver: every POST body arrives as
 // one JSONL line on -out (stdout by default). It is the counterpart of
-// roledietd's alert sinks for smoke tests and local experiments —
+// roledietd's alert sinks for end-to-end tests and local experiments —
 // point a sink at it and watch the alerts land. With -count N it exits
 // successfully after N deliveries; -timeout bounds the wait either way.
 func cmdWebhook(args []string, stdout, stderr io.Writer) error {
@@ -66,7 +66,7 @@ func cmdWebhook(args []string, stdout, stderr io.Writer) error {
 			mu.Lock()
 			fmt.Fprintf(sink, "%s\n", body)
 			if f, ok := sink.(*os.File); ok {
-				f.Sync() // a killed smoke run must not lose the line
+				f.Sync() // a killed test run must not lose the line
 			}
 			seen++
 			reached := *count > 0 && seen >= *count

@@ -96,7 +96,7 @@ subcommands:
   bench        run the full evaluation and emit a Markdown report
   recall       quality sweep for the approximate methods (HNSW, LSH)
   digest       print a dataset's content digest (usable as dataset_ref)
-  webhook      tiny alert receiver: POST bodies out as JSONL (smoke tests)
+  webhook      tiny alert receiver: POST bodies out as JSONL (end-to-end tests)
   help         show this message
 `)
 }

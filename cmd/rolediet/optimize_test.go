@@ -92,3 +92,46 @@ func TestOptimizeNormalize(t *testing.T) {
 		t.Fatalf("normalized plan:\n%s", fromPlan)
 	}
 }
+
+func TestDriftNormalize(t *testing.T) {
+	dir := t.TempDir()
+	normalize := func(name, doc string) string {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := runCLI(t, "drift", "-normalize", path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return out
+	}
+
+	// The session audit's bare arrays, the engine report's {"roles"}
+	// wrappers and the {"sameUser":{"groups"}} form all normalise to the
+	// same canonical bytes, whatever the member and group order.
+	want := `{"sameUserGroups":[["R1","R2"],["R3","R4"]],"samePermissionGroups":[["R5","R6"]]}` + "\n"
+	shapes := map[string]string{
+		"bare":     `{"sameUserGroups":[["R4","R3"],["R2","R1"]],"samePermissionGroups":[["R6","R5"]]}`,
+		"wrapped":  `{"sameUserGroups":[{"roles":["R1","R2"]},{"roles":["R3","R4"]}],"samePermissionGroups":[{"roles":["R5","R6"]}]}`,
+		"sameUser": `{"sameUser":{"groups":[["R3","R4"],["R1","R2"]]},"samePermission":{"groups":[{"roles":["R5","R6"]}]}}`,
+	}
+	for name, doc := range shapes {
+		if got := normalize(name, doc); got != want {
+			t.Errorf("%s: normalized to\n%s want\n%s", name, got, want)
+		}
+	}
+
+	// Null and absent lists normalise to [], never null.
+	empty := `{"sameUserGroups":[],"samePermissionGroups":[]}` + "\n"
+	for name, doc := range map[string]string{
+		"absent":       `{}`,
+		"null":         `{"sameUserGroups":null,"samePermissionGroups":null}`,
+		"null-wrapped": `{"sameUser":{"groups":null},"samePermission":{}}`,
+	} {
+		if got := normalize(name, doc); got != empty {
+			t.Errorf("%s: normalized to\n%s want\n%s", name, got, empty)
+		}
+	}
+}

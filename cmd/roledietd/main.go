@@ -58,8 +58,7 @@
 //	                      consecutive failures opening a peer's
 //	                      circuit, and how long it stays open
 //	-fault-inject         deterministic fault spec for the peer
-//	                      transport (testing only); the ROLEDIET_FAULT
-//	                      environment variable is the fallback
+//	                      transport (testing only)
 //
 // Continuous-audit knobs (schedules, alert rules, webhook sinks, and
 // the decision log; see internal/continuous and internal/server):
@@ -76,9 +75,6 @@
 //	-sink-breaker-threshold / -sink-breaker-cooldown
 //	                        consecutive delivery failures opening a
 //	                        sink's circuit, and how long it stays open
-//	-sink-fault-inject      deterministic fault spec for the webhook
-//	                        transport (testing only; ROLEDIET_SINK_FAULT
-//	                        env is the fallback)
 //
 // /healthz and /metrics are exempt from the timeout and the limiter, so probes keep
 // answering while the service is saturated or draining; its JSON body
@@ -166,7 +162,7 @@ func run(args []string) error {
 		breakerCooldown = fs.Duration("peer-breaker-cooldown", 5*time.Second,
 			"how long an open circuit waits before trialling the peer again")
 		faultInject = fs.String("fault-inject", "",
-			"deterministic fault spec for the peer transport, e.g. drop:2,delay:100ms (testing; ROLEDIET_FAULT env is the fallback)")
+			"deterministic fault spec for the peer transport, e.g. drop:2,delay:100ms (testing)")
 		scheduleMinInterval = fs.Duration("schedule-min-interval", 30*time.Second,
 			"floor for continuous-audit schedule intervals (POST /v1/schedules)")
 		decisionBuffer = fs.Int("decision-buffer", 0,
@@ -181,8 +177,6 @@ func run(args []string) error {
 			"consecutive delivery failures that open a sink's circuit")
 		sinkBreakerCooldown = fs.Duration("sink-breaker-cooldown", 5*time.Second,
 			"how long an open sink circuit waits before trialling the sink again")
-		sinkFaultInject = fs.String("sink-fault-inject", "",
-			"deterministic fault spec for the webhook transport, e.g. 5xx:2 (testing; ROLEDIET_SINK_FAULT env is the fallback)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -213,10 +207,6 @@ func run(args []string) error {
 
 	var fl *fleet.Fleet
 	if *peers != "" {
-		spec := *faultInject
-		if spec == "" {
-			spec = os.Getenv("ROLEDIET_FAULT")
-		}
 		fl, err = fleet.New(fleet.Options{
 			Self:             *self,
 			Peers:            strings.Split(*peers, ","),
@@ -226,7 +216,7 @@ func run(args []string) error {
 			BreakerThreshold: *breakerThreshold,
 			BreakerCooldown:  *breakerCooldown,
 			ProbeInterval:    *peerProbeInterval,
-			FaultSpec:        spec,
+			FaultSpec:        *faultInject,
 			BaseContext:      baseCtx,
 			Logf:             log.Printf,
 		})
@@ -241,18 +231,6 @@ func run(args []string) error {
 	decisionLogPath := ""
 	if *storeDir != "" {
 		decisionLogPath = filepath.Join(*storeDir, "decisions.jsonl")
-	}
-	sinkSpec := *sinkFaultInject
-	if sinkSpec == "" {
-		sinkSpec = os.Getenv("ROLEDIET_SINK_FAULT")
-	}
-	sinkTransport, err := fleet.NewInjector(sinkSpec, nil)
-	if err != nil {
-		return fmt.Errorf("sink-fault-inject: %w", err)
-	}
-	var sinkRT http.RoundTripper
-	if sinkTransport != nil {
-		sinkRT = sinkTransport
 	}
 
 	hnd := server.NewHandler(server.Options{
@@ -281,7 +259,6 @@ func run(args []string) error {
 		SinkTimeout:           *sinkTimeout,
 		SinkBreakerThreshold:  *sinkBreakerThreshold,
 		SinkBreakerCooldown:   *sinkBreakerCooldown,
-		SinkTransport:         sinkRT,
 	})
 	// The handler owns the continuous-audit scheduler and the buffered
 	// decision log; closing it after the drain flushes pending decisions

@@ -19,8 +19,8 @@ import (
 // exponential backoff with full jitter and a bounded attempt count
 // (fleet.RetryPolicy), a per-sink circuit breaker so a dead endpoint
 // fails fast instead of burning retries on every alert, per-attempt
-// timeouts, and the deterministic fault injector as the transport seam
-// (-sink-fault-inject) so the failure paths are testable end to end.
+// timeouts, and a transport seam (SinkConfig.Transport) through which
+// tests inject the fleet's deterministic faults.
 // 4xx answers are permanent — the payload will not get better by
 // resending it — while 5xx and transport errors retry.
 //

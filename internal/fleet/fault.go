@@ -13,9 +13,9 @@ import (
 )
 
 // Deterministic fault injection for the fleet transport. The daemon
-// wires it from -fault-inject / ROLEDIET_FAULT; unit tests and the
-// cluster smoke script drive the same seam, so the failure paths they
-// exercise are exactly the production code paths.
+// wires it from -fault-inject; unit tests and the end-to-end cluster
+// test drive the same seam, so the failure paths they exercise are
+// exactly the production code paths.
 //
 // A spec is a comma-separated list of directives applied to *outbound
 // peer requests* in arrival order (counter-based, no randomness — the

@@ -531,17 +531,19 @@ func (p *planner) mine() (string, error) {
 		}
 		return fmt.Sprintf("mining skipped: %v", err), nil
 	}
-	mined, err := mining.ToDataset(p.cur, res)
-	if err != nil {
-		return "", err
-	}
 	rolesBefore := p.cur.NumRoles()
-	edgesBefore := p.cur.NumUserAssignments() + p.cur.NumPermissionAssignments()
-	edgesAfter := mined.NumUserAssignments() + mined.NumPermissionAssignments()
 	if res.NumRoles() >= rolesBefore {
 		return fmt.Sprintf("mining rejected: %d mined roles do not beat %d current",
 			res.NumRoles(), rolesBefore), nil
 	}
+	// Only the edge bound needs the mined dataset, so build it after the
+	// cheap role-count rejection.
+	mined, err := mining.ToDataset(p.cur, res)
+	if err != nil {
+		return "", err
+	}
+	edgesBefore := p.cur.NumUserAssignments() + p.cur.NumPermissionAssignments()
+	edgesAfter := mined.NumUserAssignments() + mined.NumPermissionAssignments()
 	if added := edgesAfter - edgesBefore; added > p.knobs.MaxAddedEdges {
 		return fmt.Sprintf("mining rejected: %d added edges exceed the %d bound",
 			added, p.knobs.MaxAddedEdges), nil

@@ -71,7 +71,6 @@ func (h *handler) initContinuous() {
 			Timeout:          h.opts.SinkTimeout,
 			BreakerThreshold: h.opts.SinkBreakerThreshold,
 			BreakerCooldown:  h.opts.SinkBreakerCooldown,
-			Transport:        h.opts.SinkTransport,
 		},
 		MinInterval: h.opts.ScheduleMinInterval,
 		Hooks: continuous.Hooks{

@@ -337,10 +337,6 @@ type Options struct {
 	SinkTimeout          time.Duration
 	SinkBreakerThreshold int
 	SinkBreakerCooldown  time.Duration
-	// SinkTransport is the webhook delivery RoundTripper — the
-	// deterministic fault-injection seam (-sink-fault-inject). Nil uses
-	// http.DefaultTransport.
-	SinkTransport http.RoundTripper
 }
 
 func (o Options) withDefaults() Options {

@@ -378,7 +378,7 @@ func TestDiffMixedInlineAndRef(t *testing.T) {
 }
 
 // TestDatasetListAndStatsShape covers the enumeration endpoint and the
-// stats payload fields the smoke script greps for.
+// stats payload fields the end-to-end test reads.
 func TestDatasetListAndStatsShape(t *testing.T) {
 	srv := newJobsServer(t, Options{})
 	digest := uploadDataset(t, srv, figure1Body(t).Bytes(), http.StatusCreated)
