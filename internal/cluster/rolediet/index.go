@@ -11,13 +11,11 @@ import (
 )
 
 // buildColIndex builds the inverted index (column -> ascending role
-// ids) with a two-pass exact-size layout: a counting pass sizes every
-// posting list, then one flat []int32 backs all of them and a fill
-// pass writes each posting exactly once. Compared to the old
-// append-grown [][]int32 this trades a second walk over the matrix for
-// the elimination of per-column reallocation/copy churn — two
-// allocations total instead of O(width·log(postings)) — which is where
-// most of the grouping hot path's allocs/op used to go.
+// ids) as one flat []int32 of postings plus width+1 offsets: column j's
+// roles are flat[start[j]:start[j+1]]. A counting pass sizes every
+// column, then a fill pass writes each posting exactly once, so the
+// index is three allocations (the offsets, the postings and the
+// counters) whatever the width, with no per-column slice header.
 //
 // With workers > 1 both passes fan out over contiguous row chunks.
 // The layout stays fully deterministic: worker w owns rows
@@ -29,7 +27,7 @@ import (
 // rowCols must invoke emit once per set column of row i, in any order
 // (ascending for CSR and arena rows, but the index does not rely on it
 // within a row since a row appears once per column it owns).
-func buildColIndex(n, width, workers int, rowCols func(i int, emit func(col int))) [][]int32 {
+func buildColIndex(n, width, workers int, rowCols func(i int, emit func(col int))) (flat, start []int32) {
 	workers = parallel.Workers(workers, n)
 	chunks := parallel.SplitRange(n, workers)
 	// cursors doubles as the per-worker counting array in pass 1 and
@@ -51,27 +49,20 @@ func buildColIndex(n, width, workers int, rowCols func(i int, emit func(col int)
 		return nil
 	})
 
-	// Prefix pass: convert counts to absolute fill cursors and carve
-	// the per-column posting lists out of one flat backing array.
-	index := make([][]int32, width)
-	flatLen := 0
+	// Prefix pass: column offsets, and per worker the absolute fill
+	// cursor where its rows of each column begin.
+	start = make([]int32, width+1)
+	off := int32(0)
 	for j := 0; j < width; j++ {
+		start[j] = off
 		for w := 0; w < len(chunks); w++ {
-			flatLen += int(cursors[w*width+j])
+			cnt := cursors[w*width+j]
+			cursors[w*width+j] = off
+			off += cnt
 		}
 	}
-	flat := make([]int32, flatLen)
-	off := 0
-	for j := 0; j < width; j++ {
-		colTotal := 0
-		for w := 0; w < len(chunks); w++ {
-			cnt := int(cursors[w*width+j])
-			cursors[w*width+j] = int32(off + colTotal)
-			colTotal += cnt
-		}
-		index[j] = flat[off : off+colTotal : off+colTotal]
-		off += colTotal
-	}
+	start[width] = off
+	flat = make([]int32, off)
 
 	// Pass 2: fill. Workers write disjoint flat ranges, so no locks.
 	_ = parallel.ForEachChunk(context.Background(), chunks, 0, func(w int, c parallel.Chunk, _ *ctxcheck.Checker) error {
@@ -87,7 +78,7 @@ func buildColIndex(n, width, workers int, rowCols func(i int, emit func(col int)
 		}
 		return nil
 	})
-	return index
+	return flat, start
 }
 
 // matRowCols adapts arena rows to buildColIndex's accessor. It walks

@@ -220,12 +220,20 @@ func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, h
 			rep[i] = int32(i)
 		}
 	}
-	// Materialise groups of size >= 2. Walking rows in ascending order
-	// yields ascending members per group and groups ordered by their
-	// smallest member (the representative is always first occurrence).
+	prog.Finish()
+	return &Result{Groups: groupsOf(n, func(i int) int { return int(rep[i]) }), PairsExamined: pairs}, nil
+}
+
+// groupsOf materialises the classes of two rows or more of a partition
+// of n rows, root(i) being row i's class representative in [0, n). A
+// counting pass sizes each group, so each is allocated once, at its
+// size. Walking rows in ascending order yields ascending members per
+// group and groups ordered by their smallest member.
+func groupsOf(n int, root func(i int) int) [][]int {
+	const none = int32(-1)
 	cnt := make([]int32, n)
 	for i := 0; i < n; i++ {
-		cnt[rep[i]]++
+		cnt[root(i)]++
 	}
 	gidx := make([]int32, n)
 	for i := range gidx {
@@ -233,7 +241,7 @@ func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, h
 	}
 	var groups [][]int
 	for i := 0; i < n; i++ {
-		r := rep[i]
+		r := root(i)
 		if cnt[r] < 2 {
 			continue
 		}
@@ -243,9 +251,7 @@ func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, h
 		}
 		groups[gidx[r]] = append(groups[gidx[r]], i)
 	}
-	sortGroups(groups)
-	prog.Finish()
-	return &Result{Groups: groups, PairsExamined: pairs}, nil
+	return groups
 }
 
 // pair is one qualifying (i, j) role pair found by a worker.
@@ -269,7 +275,7 @@ type pair struct {
 func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i int, emit func(col int)), opts Options) (*Result, error) {
 	n, k := len(norms), opts.Threshold
 	chunks := parallel.SplitRange(n, parallel.Workers(opts.Workers, n))
-	colIndex := buildColIndex(n, width, len(chunks), rowCols)
+	postings, start := buildColIndex(n, width, len(chunks), rowCols)
 	prog := parallel.NewProgress(opts.Progress, n, len(chunks))
 
 	// Each worker processes a contiguous chunk of role indices and
@@ -299,7 +305,7 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 				return
 			}
 			tick.Tick(row - c.Lo)
-			for _, j := range colIndex[u] {
+			for _, j := range postings[start[u]:start[u+1]] {
 				if int(j) <= row {
 					continue
 				}
@@ -369,21 +375,8 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 		}
 	}
 
-	// Materialise components of size >= 2.
-	byRoot := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		root := uf.find(i)
-		byRoot[root] = append(byRoot[root], i)
-	}
-	var groups [][]int
-	for _, g := range byRoot {
-		if len(g) >= 2 {
-			groups = append(groups, g)
-		}
-	}
-	sortGroups(groups)
 	prog.Finish()
-	return &Result{Groups: groups, PairsExamined: total}, nil
+	return &Result{Groups: groupsOf(n, uf.find), PairsExamined: total}, nil
 }
 
 // joinBuckets unions every element of a with every element of b. Since

@@ -384,33 +384,36 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 // sides (class 1), on exactly one side (class 2), or a row sum of one
 // (class 3). They read only counts.
 func detectLinear(rep *Report, id ids, ruam, rpam counts) {
-	for ui, deg := range ruam.colDeg {
-		if deg == 0 {
-			rep.StandaloneUsers = append(rep.StandaloneUsers, id.users[ui])
+	users, perms := ruam.rowSums, rpam.rowSums
+	rep.StandaloneUsers = pick(id.users, func(ui int) bool { return ruam.colDeg[ui] == 0 })
+	rep.StandalonePermissions = pick(id.perms, func(pi int) bool { return rpam.colDeg[pi] == 0 })
+	rep.StandaloneRoles = pick(id.roles, func(ri int) bool { return users[ri] == 0 && perms[ri] == 0 })
+	rep.RolesWithoutUsers = pick(id.roles, func(ri int) bool { return users[ri] == 0 && perms[ri] != 0 })
+	rep.RolesWithoutPermissions = pick(id.roles, func(ri int) bool { return users[ri] != 0 && perms[ri] == 0 })
+	rep.RolesWithSingleUser = pick(id.roles, func(ri int) bool { return users[ri] == 1 })
+	rep.RolesWithSinglePermission = pick(id.roles, func(ri int) bool { return perms[ri] == 1 })
+}
+
+// pick returns the IDs whose positions keep accepts, in position order,
+// counted first so the list is allocated once at its length; nil, which
+// the report encodes as null, when there are none.
+func pick[ID any](ids []ID, keep func(i int) bool) []ID {
+	n := 0
+	for i := range ids {
+		if keep(i) {
+			n++
 		}
 	}
-	for pi, deg := range rpam.colDeg {
-		if deg == 0 {
-			rep.StandalonePermissions = append(rep.StandalonePermissions, id.perms[pi])
+	if n == 0 {
+		return nil
+	}
+	out := make([]ID, 0, n)
+	for i, id := range ids {
+		if keep(i) {
+			out = append(out, id)
 		}
 	}
-	for ri, role := range id.roles {
-		users, perms := ruam.rowSums[ri], rpam.rowSums[ri]
-		switch {
-		case users == 0 && perms == 0:
-			rep.StandaloneRoles = append(rep.StandaloneRoles, role)
-		case users == 0:
-			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, role)
-		case perms == 0:
-			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, role)
-		}
-		if users == 1 {
-			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, role)
-		}
-		if perms == 1 {
-			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, role)
-		}
-	}
+	return out
 }
 
 // findGroups runs one grouping detector over the side's non-empty rows,

@@ -3,6 +3,7 @@ package rbac
 import (
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 )
 
 // seed keys every ID index in the process. It is random per process, so
@@ -78,6 +79,26 @@ func (t *index[ID]) grow(ids []ID) {
 	*t = next
 }
 
+// build returns the table add leaves after adding ids one by one, built
+// in one pass: the smallest power of two of at least 2·len(ids) slots,
+// eight at least, filled in position order, so it matches add's table
+// slot for slot. dup is the first position whose ID repeats an earlier
+// one, or -1; the table is incomplete when dup >= 0. No IDs, no table.
+func build[ID ~string](ids []ID) (t index[ID], dup int) {
+	if len(ids) == 0 {
+		return nil, -1
+	}
+	t = make(index[ID], max(1<<bits.Len(uint(2*len(ids)-1)), 8))
+	for p, id := range ids {
+		q, slot := t.find(ids, id)
+		if q >= 0 {
+			return t, p
+		}
+		t[slot] = int32(p + 1)
+	}
+	return t, -1
+}
+
 // unlink takes position p, whose ID is ids[p], out of the table, leaving
 // every other position as it is. Later entries of p's probe run shift
 // back into the hole (backward-shift deletion), so no tombstone is left
@@ -135,11 +156,15 @@ func (t index[ID]) check(ids []ID, kind string) error {
 	return nil
 }
 
-// push appends v to s, doubling the capacity of a full s. Append alone
-// grows a large slice about 1.25× at a time, which allocates about five
-// times the slice's final size along the way; doubling allocates two.
+// push appends v to s. A full s whose capacity is a power of two, as
+// push itself leaves it, doubles: append alone grows a large slice
+// about 1.25× at a time, which allocates about five times the slice's
+// final size along the way; doubling allocates two. Any other full s
+// was sized to its length, by ReadJSON or Clone, and gets append's
+// growth, so one entity added to a decoded or cloned dataset does not
+// double the slices holding all the others.
 func push[S ~[]E, E any](s S, v E) S {
-	if len(s) == cap(s) {
+	if c := cap(s); len(s) == c && c&(c-1) == 0 {
 		next := make(S, len(s), max(2*len(s), 8))
 		copy(next, s)
 		s = next

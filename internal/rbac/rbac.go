@@ -41,8 +41,9 @@ var (
 // Each node set is a slice of IDs, whose positions are the matrix
 // indices, plus an index from ID to position: an open-addressed table of
 // int32 positions into the slice, keyed by a hash seeded at random per
-// process (index.go). Clone copies the tables as they are, with no
-// rehash. The zero Dataset is empty and ready to use.
+// process (index.go). ReadJSON allocates each slice and table once, at
+// its final size; Clone copies the tables as they are, with no rehash.
+// The zero Dataset is empty and ready to use.
 //
 // The edges are held as the paper's matrix rows: roleUsers[ri] is RUAM
 // row ri, the indices of the users assigned to role ri, and
@@ -67,7 +68,7 @@ func NewDataset() *Dataset { return &Dataset{} }
 // AddUser registers a user. Re-adding an existing id is an ErrDuplicate.
 func (d *Dataset) AddUser(id UserID) error {
 	if _, added := d.userIdx.add(&d.users, id); !added {
-		return fmt.Errorf("%w: user %q", ErrDuplicate, id)
+		return errDuplicate("user", id)
 	}
 	return nil
 }
@@ -75,9 +76,15 @@ func (d *Dataset) AddUser(id UserID) error {
 // AddRole registers a role.
 func (d *Dataset) AddRole(id RoleID) error {
 	if _, added := d.addRole(id); !added {
-		return fmt.Errorf("%w: role %q", ErrDuplicate, id)
+		return errDuplicate("role", id)
 	}
 	return nil
+}
+
+// errDuplicate is the error for registering id, an ID of the named kind,
+// a second time.
+func errDuplicate[ID ~string](kind string, id ID) error {
+	return fmt.Errorf("%w: %s %q", ErrDuplicate, kind, id)
 }
 
 // addRole registers the role with empty rows if absent and returns its
@@ -94,7 +101,7 @@ func (d *Dataset) addRole(id RoleID) (int, bool) {
 // AddPermission registers a permission.
 func (d *Dataset) AddPermission(id PermissionID) error {
 	if _, added := d.permIdx.add(&d.perms, id); !added {
-		return fmt.Errorf("%w: permission %q", ErrDuplicate, id)
+		return errDuplicate("permission", id)
 	}
 	return nil
 }

@@ -25,10 +25,12 @@ const maxDepth = 10000
 // fixed refill buffer, so memory stays proportional to the dataset's
 // entity and edge counts, never to the byte length of the input or the
 // length of a whitespace run. Each entity ID becomes one string; edge
-// endpoints are looked up without a copy. Entity insertion order per
-// kind is the array order, so DigestOf over the result is that of the
-// exported dataset. Unknown fields are skipped in bounded memory but
-// still checked against the JSON grammar.
+// endpoints are looked up without a copy. An ID array is gathered in
+// fixed-size blocks of scratch, reused for all three arrays, and each
+// kind's ID slice and index are then allocated once, at their final
+// size. Entity insertion order per kind is the array order, so DigestOf
+// over the result is that of the exported dataset. Unknown fields are
+// skipped in bounded memory but still checked against the JSON grammar.
 //
 // Values decode as json.Unmarshal decodes them into the schema: string
 // escapes, invalid UTF-8 and lone surrogates (U+FFFD) alike; a null ID
@@ -110,11 +112,14 @@ func readDataset(r io.Reader) (*Dataset, error) {
 
 		switch key {
 		case "users":
-			err = readIDs(s, d.AddUser)
+			err = readIDs(s, "user", &d.users, &d.userIdx)
 		case "roles":
-			err = readIDs(s, d.AddRole)
+			err = readIDs(s, "role", &d.roles, &d.roleIdx)
+			if n := len(d.roles); n > 0 {
+				d.roleUsers, d.rolePerms = make([][]int32, n), make([][]int32, n)
+			}
 		case "permissions":
-			err = readIDs(s, d.AddPermission)
+			err = readIDs(s, "permission", &d.perms, &d.permIdx)
 		case "userAssignments":
 			err = s.edges(keyUser, func(role, user []byte) {
 				ri, ui := d.roleIdx.findBytes(d.roles, role), d.userIdx.findBytes(d.users, user)
@@ -167,25 +172,51 @@ func readDataset(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// readIDs consumes one array of entity IDs (or null), registering each
-// through add. A null element is the empty ID.
-func readIDs[ID ~string](s *scanner, add func(ID) error) error {
+// idBlock is the length of one block of the decoder's ID scratch.
+const idBlock = 4096
+
+// readIDs consumes one array of entity IDs (or null) into *ids and its
+// index *t, which must be empty. A null element is the empty ID. The IDs
+// gather in the scanner's scratch blocks until the array ends; then the
+// slice is allocated at its length and the index built once, the table
+// the same Add* calls would leave. A repeated ID is the ErrDuplicate
+// those calls give for the first repeat; kind names it. An empty array
+// leaves the kind as it was.
+func readIDs[ID ~string](s *scanner, kind string, ids *[]ID, t *index[ID]) error {
 	if null, err := s.arrayOrNull(); null || err != nil {
 		return err
 	}
-	for n := 0; ; n++ {
+	n := 0
+	for ; ; n++ {
 		more, err := s.elem(']', n)
-		if !more || err != nil {
+		if err != nil {
 			return err
+		}
+		if !more {
+			break
 		}
 		id, _, err := s.strOrNull()
 		if err != nil {
 			return err
 		}
-		if err := add(ID(id)); err != nil {
-			return err
+		if n == len(s.ids)*idBlock {
+			s.ids = append(s.ids, make([]string, idBlock))
 		}
+		s.ids[n/idBlock][n%idBlock] = string(id)
 	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ID, n)
+	for p := range out {
+		out[p] = ID(s.ids[p/idBlock][p%idBlock])
+	}
+	table, dup := build(out)
+	if dup >= 0 {
+		return errDuplicate(kind, out[dup])
+	}
+	*ids, *t = out, table
+	return nil
 }
 
 // Edge-object keys: every edge has a role and a user or a permission.
@@ -268,6 +299,10 @@ type scanner struct {
 	// crosses a refill (raw, str), an object key (keyBuf), and an edge's
 	// two endpoints.
 	raw, str, keyBuf, role, other []byte
+	// ids holds the entity IDs of the array being read, idBlock to a
+	// block; the blocks serve the users, roles and permissions arrays
+	// in turn.
+	ids [][]string
 }
 
 // fill refills an exhausted buffer, reporting whether a byte is ready.
