@@ -74,11 +74,11 @@ func cmdDrift(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		beforeRef, _, err := store.DigestOf(dsBefore)
+		beforeRef, _, err := store.Digest(dsBefore)
 		if err != nil {
 			return err
 		}
-		afterRef, _, err := store.DigestOf(dsAfter)
+		afterRef, _, err := store.Digest(dsAfter)
 		if err != nil {
 			return err
 		}

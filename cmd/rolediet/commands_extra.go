@@ -34,7 +34,7 @@ func cmdDigest(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	digest, canonical, err := store.DigestOf(ds)
+	digest, size, err := store.Digest(ds)
 	if err != nil {
 		return err
 	}
@@ -46,7 +46,7 @@ func cmdDigest(args []string, stdout io.Writer) error {
 		enc := json.NewEncoder(stdout)
 		return enc.Encode(map[string]any{
 			"digest":      digest,
-			"bytes":       len(canonical),
+			"bytes":       size,
 			"roles":       st.Roles,
 			"users":       st.Users,
 			"permissions": st.Permissions,

@@ -201,7 +201,8 @@ type Report struct {
 // NewAnalyzer copies everything the detectors read: the entity IDs, the
 // dataset's shape, and per side the row sums, the column degrees and a
 // CSR of the non-empty rows. The snapshot is the CSR; the dataset itself
-// is not retained.
+// is not retained. The one-shot Analyze and AnalyzeContext read the IDs
+// in place instead (see newAnalyzer).
 type Analyzer struct {
 	ids   ids
 	stats rbac.Stats
@@ -238,8 +239,17 @@ type side struct {
 // NewAnalyzer snapshots the dataset. Each side is laid out once as a
 // CSR matrix; later dataset mutations are not observed.
 func NewAnalyzer(d *rbac.Dataset) *Analyzer {
+	return newAnalyzer(d, ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()})
+}
+
+// newAnalyzer builds an analyzer over the given entity IDs. NewAnalyzer
+// passes copies; the one-shot Analyze and AnalyzeContext pass the
+// dataset's own slices (rbac.Dataset.IDs), which hold for the call
+// because d may not change during it, as RUAMCSR and RPAMCSR already
+// require. The report copies the IDs it names.
+func newAnalyzer(d *rbac.Dataset, id ids) *Analyzer {
 	return &Analyzer{
-		ids:   ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()},
+		ids:   id,
 		stats: d.Stats(),
 		ruam:  newSide(d.RUAMCSR()),
 		rpam:  newSide(d.RPAMCSR()),
@@ -446,15 +456,18 @@ func (id ids) roleGroups(groups [][]int) []RoleGroup {
 }
 
 // Analyze is the one-call convenience API: snapshot, detect, report.
+// d must not change until it returns.
 func Analyze(d *rbac.Dataset, opts Options) (*Report, error) {
-	return NewAnalyzer(d).Analyze(opts)
+	return AnalyzeContext(context.Background(), d, opts)
 }
 
 // AnalyzeContext is Analyze bound to a context: the analysis aborts
 // with ctx.Err() soon after the context is cancelled or its deadline
 // passes. This is the entry point request-scoped callers (the HTTP
 // server) use so client disconnects, per-request timeouts, and daemon
-// drains all stop in-flight detection work.
+// drains all stop in-flight detection work. d must not change until it
+// returns: the analysis reads its ID slices in place.
 func AnalyzeContext(ctx context.Context, d *rbac.Dataset, opts Options) (*Report, error) {
-	return NewAnalyzer(d).AnalyzeContext(ctx, opts)
+	users, roles, perms := d.IDs()
+	return newAnalyzer(d, ids{users: users, roles: roles, perms: perms}).AnalyzeContext(ctx, opts)
 }

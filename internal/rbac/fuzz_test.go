@@ -3,7 +3,9 @@ package rbac
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -318,4 +320,76 @@ func FuzzMarshalJSON(f *testing.F) {
 			t.Fatalf("MarshalJSON differs from the reflective encoding:\n got %q\nwant %q", got, want)
 		}
 	})
+}
+
+// FuzzWriteCanonical checks the streaming encoder against MarshalJSON:
+// the same bytes and length for any ID strings, across chunk
+// boundaries. Besides fuzzDataset's IDs, the dataset holds up to 799
+// more users and permissions built from a and b, and one user longer
+// than a chunk, so the encoding crosses several chunks at offsets that
+// move with the input, through escaped and plain IDs alike. A writer
+// that fails part way must leave exactly the bytes it accepted, a
+// prefix of MarshalJSON's, and its error.
+func FuzzWriteCanonical(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"u1", "r1"},
+		{"", ""},
+		{"<script>", "a&b>c"},
+		{"bad\xffutf8", "\xc3"},
+		{"line\u2028sep", `quote"back\slash`},
+		{"é✓🙂", "\x00ctl\x1f"},
+	} {
+		f.Add(seed[0], seed[1], uint64(0xdeadbeefcafef00d), uint16(700))
+	}
+	f.Add("a", "b", uint64(0), uint16(0))
+	f.Add("a", "b", ^uint64(0), uint16(999))
+	f.Fuzz(func(t *testing.T, a, b string, mask uint64, n uint16) {
+		d := fuzzDataset(a, b, mask)
+		d.EnsureUser(UserID(strings.Repeat(a+"<"+b, canonicalChunk/(len(a)+len(b)+1)+1)))
+		for i := 0; i < int(n%800); i++ {
+			d.EnsureUser(UserID(a + strconv.Itoa(i)))
+			d.EnsurePermission(PermissionID(strconv.Itoa(i) + b))
+		}
+		for ri := 0; ri < d.NumRoles(); ri++ {
+			for i := ri; i < d.NumUsers(); i += 5 + ri {
+				_ = d.AssignUser(d.Role(ri), d.User(i))
+			}
+			for i := ri; i < d.NumPermissions(); i += 3 + ri {
+				_ = d.AssignPermission(d.Role(ri), d.Permission(i))
+			}
+		}
+		want := marshal(t, d)
+		var got bytes.Buffer
+		if m, err := d.WriteCanonical(&got); err != nil || m != int64(len(want)) {
+			t.Fatalf("WriteCanonical = %d, %v; MarshalJSON wrote %d bytes", m, err, len(want))
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("WriteCanonical differs from MarshalJSON:\n got %.300q\nwant %.300q", got.Bytes(), want)
+		}
+
+		fw := &failingWriter{limit: int(mask % uint64(len(want)+1))}
+		m, err := d.WriteCanonical(fw)
+		if m != int64(len(fw.buf)) || !bytes.Equal(fw.buf, want[:len(fw.buf)]) {
+			t.Fatalf("failing writer: WriteCanonical reported %d bytes, writer holds %d, a prefix: %v",
+				m, len(fw.buf), bytes.Equal(fw.buf, want[:len(fw.buf)]))
+		}
+		if full := fw.limit < len(want); full && (err == nil || len(fw.buf) != fw.limit) || !full && err != nil {
+			t.Fatalf("writer failing at %d of %d bytes: err %v after %d bytes", fw.limit, len(want), err, len(fw.buf))
+		}
+	})
+}
+
+// failingWriter accepts limit bytes in total, then fails.
+type failingWriter struct {
+	buf   []byte
+	limit int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if room := w.limit - len(w.buf); len(p) > room {
+		w.buf = append(w.buf, p[:room]...)
+		return room, errors.New("writer full")
+	}
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // MarshalJSON implements json.Marshaler. It writes the canonical
-// encoding DigestOf hashes, byte for byte what json.Marshal made of the
-// schema's five fields when they were a struct:
+// encoding store.Digest hashes, byte for byte what json.Marshal made of
+// the schema's five fields when they were a struct:
 //
 //	{"users":[...],"roles":[...],"permissions":[...],
 //	 "userAssignments":[{"role":...,"user":...},...],
@@ -25,18 +25,56 @@ func (d *Dataset) MarshalJSON() ([]byte, error) {
 		idsLen(d.users) + idsLen(d.roles) + idsLen(d.perms) +
 		edgesLen(d.roles, d.roleUsers, d.users, len(`{"role":,"user":},`)) +
 		edgesLen(d.roles, d.rolePerms, d.perms, len(`{"role":,"permission":},`))
-	b := make([]byte, 0, n)
+	return d.appendCanonical(make([]byte, 0, n), nil), nil
+}
+
+// canonicalChunk is how many bytes WriteCanonical gathers before it
+// hands them to its writer.
+const canonicalChunk = 32 << 10
+
+// WriteCanonical writes MarshalJSON's bytes to w through one buffer of
+// about canonicalChunk bytes, so the encoding is never held whole, and
+// returns how many bytes w accepted. After a failed write it stops
+// writing and returns that error.
+func (d *Dataset) WriteCanonical(w io.Writer) (int64, error) {
+	var (
+		n   int64
+		err error
+	)
+	write := func(b []byte) {
+		if err == nil {
+			var m int
+			m, err = w.Write(b)
+			n += int64(m)
+		}
+	}
+	b := d.appendCanonical(make([]byte, 0, canonicalChunk+512), func(b []byte) []byte {
+		if len(b) < canonicalChunk {
+			return b
+		}
+		write(b)
+		return b[:0]
+	})
+	write(b)
+	return n, err
+}
+
+// appendCanonical is the one walker behind MarshalJSON and
+// WriteCanonical: it appends the canonical encoding to b, calling
+// spill, when set, after each element. spill may hand b's bytes on and
+// return b emptied.
+func (d *Dataset) appendCanonical(b []byte, spill func([]byte) []byte) []byte {
 	b = append(b, `{"users":`...)
-	b = appendIDs(b, d.users)
+	b = appendIDs(b, d.users, spill)
 	b = append(b, `,"roles":`...)
-	b = appendIDs(b, d.roles)
+	b = appendIDs(b, d.roles, spill)
 	b = append(b, `,"permissions":`...)
-	b = appendIDs(b, d.perms)
+	b = appendIDs(b, d.perms, spill)
 	b = append(b, `,"userAssignments":`...)
-	b = appendEdges(b, d.roles, d.roleUsers, d.users, `,"user":`)
+	b = appendEdges(b, d.roles, d.roleUsers, d.users, `,"user":`, spill)
 	b = append(b, `,"permissionAssignments":`...)
-	b = appendEdges(b, d.roles, d.rolePerms, d.perms, `,"permission":`)
-	return append(b, '}'), nil
+	b = appendEdges(b, d.roles, d.rolePerms, d.perms, `,"permission":`, spill)
+	return append(b, '}')
 }
 
 // quotedLen bounds the encoded length of s: exact for a plain string,
@@ -70,20 +108,25 @@ func edgesLen[S ~string](roles []RoleID, rows [][]int32, ids []S, fixed int) int
 	return n
 }
 
-func appendIDs[S ~string](b []byte, ids []S) []byte {
+// appendIDs appends an ID array, calling spill (when set) after each
+// ID.
+func appendIDs[S ~string](b []byte, ids []S, spill func([]byte) []byte) []byte {
 	b = append(b, '[')
 	for i, id := range ids {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = appendString(b, id)
+		if spill != nil {
+			b = spill(b)
+		}
 	}
 	return append(b, ']')
 }
 
 // appendEdges appends one side's edge array, role by role along the
-// rows.
-func appendEdges[S ~string](b []byte, roles []RoleID, rows [][]int32, ids []S, key string) []byte {
+// rows, calling spill (when set) after each edge.
+func appendEdges[S ~string](b []byte, roles []RoleID, rows [][]int32, ids []S, key string, spill func([]byte) []byte) []byte {
 	b = append(b, '[')
 	first := true
 	for ri, row := range rows {
@@ -97,6 +140,9 @@ func appendEdges[S ~string](b []byte, roles []RoleID, rows [][]int32, ids []S, k
 			b = append(b, key...)
 			b = appendString(b, ids[i])
 			b = append(b, '}')
+			if spill != nil {
+				b = spill(b)
+			}
 		}
 	}
 	return append(b, ']')

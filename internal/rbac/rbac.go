@@ -302,6 +302,15 @@ func (d *Dataset) Permissions() []PermissionID {
 	return out
 }
 
+// IDs returns the dataset's own user, role and permission ID slices in
+// index order, without copying: a read-only view for a caller that
+// reads the dataset while nobody mutates it. The caller must not write
+// to the slices, and they are not valid past the dataset's next
+// mutation; Users, Roles and Permissions return copies.
+func (d *Dataset) IDs() ([]UserID, []RoleID, []PermissionID) {
+	return d.users, d.roles, d.perms
+}
+
 // User returns the user id at index i.
 func (d *Dataset) User(i int) UserID { return d.users[i] }
 

@@ -28,9 +28,10 @@ const maxDepth = 10000
 // endpoints are looked up without a copy. An ID array is gathered in
 // fixed-size blocks of scratch, reused for all three arrays, and each
 // kind's ID slice and index are then allocated once, at their final
-// size. Entity insertion order per kind is the array order, so DigestOf
-// over the result is that of the exported dataset. Unknown fields are
-// skipped in bounded memory but still checked against the JSON grammar.
+// size. Entity insertion order per kind is the array order, so the
+// digest of the result is that of the exported dataset. Unknown fields
+// are skipped in bounded memory but still checked against the JSON
+// grammar.
 //
 // Values decode as json.Unmarshal decodes them into the schema: string
 // escapes, invalid UTF-8 and lone surrogates (U+FFFD) alike; a null ID

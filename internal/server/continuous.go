@@ -133,7 +133,7 @@ func (h *handler) backendResolve(ctx context.Context, ref string) (string, error
 	if err != nil {
 		return "", err
 	}
-	if _, _, ok := h.store.GetDataset(digest); ok {
+	if _, ok := h.store.Dataset(digest); ok {
 		return digest, nil
 	}
 	if h.fleet.Enabled() {
@@ -157,18 +157,19 @@ func (h *handler) backendSessionExists(id string) bool {
 
 // backendSnapshot registers the current dataset of a live session
 // content-addressed and returns the digest. The session hands out a
-// clone, and PutCanonical re-parses the canonical bytes, so later
-// session mutations cannot reach the stored snapshot.
+// clone, which the store keeps as is, so later session mutations cannot
+// reach the stored snapshot.
 func (h *handler) backendSnapshot(_ context.Context, sessionID string) (string, error) {
 	s, err := h.sessions.Get(sessionID)
 	if err != nil {
 		return "", err
 	}
-	digest, canonical, err := store.DigestOf(s.Dataset())
+	ds := s.Dataset()
+	digest, size, err := store.Digest(ds)
 	if err != nil {
 		return "", err
 	}
-	if _, err := h.store.PutCanonical(digest, canonical); err != nil {
+	if _, err := h.store.PutDataset(digest, size, ds); err != nil {
 		return "", err
 	}
 	return digest, nil
@@ -181,7 +182,7 @@ func (h *handler) backendSnapshot(_ context.Context, sessionID string) (string, 
 // continuous manager logs the decision itself (with tripped-alert
 // ids), so this goes through the unlogged path.
 func (h *handler) backendAnalyze(ctx context.Context, digest string, opts core.Options) (*core.Report, continuous.Meta, error) {
-	ds, _, ok := h.store.GetDataset(digest)
+	ds, ok := h.store.Dataset(digest)
 	if !ok {
 		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", digest)
 	}
@@ -207,11 +208,11 @@ func (h *handler) backendAnalyze(ctx context.Context, digest string, opts core.O
 // backendDrift computes the O(delta) drift report between two
 // registered digests through the same cache line POST /v1/drift uses.
 func (h *handler) backendDrift(ctx context.Context, before, after string) (*session.DriftReport, continuous.Meta, error) {
-	beforeDS, _, ok := h.store.GetDataset(before)
+	beforeDS, ok := h.store.Dataset(before)
 	if !ok {
 		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", before)
 	}
-	afterDS, _, ok := h.store.GetDataset(after)
+	afterDS, ok := h.store.Dataset(after)
 	if !ok {
 		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", after)
 	}

@@ -3,7 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/continuous"
 	"repro/internal/rbac"
@@ -47,7 +49,7 @@ type datasetPutResponse struct {
 // truncated or malformed body fails with 400 before the store admits
 // anything. Nothing partial is ever stored;
 // the digest is computed from the fully decoded, canonicalized
-// dataset.
+// dataset, streamed through the hash without building its bytes.
 //
 // In a fleet, the upload is routed to the digest's owner: a non-owner
 // node forwards the canonical bytes through the hardened client and
@@ -66,10 +68,10 @@ func (h *handler) datasetPut(w http.ResponseWriter, r *http.Request) {
 	defer closeBody()
 	ds, err := rbac.ReadJSON(body)
 	if err != nil {
-		writeBodyError(w, "parse dataset", err)
+		writeBodyError(w, r, "parse dataset", err)
 		return
 	}
-	digest, canonical, err := store.DigestOf(ds)
+	digest, size, err := store.Digest(ds)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -82,7 +84,7 @@ func (h *handler) datasetPut(w http.ResponseWriter, r *http.Request) {
 		switch internal {
 		case "":
 			if meta.owner != h.fleet.Self() {
-				resp, ferr := h.forwardPut(r.Context(), meta.owner, canonical)
+				resp, ferr := h.forwardPut(r.Context(), meta.owner, ds)
 				if ferr == nil {
 					w.Header().Set("Location", "/v1/datasets/"+digest)
 					w.Header().Set("Content-Type", "application/json")
@@ -105,7 +107,7 @@ func (h *handler) datasetPut(w http.ResponseWriter, r *http.Request) {
 			// Replica push: store and stop.
 		}
 	}
-	h.putLocal(w, digest, canonical, ds, meta)
+	h.putLocal(w, digest, size, ds, meta)
 }
 
 // putMeta carries the fleet-routing outcome into putLocal.
@@ -118,10 +120,10 @@ type putMeta struct {
 // putLocal admits the upload into the local store and writes the
 // ingest response, kicking off async replication when this node is the
 // digest's owner. ds was decoded and validated by this request and
-// digest and canonical come from DigestOf(ds), so the store keeps the
-// parsed dataset as is instead of re-parsing the bytes.
-func (h *handler) putLocal(w http.ResponseWriter, digest string, canonical []byte, ds *rbac.Dataset, meta putMeta) {
-	created, err := h.store.PutDataset(digest, canonical, ds)
+// digest and size come from store.Digest(ds), so the store keeps the
+// parsed dataset as is.
+func (h *handler) putLocal(w http.ResponseWriter, digest string, size int64, ds *rbac.Dataset, meta putMeta) {
+	created, err := h.store.PutDataset(digest, size, ds)
 	switch {
 	case errors.Is(err, store.ErrTooLarge):
 		writeError(w, http.StatusUnprocessableEntity, err)
@@ -131,7 +133,7 @@ func (h *handler) putLocal(w http.ResponseWriter, digest string, canonical []byt
 		return
 	}
 	if meta.replicate {
-		h.replicateAsync(digest, canonical)
+		h.replicateAsync(digest, ds)
 	}
 	w.Header().Set("Location", "/v1/datasets/"+digest)
 	w.Header().Set("Content-Type", "application/json")
@@ -141,7 +143,7 @@ func (h *handler) putLocal(w http.ResponseWriter, digest string, canonical []byt
 	writeJSON(w, datasetPutResponse{
 		Digest:   digest,
 		Created:  created,
-		Bytes:    int64(len(canonical)),
+		Bytes:    size,
 		Stats:    ds.Stats(),
 		Owner:    meta.owner,
 		Degraded: meta.degraded,
@@ -170,18 +172,30 @@ func (h *handler) pathDigest(w http.ResponseWriter, r *http.Request) (string, bo
 }
 
 // datasetGet serves the canonical snapshot — the exact bytes the
-// digest hashes to.
+// digest hashes to — followed by the framing newline every JSON
+// response ends with.
 func (h *handler) datasetGet(w http.ResponseWriter, r *http.Request) {
 	digest, ok := h.pathDigest(w, r)
 	if !ok {
 		return
 	}
-	_, canonical, ok := h.store.GetDataset(digest)
+	ds, size, ok := h.store.GetDataset(digest)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("dataset %s not found", digest))
 		return
 	}
-	writeRawJSON(w, canonical)
+	writeCanonical(w, ds, size, "\n")
+}
+
+// writeCanonical streams a stored dataset's canonical encoding, size
+// bytes long, and then trailer, announcing the total as the
+// Content-Length.
+func writeCanonical(w http.ResponseWriter, ds *rbac.Dataset, size int64, trailer string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.FormatInt(size+int64(len(trailer)), 10))
+	if _, err := ds.WriteCanonical(w); err == nil {
+		_, _ = io.WriteString(w, trailer)
+	}
 }
 
 // datasetDelete removes a snapshot from the registry and, when

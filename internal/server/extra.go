@@ -121,7 +121,7 @@ func (h *handler) diffSide(w http.ResponseWriter, r *http.Request, name string, 
 	case ref != "":
 		return h.resolveRef(w, r, ref)
 	}
-	digest, _, err := store.DigestOf(inline)
+	digest, _, err := store.Digest(inline)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return nil, "", false

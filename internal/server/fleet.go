@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/rbac"
 	"repro/internal/store"
 )
 
@@ -47,20 +48,24 @@ func (h *handler) datasetRaw(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	_, canonical, ok := h.store.GetDataset(digest)
+	ds, size, ok := h.store.GetDataset(digest)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("dataset %s not held by this node", digest))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprint(len(canonical)))
-	_, _ = w.Write(canonical)
+	writeCanonical(w, ds, size, "")
 }
 
 // forwardPut relays an external upload to the digest's owner through
 // the hardened client, reporting whether the relay succeeded. The
-// owner stores the dataset and fans out replication itself.
-func (h *handler) forwardPut(ctx context.Context, owner string, canonical []byte) (*fleet.PeerResponse, error) {
+// owner stores the dataset and fans out replication itself. The hop
+// carries the canonical bytes, encoded here: only fleet hops build
+// them whole.
+func (h *handler) forwardPut(ctx context.Context, owner string, ds *rbac.Dataset) (*fleet.PeerResponse, error) {
+	canonical, err := ds.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
 	hdr := http.Header{fleetHeader: []string{"forward"}, "Content-Type": []string{"application/json"}}
 	resp, err := h.fleet.Do(ctx, http.MethodPost, owner, "/v1/datasets", canonical, hdr)
 	h.fleet.NoteForward(err == nil)
@@ -73,9 +78,15 @@ func (h *handler) forwardPut(ctx context.Context, owner string, canonical []byte
 // pause in between (a startup race must not silently lose the replica
 // forever), content addressing makes every re-push idempotent, reads
 // fall back to the owner while a replica is missing, and failures are
-// counted and logged, never surfaced to the uploader.
-func (h *handler) replicateAsync(digest string, canonical []byte) {
+// counted and logged, never surfaced to the uploader. The canonical
+// bytes are encoded once, here, and shared by the pushes.
+func (h *handler) replicateAsync(digest string, ds *rbac.Dataset) {
 	if !h.fleet.Enabled() {
+		return
+	}
+	canonical, err := ds.MarshalJSON()
+	if err != nil {
+		h.opts.Logf("fleet: replicate %s: %v", digest, err)
 		return
 	}
 	base := h.opts.BaseContext

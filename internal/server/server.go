@@ -767,7 +767,7 @@ func (h *handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 			return body, true
 		}
 		if err != nil {
-			writeBodyError(w, "read body", err)
+			writeBodyError(w, r, "read body", err)
 			return nil, false
 		}
 		if len(body) == cap(body) {
@@ -854,14 +854,28 @@ func (h *handler) bodyStream(w http.ResponseWriter, r *http.Request, limit int64
 
 // writeBodyError maps a streaming-decode failure: limit breaches get
 // 400 payload_too_large, anything else 400 bad_request.
-func writeBodyError(w http.ResponseWriter, context string, err error) {
+func writeBodyError(w http.ResponseWriter, r *http.Request, context string, err error) {
 	var le *limitError
 	if errors.As(err, &le) {
-		writeErrorCode(w, http.StatusBadRequest, CodePayloadTooLarge,
-			fmt.Errorf("%s: %w", context, err))
+		writePayloadTooLarge(w, r, fmt.Errorf("%s: %w", context, err))
 		return
 	}
 	writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", context, err))
+}
+
+// drainLimit bounds how much of an oversized body's unread rest the
+// server discards before it answers payload_too_large.
+const drainLimit = 4 << 20
+
+// writePayloadTooLarge answers 400 payload_too_large after reading and
+// discarding up to drainLimit more bytes of the body. When a client
+// sent Connection: close, net/http drains nothing after the handler, so
+// closing a socket with unread body bytes resets the connection and the
+// client's write fails before it reads the reply. A rest longer than
+// drainLimit is left unread: past that, the reset is the cheaper answer.
+func writePayloadTooLarge(w http.ResponseWriter, r *http.Request, err error) {
+	_, _ = io.CopyN(io.Discard, r.Body, drainLimit)
+	writeErrorCode(w, http.StatusBadRequest, CodePayloadTooLarge, err)
 }
 
 // decodeRequest is the one decode path every dataset-consuming
@@ -930,7 +944,7 @@ func (h *handler) resolveRef(w http.ResponseWriter, r *http.Request, ref string)
 		writeError(w, http.StatusBadRequest, err)
 		return nil, "", false
 	}
-	if ds, _, ok := h.store.GetDataset(digest); ok {
+	if ds, ok := h.store.Dataset(digest); ok {
 		return ds, digest, true
 	}
 	if h.fleet.Enabled() {
@@ -962,7 +976,7 @@ func (h *handler) fetchThrough(w http.ResponseWriter, r *http.Request, digest st
 	}
 	if _, perr := h.store.PutCanonical(digest, raw); perr != nil {
 		h.opts.Logf("fleet: dataset %s fetched from %s not cached locally: %v", digest, peer, perr)
-	} else if ds, _, ok := h.store.GetDataset(digest); ok {
+	} else if ds, ok := h.store.Dataset(digest); ok {
 		return ds, true
 	}
 	// Too large for the local budget, otherwise inadmissible, or cached
@@ -1069,7 +1083,7 @@ func (h *handler) runKindCached(ctx context.Context, kind string, req *v1Request
 	if req.digest == "" {
 		// Inline upload: digest the canonical content so identical
 		// re-posts hit the same cache line as requests by reference.
-		digest, _, err := store.DigestOf(req.dataset)
+		digest, _, err := store.Digest(req.dataset)
 		if err != nil {
 			return nil, false, err
 		}

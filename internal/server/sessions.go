@@ -199,8 +199,7 @@ func (h *handler) sessionEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var le *limitError
 		if errors.Is(err, replay.ErrLogTooLarge) || errors.As(err, &le) {
-			writeErrorCode(w, http.StatusBadRequest, CodePayloadTooLarge,
-				fmt.Errorf("event log: %w", err))
+			writePayloadTooLarge(w, r, fmt.Errorf("event log: %w", err))
 			return
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("event log: %w", err))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -265,6 +266,40 @@ func TestSessionEventLogBomb(t *testing.T) {
 	}
 	if audit.Events != 0 {
 		t.Fatalf("bombs applied %d events, want 0 (body %s)", audit.Events, rawInfo)
+	}
+}
+
+// TestSessionEventBombConnectionClose posts the one-line event bomb
+// from a client that closes the connection after each request. Without
+// keep-alive net/http drains none of the body the log reader left
+// unread, so the server must discard it itself before answering, or the
+// client's write is reset and it never sees the 400. The client's small
+// socket send buffer keeps it writing the rest of the bomb when the
+// server answers, as a client on a slower link would be.
+func TestSessionEventBombConnectionClose(t *testing.T) {
+	srv := newJobsServer(t, Options{})
+	digest := uploadDataset(t, srv, figure1Body(t).Bytes(), http.StatusCreated)
+	s := createSession(t, srv, digest, http.StatusCreated)
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			err = c.(*net.TCPConn).SetWriteBuffer(8 << 10)
+		}
+		return c, err
+	}
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true, DialContext: dial}}
+	defer client.CloseIdleConnections()
+	bomb := []byte(`{"op":"add-role","role":"` + strings.Repeat("x", 20000*64) + "\"}\n")
+	for i := 0; i < 20; i++ {
+		resp, err := client.Post(srv.URL+"/v1/sessions/"+s.ID+"/events", "application/x-ndjson", bytes.NewReader(bomb))
+		if err != nil {
+			t.Fatalf("post %d: %v", i, err)
+		}
+		eb := decodeErrorBody(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || eb.Code != CodePayloadTooLarge {
+			t.Fatalf("post %d = %d code %q, want 400 payload_too_large", i, resp.StatusCode, eb.Code)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -460,4 +462,73 @@ func mustParse(t *testing.T, data []byte) *rbac.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// TestServedCanonicalHashesToDigest: the store keeps parsed datasets
+// only and encodes them when read, so GET /v1/datasets/{d} (canonical
+// bytes plus a framing newline) and /raw (the bytes alone) must hash to
+// the digest, with a Content-Length to match, however the dataset got
+// there: an upload, a PutCanonical of peer bytes, or a reload from the
+// store directory after a restart.
+func TestServedCanonicalHashesToDigest(t *testing.T) {
+	open := func(dir string) (*httptest.Server, *store.Store) {
+		st, err := store.New(store.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		srv := httptest.NewServer(NewHandler(Options{Store: st}))
+		t.Cleanup(srv.Close)
+		return srv, st
+	}
+	served := func(label string, srv *httptest.Server, digest string) []byte {
+		t.Helper()
+		var raw []byte
+		for _, path := range []string{"/v1/datasets/" + digest, "/v1/datasets/" + digest + "/raw"} {
+			resp, body := srvGet(t, srv, path)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: GET %s = %d", label, path, resp.StatusCode)
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+				t.Fatalf("%s: GET %s: Content-Length %s for %d bytes", label, path, cl, len(body))
+			}
+			if !strings.HasSuffix(path, "/raw") {
+				if !bytes.HasSuffix(body, []byte("\n")) {
+					t.Fatalf("%s: GET %s lacks the framing newline", label, path)
+				}
+				body = body[:len(body)-1]
+			}
+			if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != digest {
+				t.Fatalf("%s: GET %s hashes to %x, want %s", label, path, sum, digest)
+			}
+			raw = body
+		}
+		return raw
+	}
+
+	dir := t.TempDir()
+	srv1, st1 := open(dir)
+	resp, ack := postJSON(t, srv1, "/v1/datasets", orgDatasetJSON(t), nil)
+	var put datasetPutResponse
+	if err := json.Unmarshal(ack, &put); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload = %d %s (%v)", resp.StatusCode, ack, err)
+	}
+	raw := served("upload", srv1, put.Digest)
+	if put.Bytes != int64(len(raw)) {
+		t.Fatalf("upload acknowledged %d bytes, serves %d", put.Bytes, len(raw))
+	}
+	if len(raw) <= 64<<10 {
+		t.Fatalf("dataset encodes to %d bytes; want several write chunks", len(raw))
+	}
+
+	srv2, st2 := open("")
+	if created, err := st2.PutCanonical(put.Digest, raw); err != nil || !created {
+		t.Fatalf("PutCanonical = %v, %v", created, err)
+	}
+	served("PutCanonical", srv2, put.Digest)
+
+	srv1.Close()
+	st1.Close()
+	srv3, _ := open(dir)
+	served("reload", srv3, put.Digest)
 }

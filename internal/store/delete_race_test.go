@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -122,8 +123,8 @@ func TestPutCanonical(t *testing.T) {
 	if err != nil || created {
 		t.Fatalf("repeat PutCanonical = created=%v err=%v, want not created", created, err)
 	}
-	got, raw, ok := s.GetDataset(digest)
-	if !ok || got == nil || string(raw) != string(canonical) {
+	raw, ok := served(t, s, digest)
+	if !ok || string(raw) != string(canonical) {
 		t.Fatalf("GetDataset after PutCanonical: ok=%v", ok)
 	}
 	if _, err := os.Stat(s.datasetPath(digest)); err != nil {
@@ -142,5 +143,26 @@ func TestPutCanonical(t *testing.T) {
 	sum := sha256.Sum256(junk)
 	if _, err := s.PutCanonical(hex.EncodeToString(sum[:]), junk); err == nil {
 		t.Fatal("PutCanonical accepted unparsable bytes")
+	}
+}
+
+// TestPutCanonicalRejectsNonCanonicalBytes: the store keeps the parsed
+// dataset and re-encodes it on read, so bytes that hash to the digest
+// but are not the canonical encoding (here the indented export of the
+// same dataset) must be refused, or reads would serve bytes hashing to
+// another digest.
+func TestPutCanonicalRejectsNonCanonicalBytes(t *testing.T) {
+	s := newStore(t, Options{})
+	var indented bytes.Buffer
+	if err := testDataset(t, "indent", 5).WriteJSON(&indented); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(indented.Bytes())
+	digest := hex.EncodeToString(sum[:])
+	if _, err := s.PutCanonical(digest, indented.Bytes()); err == nil {
+		t.Fatal("PutCanonical accepted an indented, non-canonical encoding")
+	}
+	if _, _, ok := s.GetDataset(digest); ok {
+		t.Fatal("refused bytes were stored")
 	}
 }

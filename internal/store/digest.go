@@ -10,17 +10,25 @@ import (
 	"repro/internal/rbac"
 )
 
-// DigestOf canonicalizes a dataset and returns its content digest: the
-// lowercase hex SHA-256 of the deterministic rbac JSON encoding
-// (entities in insertion order, edges sorted). Two uploads carrying the
+// Digest returns a dataset's content digest, the lowercase hex SHA-256
+// of its canonical rbac JSON encoding (entities in insertion order,
+// edges sorted), and the encoding's length. Two uploads carrying the
 // same entities and edges in the same insertion order therefore map to
 // the same digest, however their edge lists were ordered on the wire.
-// The canonical bytes are returned alongside so callers can store or
-// re-serve exactly what was hashed.
-//
-// The bytes are ds.MarshalJSON's output itself: json.Marshal(ds) would
-// only compact and copy that already-compact, already-escaped encoding,
-// and yields the same bytes.
+// The encoding streams through the hash (rbac.Dataset.WriteCanonical)
+// and is never held whole.
+func Digest(ds *rbac.Dataset) (digest string, size int64, err error) {
+	h := sha256.New()
+	if size, err = ds.WriteCanonical(h); err != nil {
+		return "", 0, fmt.Errorf("store: canonicalize dataset: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), size, nil
+}
+
+// DigestOf is Digest for a caller that also wants the canonical bytes:
+// it returns the same digest alongside ds.MarshalJSON's output, the
+// exact bytes hashed. json.Marshal(ds) would only compact and copy that
+// already-compact, already-escaped encoding, and yields the same bytes.
 func DigestOf(ds *rbac.Dataset) (digest string, canonical []byte, err error) {
 	canonical, err = ds.MarshalJSON()
 	if err != nil {

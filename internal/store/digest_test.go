@@ -107,3 +107,27 @@ func TestDigestOfPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestMatchesDigestOf: the streaming Digest gives DigestOf's
+// digest, and the length of DigestOf's bytes, on the pinned corpora.
+func TestDigestMatchesDigestOf(t *testing.T) {
+	for i, want := range orgDigests {
+		p := gen.DefaultOrgParams().Scaled(400)
+		p.Seed = int64(i + 1)
+		ds, _, err := gen.Org(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, canonical, err := DigestOf(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, size, err := Digest(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || size != int64(len(canonical)) {
+			t.Errorf("seed %d: Digest = %s, %d bytes; DigestOf = %s, %d bytes", p.Seed, got, size, want, len(canonical))
+		}
+	}
+}

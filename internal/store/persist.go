@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,16 +57,16 @@ func (s *Store) ensureDirs() error {
 	return nil
 }
 
-// atomicWrite lands data at path via a same-directory temp file and
-// rename.
-func atomicWrite(path string, data []byte) error {
+// atomicWrite lands what write produces at path via a same-directory
+// temp file and rename.
+func atomicWrite(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return err
@@ -82,8 +82,13 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-func (s *Store) writeDatasetFile(digest string, canonical []byte) error {
-	return atomicWrite(s.datasetPath(digest), canonical)
+// writeDatasetFile persists a dataset's canonical encoding, streamed
+// into the file.
+func (s *Store) writeDatasetFile(digest string, ds *rbac.Dataset) error {
+	return atomicWrite(s.datasetPath(digest), func(w io.Writer) error {
+		_, err := ds.WriteCanonical(w)
+		return err
+	})
 }
 
 // removeDatasetFile deletes the persisted copy; removed reports
@@ -114,11 +119,11 @@ func (s *Store) loadDatasetFile(digest string) (*dsEntry, error) {
 	if got := hex.EncodeToString(sum[:]); got != digest {
 		return nil, fmt.Errorf("digest mismatch: file hashes to %s (corrupted or tampered with)", got)
 	}
-	ds, err := rbac.ReadJSON(bytes.NewReader(raw))
+	ds, err := parseCanonical(raw)
 	if err != nil {
-		return nil, fmt.Errorf("parse verified snapshot: %w", err)
+		return nil, err
 	}
-	return &dsEntry{digest: digest, ds: ds, canonical: raw, stats: ds.Stats()}, nil
+	return &dsEntry{digest: digest, ds: ds, size: int64(len(raw)), stats: ds.Stats()}, nil
 }
 
 func (s *Store) writeResultFile(key Key, keyStr string, body []byte) error {
@@ -132,7 +137,10 @@ func (s *Store) writeResultFile(key Key, keyStr string, body []byte) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(s.resultPath(keyStr), env)
+	return atomicWrite(s.resultPath(keyStr), func(w io.Writer) error {
+		_, err := w.Write(env)
+		return err
+	})
 }
 
 // loadResultFile reads one persisted cache entry, verifying the

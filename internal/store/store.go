@@ -5,11 +5,16 @@
 // The paper's operating model is periodic re-analysis of the same RBAC
 // database, so the dominant waste at scale is re-shipping and
 // re-analysing unchanged data. The store removes both: a dataset is
-// ingested once, canonicalized, and addressed by the SHA-256 digest of
-// its canonical encoding; analysis results are cached under
+// ingested once and addressed by the SHA-256 digest of its canonical
+// encoding (see Digest); analysis results are cached under
 // (dataset digest, options fingerprint, kind) with single-flight
 // de-duplication so N concurrent identical requests run the engine
 // exactly once and N-1 callers wait for the first.
+//
+// The store holds parsed datasets only. Their canonical bytes are
+// produced when someone reads them (GetDataset, persistence), by
+// streaming rbac.Dataset.WriteCanonical, and a dataset is accounted at
+// its canonical length.
 //
 // Memory is bounded by a byte-budget LRU across datasets and cached
 // results together. Cached results additionally expire after a TTL —
@@ -140,15 +145,17 @@ type DatasetInfo struct {
 	Stats  rbac.Stats `json:"stats"`
 }
 
-// dsEntry is one registered dataset. The parsed form is kept so
-// analyses by reference skip re-parsing; the canonical bytes are what
-// was hashed and what GET serves.
+// dsEntry is one registered dataset: the parsed form, which analyses
+// by reference read as is, and the length of its canonical encoding,
+// which the byte budget counts. The canonical bytes themselves are not
+// kept; GetDataset's caller encodes them on read. An upload, a
+// PutCanonical and a reload from disk all end in this one shape.
 type dsEntry struct {
-	digest    string
-	ds        *rbac.Dataset
-	canonical []byte
-	stats     rbac.Stats
-	elem      *list.Element
+	digest string
+	ds     *rbac.Dataset
+	size   int64
+	stats  rbac.Stats
+	elem   *list.Element
 }
 
 // resEntry is one cached analysis result body.
@@ -223,17 +230,17 @@ func New(opts Options) (*Store, error) {
 // shut down without leaking it.
 func (s *Store) Close() { s.sweeper.Stop() }
 
-// PutDataset registers a dataset the caller has already parsed,
-// validated and canonicalized, returning whether it was newly created.
-// Precondition: digest and canonical are exactly what DigestOf(ds)
-// returned; nothing is re-hashed or re-parsed, so bytes from anywhere
-// else must go through PutCanonical instead. Registering content that
-// is already present refreshes its LRU position and reports created ==
-// false. The store retains ds and serves it to concurrent readers;
-// callers must not mutate it afterwards.
-func (s *Store) PutDataset(digest string, canonical []byte, ds *rbac.Dataset) (created bool, err error) {
-	if int64(len(canonical)) > s.opts.MaxBytes {
-		return false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(canonical), s.opts.MaxBytes)
+// PutDataset registers a dataset the caller has already parsed and
+// validated, returning whether it was newly created. Precondition:
+// digest and size are exactly what Digest(ds) returned; nothing is
+// re-hashed, so bytes from anywhere else must go through PutCanonical
+// instead. Registering content that is already present refreshes its
+// LRU position and reports created == false. The store retains ds and
+// serves it to concurrent readers; callers must not mutate it
+// afterwards.
+func (s *Store) PutDataset(digest string, size int64, ds *rbac.Dataset) (created bool, err error) {
+	if size > s.opts.MaxBytes {
+		return false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, size, s.opts.MaxBytes)
 	}
 	s.mu.Lock()
 	if e, ok := s.datasets[digest]; ok {
@@ -241,10 +248,10 @@ func (s *Store) PutDataset(digest string, canonical []byte, ds *rbac.Dataset) (c
 		s.mu.Unlock()
 		return false, nil
 	}
-	s.insertDatasetLocked(&dsEntry{digest: digest, ds: ds, canonical: canonical, stats: ds.Stats()})
+	s.insertDatasetLocked(&dsEntry{digest: digest, ds: ds, size: size, stats: ds.Stats()})
 	s.mu.Unlock()
 	if s.opts.Dir != "" {
-		if werr := s.writeDatasetFile(digest, canonical); werr != nil {
+		if werr := s.writeDatasetFile(digest, ds); werr != nil {
 			s.opts.Logf("store: persist dataset %s: %v", digest, werr)
 		}
 	}
@@ -255,32 +262,41 @@ func (s *Store) PutDataset(digest string, canonical []byte, ds *rbac.Dataset) (c
 func (s *Store) insertDatasetLocked(e *dsEntry) {
 	e.elem = s.lru.PushFront(lruItem{dataset: true, key: e.digest})
 	s.datasets[e.digest] = e
-	s.bytes += int64(len(e.canonical))
+	s.bytes += e.size
 	s.evictLocked()
 }
 
-// GetDataset resolves a (normalized, see ParseDigest) digest to the
-// parsed dataset and its canonical bytes. A dataset evicted from
-// memory but persisted on disk is reloaded and digest-verified
-// transparently.
-func (s *Store) GetDataset(digest string) (*rbac.Dataset, []byte, bool) {
+// Dataset resolves a (normalized, see ParseDigest) digest to the
+// parsed dataset: the lookup analyses by reference take. A dataset
+// evicted from memory but persisted on disk is reloaded and
+// digest-verified transparently. The dataset is shared: callers must
+// not mutate it.
+func (s *Store) Dataset(digest string) (*rbac.Dataset, bool) {
+	ds, _, ok := s.GetDataset(digest)
+	return ds, ok
+}
+
+// GetDataset is Dataset for a caller that serves the canonical
+// encoding: it also returns the encoding's length, so the caller can
+// announce it before streaming ds.WriteCanonical, whose bytes hash to
+// digest.
+func (s *Store) GetDataset(digest string) (ds *rbac.Dataset, size int64, ok bool) {
 	s.mu.Lock()
 	if e, ok := s.datasets[digest]; ok {
 		s.lru.MoveToFront(e.elem)
-		ds, canonical := e.ds, e.canonical
 		s.mu.Unlock()
-		return ds, canonical, true
+		return e.ds, e.size, true
 	}
 	s.mu.Unlock()
 	if s.opts.Dir == "" {
-		return nil, nil, false
+		return nil, 0, false
 	}
 	e, err := s.loadDatasetFile(digest)
 	if err != nil || e == nil {
 		if err != nil {
 			s.opts.Logf("store: load dataset %s: %v", digest, err)
 		}
-		return nil, nil, false
+		return nil, 0, false
 	}
 	s.mu.Lock()
 	// Another goroutine may have raced the reload; keep the first.
@@ -290,9 +306,8 @@ func (s *Store) GetDataset(digest string) (*rbac.Dataset, []byte, bool) {
 	} else {
 		s.insertDatasetLocked(e)
 	}
-	ds, canonical := e.ds, e.canonical
 	s.mu.Unlock()
-	return ds, canonical, true
+	return e.ds, e.size, true
 }
 
 // DeleteDataset removes a dataset from memory and disk. It reports
@@ -339,8 +354,9 @@ func (s *Store) genLocked(key Key) uint64 {
 // PutCanonical registers a dataset from its canonical bytes — the
 // fleet replication/fetch path, where the bytes arrived from a peer
 // already canonicalized. The bytes are verified against the expected
-// digest (a corrupt transfer is rejected, never stored) and parsed by
-// the decoder every upload goes through.
+// digest (a corrupt transfer is rejected, never stored), parsed by the
+// decoder every upload goes through, and then dropped: the store keeps
+// the parsed dataset only.
 func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error) {
 	sum := sha256.Sum256(raw)
 	if got := hex.EncodeToString(sum[:]); got != digest {
@@ -349,17 +365,45 @@ func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error
 	if int64(len(raw)) > s.opts.MaxBytes {
 		return false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(raw), s.opts.MaxBytes)
 	}
+	ds, err := parseCanonical(raw)
+	if err != nil {
+		return false, fmt.Errorf("store: %w", err)
+	}
+	return s.PutDataset(digest, int64(len(raw)), ds)
+}
+
+// parseCanonical parses verified bytes and checks that they are the
+// canonical encoding of the dataset they parse to. The store keeps only
+// the parsed dataset and re-encodes it on read, so bytes in any other
+// form would come back hashing to something else.
+func parseCanonical(raw []byte) (*rbac.Dataset, error) {
 	ds, err := rbac.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
-		return false, fmt.Errorf("store: parse verified snapshot: %w", err)
+		return nil, fmt.Errorf("parse verified snapshot: %w", err)
 	}
-	return s.PutDataset(digest, raw, ds)
+	rest := matchWriter(raw)
+	if _, err := ds.WriteCanonical(&rest); err != nil || len(rest) != 0 {
+		return nil, errors.New("verified snapshot is not in canonical form")
+	}
+	return ds, nil
+}
+
+// matchWriter accepts exactly its own bytes, in order, consuming them
+// as they are written.
+type matchWriter []byte
+
+func (m *matchWriter) Write(p []byte) (int, error) {
+	if len(p) > len(*m) || !bytes.Equal(p, (*m)[:len(p)]) {
+		return 0, errors.New("bytes differ")
+	}
+	*m = (*m)[len(p):]
+	return len(p), nil
 }
 
 func (s *Store) removeDatasetLocked(e *dsEntry) {
 	s.lru.Remove(e.elem)
 	delete(s.datasets, e.digest)
-	s.bytes -= int64(len(e.canonical))
+	s.bytes -= e.size
 }
 
 // ListDatasets returns the registered datasets sorted by digest.
@@ -367,7 +411,7 @@ func (s *Store) ListDatasets() []DatasetInfo {
 	s.mu.Lock()
 	out := make([]DatasetInfo, 0, len(s.datasets))
 	for _, e := range s.datasets {
-		out = append(out, DatasetInfo{Digest: e.digest, Bytes: int64(len(e.canonical)), Stats: e.stats})
+		out = append(out, DatasetInfo{Digest: e.digest, Bytes: e.size, Stats: e.stats})
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Digest < out[j].Digest })
@@ -525,7 +569,7 @@ func (s *Store) Stats() Stats {
 	st.Datasets = len(s.datasets)
 	st.Results = len(s.results)
 	for _, e := range s.datasets {
-		st.DatasetBytes += int64(len(e.canonical))
+		st.DatasetBytes += e.size
 	}
 	for _, e := range s.results {
 		st.ResultBytes += int64(len(e.body))

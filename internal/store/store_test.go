@@ -41,14 +41,29 @@ func testDataset(t *testing.T, tag string, roles int) *rbac.Dataset {
 	return ds
 }
 
-// put canonicalizes ds and registers it the way a local upload does.
+// put digests ds and registers it the way a local upload does.
 func put(s *Store, ds *rbac.Dataset) (digest string, created bool, err error) {
-	digest, canonical, err := DigestOf(ds)
+	digest, size, err := Digest(ds)
 	if err != nil {
 		return "", false, err
 	}
-	created, err = s.PutDataset(digest, canonical, ds)
+	created, err = s.PutDataset(digest, size, ds)
 	return digest, created, err
+}
+
+// served is what a reader of digest's canonical encoding receives:
+// GetDataset's dataset, streamed, checked against GetDataset's length.
+func served(t *testing.T, s *Store, digest string) ([]byte, bool) {
+	t.Helper()
+	ds, size, ok := s.GetDataset(digest)
+	if !ok {
+		return nil, false
+	}
+	var buf bytes.Buffer
+	if n, err := ds.WriteCanonical(&buf); err != nil || n != size {
+		t.Fatalf("WriteCanonical = %d, %v; GetDataset reported %d bytes", n, err, size)
+	}
+	return buf.Bytes(), true
 }
 
 func newStore(t *testing.T, opts Options) *Store {
@@ -97,8 +112,8 @@ func TestPutGetDeleteDataset(t *testing.T) {
 	if _, created, err = put(s, ds.Clone()); err != nil || created {
 		t.Fatalf("identical re-put: created=%v err=%v, want false nil", created, err)
 	}
-	got, canonical, ok := s.GetDataset(digest)
-	if !ok || got.NumRoles() != 5 || len(canonical) == 0 {
+	got, size, ok := s.GetDataset(digest)
+	if !ok || got.NumRoles() != 5 || size == 0 {
 		t.Fatalf("GetDataset: ok=%v", ok)
 	}
 	if infos := s.ListDatasets(); len(infos) != 1 || infos[0].Digest != digest {
@@ -327,14 +342,14 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	s1.Close()
 
 	s2 := newStore(t, Options{Dir: dir})
-	ds, canonical, ok := s2.GetDataset(digest)
+	ds, size, ok := s2.GetDataset(digest)
 	if !ok || ds.NumRoles() != 5 {
 		t.Fatalf("dataset did not survive restart (ok=%v)", ok)
 	}
 	if d, _, _ := DigestOf(ds); d != digest {
 		t.Fatalf("reloaded dataset re-digests to %s, want %s", d, digest)
 	}
-	if len(canonical) == 0 {
+	if size == 0 {
 		t.Fatal("canonical bytes lost across restart")
 	}
 	body2, hit, err := s2.Result(context.Background(), key, func(context.Context) ([]byte, error) {
