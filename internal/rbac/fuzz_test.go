@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -320,6 +321,60 @@ func FuzzMarshalJSON(f *testing.F) {
 			t.Fatalf("MarshalJSON differs from the reflective encoding:\n got %q\nwant %q", got, want)
 		}
 	})
+}
+
+// FuzzAppendString checks the string escaper against json.Marshal,
+// byte for byte, and quotedLen against the length it writes, so
+// MarshalJSON's first pass sizes its buffer exactly for any ID.
+func FuzzAppendString(f *testing.F) {
+	for _, s := range []string{
+		"", "u1", "<script>", "a&b>c", "é✓🙂", "line\u2028sep", "para\u2029sep",
+		"bad\xffutf8", "\xc3", "\xed\xa0\x80", "\xf4\x90\x80\x80", "\x00ctl\x1f",
+		"\b\f\n\r\t\x7f", `quote"back\slash`, "\ufffd\u00e9",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := appendString([]byte("x"), s)
+		if !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("appendString(%q) = %q, json.Marshal wrote %q", s, got[1:], want)
+		}
+		if n := quotedLen(s); n != len(want) {
+			t.Fatalf("quotedLen(%q) = %d, encoding is %d bytes", s, n, len(want))
+		}
+	})
+}
+
+// TestMarshalJSONEscapedIDsAllocateOnce pins that IDs needing escapes
+// cost no allocation of their own: MarshalJSON makes its one buffer
+// and WriteCanonical its one chunk, accented IDs or not.
+func TestMarshalJSONEscapedIDsAllocateOnce(t *testing.T) {
+	d := NewDataset()
+	for i := 0; i < 200; i++ {
+		id := strconv.Itoa(i)
+		d.EnsureUser(UserID("é<" + id + " "))
+		d.EnsurePermission(PermissionID("perm\xff" + id))
+		d.EnsureRole(RoleID("rôle " + id))
+		_ = d.AssignUser(d.Role(i), d.User(i))
+		_ = d.AssignPermission(d.Role(i), d.Permission(i))
+	}
+	want, err := encodeReference(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshal(t, d); !bytes.Equal(got, want) {
+		t.Fatalf("MarshalJSON differs from the reflective encoding:\n got %.300q\nwant %.300q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = d.MarshalJSON() }); n != 1 {
+		t.Errorf("MarshalJSON: %v allocations per run, want 1", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = d.WriteCanonical(io.Discard) }); n > 2 {
+		t.Errorf("WriteCanonical: %v allocations per run, want at most 2", n)
+	}
 }
 
 // FuzzWriteCanonical checks the streaming encoder against MarshalJSON:

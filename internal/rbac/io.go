@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // MarshalJSON implements json.Marshaler. It writes the canonical
@@ -19,7 +20,7 @@ import (
 // order, sorted by the other endpoint's index. The output is compact and
 // escaped as encoding/json escapes strings, HTML characters included.
 // It is appended into one buffer sized by a first pass over the IDs and
-// rows.
+// rows, whatever the IDs hold.
 func (d *Dataset) MarshalJSON() ([]byte, error) {
 	n := len(`{"users":[],"roles":[],"permissions":[],"userAssignments":[],"permissionAssignments":[]}`) +
 		idsLen(d.users) + idsLen(d.roles) + idsLen(d.perms) +
@@ -77,16 +78,24 @@ func (d *Dataset) appendCanonical(b []byte, spill func([]byte) []byte) []byte {
 	return append(b, '}')
 }
 
-// quotedLen bounds the encoded length of s: exact for a plain string,
-// and six bytes (a \u escape) per byte otherwise.
+// quotedLen is the encoded length of s, quotes included.
 func quotedLen[S ~string](s S) int {
+	n := len(s) + 2
 	if plain(s) {
-		return len(s) + 2
+		return n
 	}
-	return 6*len(s) + 2
+	for i := 0; i < len(s); {
+		size, esc := escapeAt(s, i)
+		if esc != "" {
+			n += len(esc) - size
+		}
+		i += size
+	}
+	return n
 }
 
-// idsLen bounds the encoded length of an ID array's elements.
+// idsLen bounds the encoded length of an ID array's elements: exact
+// but for one comma.
 func idsLen[S ~string](ids []S) int {
 	n := 0
 	for _, id := range ids {
@@ -148,28 +157,72 @@ func appendEdges[S ~string](b []byte, roles []RoleID, rows [][]int32, ids []S, k
 	return append(b, ']')
 }
 
+// escapes holds, for each ASCII byte, the escape encoding/json writes
+// for it (HTML characters included), or "" when it writes the byte as
+// itself.
+var escapes = func() (t [utf8.RuneSelf]string) {
+	const hex = "0123456789abcdef"
+	for c := 0; c < ' '; c++ {
+		t[c] = `\u00` + hex[c>>4:c>>4+1] + hex[c&0xf:c&0xf+1]
+	}
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\b`, `\f`, `\n`, `\r`, `\t`
+	t['"'], t['\\'] = `\"`, `\\`
+	t['<'], t['>'], t['&'] = `\u003c`, `\u003e`, `\u0026`
+	return t
+}()
+
+// escapeAt reports how encoding/json writes the text at s[i]: how many
+// bytes of s it covers, and the escape that replaces them, or "" when
+// they are written as they are. Beyond ASCII, each byte of invalid
+// UTF-8 becomes \ufffd, and U+2028 and U+2029 are escaped.
+func escapeAt[S ~string](s S, i int) (size int, esc string) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return 1, escapes[c]
+	}
+	r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+	switch {
+	case r == utf8.RuneError && size == 1:
+		return 1, `\ufffd`
+	case r == '\u2028':
+		return size, `\u2028`
+	case r == '\u2029':
+		return size, `\u2029`
+	}
+	return size, ""
+}
+
 // plain reports whether encoding/json writes s as itself between
-// quotes: printable ASCII with nothing it escapes.
+// quotes: ASCII with no byte that escapes has an escape for.
 func plain[S ~string](s S) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if c := s[i]; c >= utf8.RuneSelf || escapes[c] != "" {
 			return false
 		}
 	}
 	return true
 }
 
-// appendString appends s as a JSON string. A string plain does not
-// cover goes through json.Marshal itself, so its escaping is
-// encoding/json's by construction.
+// appendString appends s as encoding/json writes a string: between
+// quotes, with the runs escapeAt leaves alone copied and everything
+// else replaced by its escape. It allocates only to grow b.
 func appendString[S ~string](b []byte, s S) []byte {
+	b = append(b, '"')
 	if plain(s) {
-		b = append(b, '"')
 		b = append(b, s...)
 		return append(b, '"')
 	}
-	q, _ := json.Marshal(string(s)) // a string always encodes
-	return append(b, q...)
+	start := 0
+	for i := 0; i < len(s); {
+		size, esc := escapeAt(s, i)
+		if esc != "" {
+			b = append(b, s[start:i]...)
+			b = append(b, esc...)
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // UnmarshalJSON implements json.Unmarshaler through ReadJSON, so a

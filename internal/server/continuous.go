@@ -133,7 +133,7 @@ func (h *handler) backendResolve(ctx context.Context, ref string) (string, error
 	if err != nil {
 		return "", err
 	}
-	if _, ok := h.store.Dataset(digest); ok {
+	if _, _, ok := h.store.GetDataset(digest); ok {
 		return digest, nil
 	}
 	if h.fleet.Enabled() {
@@ -182,7 +182,7 @@ func (h *handler) backendSnapshot(_ context.Context, sessionID string) (string, 
 // continuous manager logs the decision itself (with tripped-alert
 // ids), so this goes through the unlogged path.
 func (h *handler) backendAnalyze(ctx context.Context, digest string, opts core.Options) (*core.Report, continuous.Meta, error) {
-	ds, ok := h.store.Dataset(digest)
+	ds, _, ok := h.store.GetDataset(digest)
 	if !ok {
 		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", digest)
 	}
@@ -208,11 +208,11 @@ func (h *handler) backendAnalyze(ctx context.Context, digest string, opts core.O
 // backendDrift computes the O(delta) drift report between two
 // registered digests through the same cache line POST /v1/drift uses.
 func (h *handler) backendDrift(ctx context.Context, before, after string) (*session.DriftReport, continuous.Meta, error) {
-	beforeDS, ok := h.store.Dataset(before)
+	beforeDS, _, ok := h.store.GetDataset(before)
 	if !ok {
 		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", before)
 	}
-	afterDS, ok := h.store.Dataset(after)
+	afterDS, _, ok := h.store.GetDataset(after)
 	if !ok {
 		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", after)
 	}

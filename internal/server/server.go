@@ -944,7 +944,7 @@ func (h *handler) resolveRef(w http.ResponseWriter, r *http.Request, ref string)
 		writeError(w, http.StatusBadRequest, err)
 		return nil, "", false
 	}
-	if ds, ok := h.store.Dataset(digest); ok {
+	if ds, _, ok := h.store.GetDataset(digest); ok {
 		return ds, digest, true
 	}
 	if h.fleet.Enabled() {
@@ -976,7 +976,7 @@ func (h *handler) fetchThrough(w http.ResponseWriter, r *http.Request, digest st
 	}
 	if _, perr := h.store.PutCanonical(digest, raw); perr != nil {
 		h.opts.Logf("fleet: dataset %s fetched from %s not cached locally: %v", digest, peer, perr)
-	} else if ds, ok := h.store.Dataset(digest); ok {
+	} else if ds, _, ok := h.store.GetDataset(digest); ok {
 		return ds, true
 	}
 	// Too large for the local budget, otherwise inadmissible, or cached

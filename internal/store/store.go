@@ -266,20 +266,13 @@ func (s *Store) insertDatasetLocked(e *dsEntry) {
 	s.evictLocked()
 }
 
-// Dataset resolves a (normalized, see ParseDigest) digest to the
-// parsed dataset: the lookup analyses by reference take. A dataset
+// GetDataset resolves a (normalized, see ParseDigest) digest to the
+// parsed dataset and the length of its canonical encoding. Analyses by
+// reference ignore the length; GET and /raw announce it before
+// streaming ds.WriteCanonical, whose bytes hash to digest. A dataset
 // evicted from memory but persisted on disk is reloaded and
 // digest-verified transparently. The dataset is shared: callers must
 // not mutate it.
-func (s *Store) Dataset(digest string) (*rbac.Dataset, bool) {
-	ds, _, ok := s.GetDataset(digest)
-	return ds, ok
-}
-
-// GetDataset is Dataset for a caller that serves the canonical
-// encoding: it also returns the encoding's length, so the caller can
-// announce it before streaming ds.WriteCanonical, whose bytes hash to
-// digest.
 func (s *Store) GetDataset(digest string) (ds *rbac.Dataset, size int64, ok bool) {
 	s.mu.Lock()
 	if e, ok := s.datasets[digest]; ok {
