@@ -26,14 +26,13 @@ import (
 	"repro/internal/cluster/rolediet"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/matrix"
 	"repro/internal/rbac"
 	"repro/internal/store"
 )
 
 // genMatrix builds the paper's synthetic workload: clusterProportion
 // 0.2, maxClusterSize 10 (§IV-A).
-func genMatrix(b *testing.B, rows, cols int) *matrix.CSR {
+func genMatrix(b *testing.B, rows, cols int) *gen.GeneratedMatrix {
 	b.Helper()
 	g, err := gen.Matrix(gen.MatrixParams{
 		Rows:              rows,
@@ -45,19 +44,19 @@ func genMatrix(b *testing.B, rows, cols int) *matrix.CSR {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g.Rows
+	return g
 }
 
 // pack copies the matrix into a bit-matrix arena. Benchmarks that time
 // an arena backend call it inside the timed loop, so the packing every
 // production caller pays stays in the measurement.
-func pack(rows *matrix.CSR) *bitmat.Matrix {
-	return bitmat.FromCSR(rows)
+func pack(g *gen.GeneratedMatrix) *bitmat.Matrix {
+	return bitmat.Pack(g.Cols, g.Rows)
 }
 
 // roleDiet runs the Role Diet grouping over the matrix.
-func roleDiet(b *testing.B, rows *matrix.CSR, opts rolediet.Options) *rolediet.Result {
-	res, err := rolediet.Run(context.Background(), rows, opts)
+func roleDiet(b *testing.B, g *gen.GeneratedMatrix, opts rolediet.Options) *rolediet.Result {
+	res, err := rolediet.Run(context.Background(), g.Cols, g.Rows, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func benchMethod(b *testing.B, m core.Method, rows, cols int) {
 	data := genMatrix(b, rows, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups, err := core.FindRoleGroups(context.Background(), data, core.GroupOptions{Method: m, Threshold: 0})
+		groups, err := core.FindRoleGroups(context.Background(), data.Cols, data.Rows, core.GroupOptions{Method: m, Threshold: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +146,7 @@ func itoa(v int) string {
 
 // BenchmarkOrgScale reproduces the §IV-B audit: generating and
 // analysing the organisation-scale dataset with core.Analyze's default
-// Role Diet method, which groups over the CSR snapshot. scale=1 is the paper's full ~50k-role scale; the smaller
+// Role Diet method, which groups over the sparse rows. scale=1 is the paper's full ~50k-role scale; the smaller
 // scales show near-linear behaviour. Generation is included in setup,
 // not the measurement.
 func BenchmarkOrgScale(b *testing.B) {
@@ -241,8 +240,7 @@ func benchDecode(b *testing.B, raw []byte) {
 }
 
 // BenchmarkDatasetRows times the dataset's row storage at paper/10:
-// a deep copy (clone), the two CSR matrices every analysis starts from
-// (csr), a pass that revokes every edge of every role and assigns
+// a deep copy (clone), a pass that revokes every edge of every role and assigns
 // them back in descending order, so each insert lands at the front of
 // its row (assign), and a pass resolving every user, role and
 // permission ID to its index, as session.Audit resolves bucket members
@@ -279,15 +277,6 @@ func BenchmarkDatasetRows(b *testing.B) {
 				if j, ok := ds.PermissionIndex(p); !ok || j != pi {
 					b.Fatalf("permission %q resolved to %d", p, j)
 				}
-			}
-		}
-	})
-	b.Run("csr", func(b *testing.B) {
-		nnz := ds.NumUserAssignments() + ds.NumPermissionAssignments()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ds.RUAMCSR().NNZ()+ds.RPAMCSR().NNZ() != nnz {
-				b.Fatal("CSR lost edges")
 			}
 		}
 	})
@@ -329,7 +318,7 @@ func BenchmarkAblationCooccurrence(b *testing.B) {
 	rows := genMatrix(b, 2000, 1000)
 	b.Run("full-matrix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := rolediet.CooccurrenceMatrix(rows)
+			c := rolediet.CooccurrenceMatrix(rows.Cols, rows.Rows)
 			groups := rolediet.GroupsFromIndicator(c)
 			if len(groups) == 0 {
 				b.Fatal("no groups")
@@ -374,10 +363,10 @@ func BenchmarkAblationExactHash(b *testing.B) {
 // Hamming distances.
 func BenchmarkAblationBitvecDistance(b *testing.B) {
 	rows := genMatrix(b, 500, 1000)
-	floats := make([][]float64, rows.Rows())
-	for i := range floats {
-		floats[i] = make([]float64, rows.Cols())
-		for _, j := range rows.RowCols(i) {
+	floats := make([][]float64, len(rows.Rows))
+	for i, row := range rows.Rows {
+		floats[i] = make([]float64, rows.Cols)
+		for _, j := range row {
 			floats[i][j] = 1
 		}
 	}
@@ -414,7 +403,7 @@ func BenchmarkAblationHNSWParams(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				groups, err := core.FindRoleGroups(context.Background(), rows, core.GroupOptions{
+				groups, err := core.FindRoleGroups(context.Background(), rows.Cols, rows.Rows, core.GroupOptions{
 					Method: core.MethodHNSW,
 					HNSW:   hnsw.Config{M: tc.m, EfConstruction: tc.efc, Seed: 1},
 				})
@@ -508,8 +497,8 @@ func BenchmarkAblationParallelBackends(b *testing.B) {
 }
 
 // BenchmarkSparseVsDense compares the dense bit-matrix Role Diet lane
-// (arena packing included) against the CSR lane on the same workload,
-// the §III-B representation trade-off.
+// (arena packing included) against the sparse-row lane ("csr") on the
+// same workload, the §III-B representation trade-off.
 func BenchmarkSparseVsDense(b *testing.B) {
 	rows := genMatrix(b, 5000, 2000)
 	opts := rolediet.Options{Threshold: 1}

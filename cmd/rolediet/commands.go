@@ -59,7 +59,7 @@ func cmdGenerate(args []string, stdout io.Writer) error {
 		for r := 0; r < *roles; r++ {
 			id := rbac.RoleID(fmt.Sprintf("r%06d", r))
 			_ = ds.AddRole(id)
-			for _, u := range g.Rows.RowCols(r) {
+			for _, u := range g.Rows[r] {
 				_ = ds.AssignUser(id, rbac.UserID(fmt.Sprintf("u%06d", u)))
 			}
 		}

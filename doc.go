@@ -5,9 +5,10 @@
 // The library lives under internal/: the detection framework
 // (internal/core), the paper's custom Role Diet algorithm and the
 // DBSCAN/HNSW baselines (internal/cluster/...), the RBAC domain model
-// (internal/rbac), matrices (internal/matrix, internal/bitmat),
-// synthetic workload generators (internal/gen), a consolidation planner
-// (internal/consolidate) and the measurement harness (internal/bench).
+// (internal/rbac, which holds the assignment matrices as sparse rows),
+// the bit-matrix arena (internal/bitmat), synthetic workload generators
+// (internal/gen), a consolidation planner (internal/consolidate) and the
+// measurement harness (internal/bench).
 // The rolediet CLI (cmd/rolediet) and the runnable examples (examples/)
 // sit on top.
 //

@@ -56,7 +56,7 @@ func run(roles, users, k int) error {
 	}
 	for _, m := range methods {
 		start := time.Now()
-		groups, err := core.FindRoleGroups(context.Background(), g.Rows, core.GroupOptions{Method: m, Threshold: k})
+		groups, err := core.FindRoleGroups(context.Background(), g.Cols, g.Rows, core.GroupOptions{Method: m, Threshold: k})
 		if err != nil {
 			return err
 		}

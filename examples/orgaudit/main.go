@@ -1,8 +1,8 @@
 // Orgaudit reproduces the paper's §IV-B experiment end to end: generate
 // the organisation-scale dataset (~90k users, ~350k permissions, ~50k
 // roles with every inefficiency class planted at the paper's reported
-// counts), audit it with core.Analyze — Role Diet over the CSR
-// snapshot — and print the planted-vs-detected table.
+// counts), audit it with core.Analyze — Role Diet over the dataset's
+// sparse rows — and print the planted-vs-detected table.
 //
 // Run the full scale (a couple of seconds, a few hundred MB):
 //

@@ -203,7 +203,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 			var groups [][]int
 			stat, err := Measure(cfg.Runs, func() error {
 				var innerErr error
-				groups, innerErr = core.FindRoleGroups(context.Background(), g.Rows, core.GroupOptions{
+				groups, innerErr = core.FindRoleGroups(context.Background(), g.Cols, g.Rows, core.GroupOptions{
 					Method:    m,
 					Threshold: cfg.Threshold,
 				})

@@ -210,3 +210,19 @@ func TestFormatBytes(t *testing.T) {
 		}
 	}
 }
+
+func TestMemoryEstimates(t *testing.T) {
+	dense := memoryBytesDense(100, 1000)
+	if dense != 8*100*16 {
+		t.Fatalf("dense estimate = %d", dense)
+	}
+	// One edge per row: 100 int32 columns plus 100 slice headers, far
+	// below the dense footprint.
+	rows := memoryBytesRows(100, 100)
+	if rows != 24*100+4*100 {
+		t.Fatalf("rows estimate = %d", rows)
+	}
+	if rows >= dense {
+		t.Fatalf("sparse %d should beat dense %d at this density", rows, dense)
+	}
+}

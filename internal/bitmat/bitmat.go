@@ -1,7 +1,7 @@
 // Package bitmat implements a flat, cache-aware bit-matrix arena shared
 // by the clustering backends.
 //
-// Where package matrix stores one heap-allocated bitvec.Vector per row,
+// Where rbac.BitMatrix stores one heap-allocated bitvec.Vector per row,
 // bitmat packs every row into a single contiguous []uint64 with the row
 // stride rounded up to a whole cache line (8 words = 64 bytes). Row i
 // occupies words [i*stride, i*stride+words); the remaining stride-words
@@ -11,8 +11,8 @@
 // the triangle-inequality bound d(a,b) >= ||a|-|b|| is available to
 // prune candidates before any XOR+popcount work.
 //
-// The arena is built once per grouping run (packed from core's CSR
-// snapshot, or from a row slice) and shared by every backend: the
+// The arena is built once per grouping run (packed from the sparse
+// rows core groups, or from a row slice) and shared by every backend: the
 // Role Diet inverted index walks RowWords, DBSCAN region queries go
 // through the norm-pruned NeighborsInto/NeighborsAppend kernels, HNSW
 // computes distances between stored ids with Hamming(i,j) instead of
@@ -26,7 +26,6 @@ import (
 	"math/bits"
 
 	"repro/internal/bitvec"
-	"repro/internal/matrix"
 )
 
 const (
@@ -75,15 +74,16 @@ func New(rows, cols int) *Matrix {
 	}
 }
 
-// FromCSR packs a CSR matrix into a fresh arena of the same shape. It
-// writes the words directly and popcounts each row once, rather than
-// paying Set's checks and norm update per bit.
-func FromCSR(c *matrix.CSR) *Matrix {
-	m := New(c.Rows(), c.Cols())
-	for i := 0; i < c.Rows(); i++ {
+// Pack packs sparse rows, each listing the set columns of one row in
+// [0, cols), into a fresh arena cols wide. It writes the words directly
+// and popcounts each row once, rather than paying Set's checks and norm
+// update per bit.
+func Pack(cols int, rows [][]int32) *Matrix {
+	m := New(len(rows), cols)
+	for i, r := range rows {
 		row := m.bits[i*m.stride : i*m.stride+m.words]
-		for _, j := range c.RowCols(i) {
-			m.checkCol(j)
+		for _, j := range r {
+			m.checkCol(int(j))
 			row[j>>wordShift] |= 1 << (uint(j) & wordMask)
 		}
 		n := 0

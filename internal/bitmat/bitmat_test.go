@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/matrix"
 )
 
 // randRows builds n random rows of the given width with roughly the
@@ -177,17 +176,19 @@ func TestNeighborsNormBoundary(t *testing.T) {
 	}
 }
 
-// TestFromCSRParity: packing a CSR lays out the same arena as packing
-// the equivalent row vectors.
-func TestFromCSRParity(t *testing.T) {
+// TestPackParity: packing sparse rows lays out the same arena as
+// packing the equivalent row vectors.
+func TestPackParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, cols := range []int{1, 63, 64, 130} {
 		rows := randRows(rng, 50, cols, 0.3)
-		lists := make([][]int, len(rows))
+		lists := make([][]int32, len(rows))
 		for i, r := range rows {
-			lists[i] = r.Indices()
+			for _, j := range r.Indices() {
+				lists[i] = append(lists[i], int32(j))
+			}
 		}
-		m := FromCSR(matrix.CSRFromLists(cols, lists))
+		m := Pack(cols, lists)
 		ref, err := FromRows(rows)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,8 @@
 //
 // A Vector is one dense row of an RBAC assignment matrix: bit j of a
 // role's row is 1 iff the role is assigned user (or permission) j. The
-// analysis engine, the §IV-A generator and role mining hold rows as CSR
-// or sorted index rows instead; vectors remain the rows of
+// analysis engine, the §IV-A generator and role mining hold rows as
+// sorted []int32 column lists instead; vectors remain the rows of
 // rbac.Dataset.RUAM/RPAM and the input of bitmat.FromRows, which the
 // benchmark module's replay still reads, and the testkit oracle's row
 // form. Norms, co-occurrences g(i,j) and Hamming distances reduce to

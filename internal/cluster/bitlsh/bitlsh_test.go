@@ -11,7 +11,6 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
 	"repro/internal/cluster/rolediet"
-	"repro/internal/matrix"
 )
 
 // findGroups packs the rows into a bit-matrix arena and runs the serial
@@ -94,11 +93,13 @@ func TestExactDuplicatesAlwaysFound(t *testing.T) {
 
 // exactGroups runs the deterministic Role Diet pass at threshold 0.
 func exactGroups(rows []*bitvec.Vector) (*rolediet.Result, error) {
-	lists := make([][]int, len(rows))
+	lists := make([][]int32, len(rows))
 	for i, r := range rows {
-		lists[i] = r.Indices()
+		for _, j := range r.Indices() {
+			lists[i] = append(lists[i], int32(j))
+		}
 	}
-	return rolediet.Run(context.Background(), matrix.CSRFromLists(rows[0].Len(), lists), rolediet.Options{})
+	return rolediet.Run(context.Background(), rows[0].Len(), lists, rolediet.Options{})
 }
 
 func TestPropertyExactCaseMatchesRoleDiet(t *testing.T) {

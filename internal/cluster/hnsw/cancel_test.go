@@ -17,7 +17,7 @@ func TestBuildContextAlreadyCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := build(ctx, bitmat.FromCSR(m.Rows), Config{}, 1); !errors.Is(err, context.Canceled) {
+	if _, err := build(ctx, bitmat.Pack(m.Cols, m.Rows), Config{}, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("build on canceled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -30,7 +30,7 @@ func TestBuildContextCanceledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := bitmat.FromCSR(m.Rows)
+	packed := bitmat.Pack(m.Cols, m.Rows)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(time.Millisecond, cancel)
@@ -57,13 +57,13 @@ func TestBuildContextBackgroundMatchesBuild(t *testing.T) {
 	}
 	// A live (never cancelled) context must not change the serial,
 	// seeded build.
-	plain, err := build(context.Background(), bitmat.FromCSR(m.Rows), Config{}, 1)
+	plain, err := build(context.Background(), bitmat.Pack(m.Cols, m.Rows), Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctxed, err := build(ctx, bitmat.FromCSR(m.Rows), Config{}, 1)
+	ctxed, err := build(ctx, bitmat.Pack(m.Cols, m.Rows), Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,17 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/gen"
-	"repro/internal/matrix"
 )
 
 // slowRows returns a dense workload whose co-occurrence pass takes long
 // enough that a mid-run cancel lands reliably.
-func slowRows(t *testing.T) *matrix.CSR {
+func slowRows(t *testing.T) *gen.GeneratedMatrix {
 	t.Helper()
 	m, err := gen.Matrix(gen.MatrixParams{Rows: 2000, Cols: 1024, Density: 0.2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Rows
+	return m
 }
 
 func waitCanceled(t *testing.T, name string, done <-chan error) {
@@ -42,7 +41,7 @@ func TestGroupsContextAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, k := range []int{0, 2} {
-		if _, err := Run(ctx, m.Rows, Options{Threshold: k}); !errors.Is(err, context.Canceled) {
+		if _, err := Run(ctx, m.Cols, m.Rows, Options{Threshold: k}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Run(threshold=%d) on canceled ctx = %v, want context.Canceled", k, err)
 		}
 	}
@@ -56,7 +55,7 @@ func TestGroupsContextCanceledMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, rows, Options{Threshold: 2})
+		_, err := Run(ctx, rows.Cols, rows.Rows, Options{Threshold: 2})
 		done <- err
 	}()
 	waitCanceled(t, "Run", done)
@@ -65,14 +64,14 @@ func TestGroupsContextCanceledMidRun(t *testing.T) {
 // TestGroupsCSRContextCanceledMidRun cancels the general co-occurrence
 // path at threshold 0, with the exact hash pass disabled.
 func TestGroupsCSRContextCanceledMidRun(t *testing.T) {
-	csr := slowRows(t)
+	rows := slowRows(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(time.Millisecond, cancel)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, csr, Options{DisableExactHashFastPath: true})
+		_, err := Run(ctx, rows.Cols, rows.Rows, Options{DisableExactHashFastPath: true})
 		done <- err
 	}()
 	waitCanceled(t, "Run without the hash pass", done)
@@ -86,7 +85,7 @@ func TestGroupsParallelContextCanceledMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, rows, Options{Threshold: 2, Workers: 4})
+		_, err := Run(ctx, rows.Cols, rows.Rows, Options{Threshold: 2, Workers: 4})
 		done <- err
 	}()
 	waitCanceled(t, "Run with 4 workers", done)
@@ -97,13 +96,13 @@ func TestGroupsContextBackgroundMatchesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := bitmat.FromCSR(m.Rows)
+	packed := bitmat.Pack(m.Cols, m.Rows)
 	for _, k := range []int{0, 2} {
 		plain, err := GroupsMat(packed, Options{Threshold: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxed, err := Run(context.Background(), m.Rows, Options{Threshold: k})
+		ctxed, err := Run(context.Background(), m.Cols, m.Rows, Options{Threshold: k})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,41 +1,38 @@
 package rolediet
 
-import (
-	"fmt"
-
-	"repro/internal/matrix"
-)
+import "fmt"
 
 // CooccurrenceMatrix materialises the paper's matrix C for a small set
-// of roles (§III-C): C[i][j] = g(i,j), the number of user co-occurrences
-// between roles i and j, for i ≠ j; C[i][i] = |Rⁱ|, the role's norm.
+// of roles (§III-C), each row listing its set columns in [0, cols):
+// C[i][j] = g(i,j), the number of user co-occurrences between roles i
+// and j, for i ≠ j; C[i][i] = |Rⁱ|, the role's norm.
 //
 // This is the didactic O(r²) form used in the worked example and the
 // unit tests; the production path in Run never builds it, which is
 // the subject of the co-occurrence ablation benchmark.
-func CooccurrenceMatrix(rows *matrix.CSR) [][]int {
-	n := rows.Rows()
+func CooccurrenceMatrix(cols int, rows [][]int32) [][]int {
+	n := len(rows)
 	c := make([][]int, n)
 	for i := range c {
 		c[i] = make([]int, n)
-		c[i][i] = rows.RowSum(i)
+		c[i][i] = len(rows[i])
 	}
 	// mark[u] is 1 while u is a column of role i, so g(i, j) is a sum
 	// over role j's columns.
-	mark := make([]int, rows.Cols())
+	mark := make([]int, cols)
 	for i := 0; i < n; i++ {
-		for _, u := range rows.RowCols(i) {
+		for _, u := range rows[i] {
 			mark[u] = 1
 		}
 		for j := i + 1; j < n; j++ {
 			g := 0
-			for _, u := range rows.RowCols(j) {
+			for _, u := range rows[j] {
 				g += mark[u]
 			}
 			c[i][j] = g
 			c[j][i] = g
 		}
-		for _, u := range rows.RowCols(i) {
+		for _, u := range rows[i] {
 			mark[u] = 0
 		}
 	}

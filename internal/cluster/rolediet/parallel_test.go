@@ -123,14 +123,14 @@ func TestGroupsCSRParallelMatchesSerial(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(60), 1+r.Intn(20), 0.3)
 		plantDuplicates(r, rows, r.Intn(10))
-		c := toCSR(rows)
+		cols, sparse := widthOf(rows), sparseRows(rows)
 		k := r.Intn(3)
 		workers := 2 + r.Intn(7)
-		serial, err := Run(ctx, c, Options{Threshold: k})
+		serial, err := Run(ctx, cols, sparse, Options{Threshold: k})
 		if err != nil {
 			return false
 		}
-		par, err := Run(ctx, c, Options{Threshold: k, Workers: workers})
+		par, err := Run(ctx, cols, sparse, Options{Threshold: k, Workers: workers})
 		if err != nil {
 			return false
 		}

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/ctxcheck"
-	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
@@ -77,49 +76,50 @@ type Result struct {
 	PairsExamined int
 }
 
-// Run finds all groups of roles whose rows in the CSR matrix are
-// identical (opts.Threshold == 0) or within Hamming distance Threshold
-// of a chain of group members (Threshold >= 1; connectivity semantics
-// match the DBSCAN baseline so the methods are comparable). Norms are
-// the row lengths, exact groups bucket by a hash of the sorted column
-// list, and the inverted index is built by walking ColIdx linearly.
+// Run finds all groups of roles whose sparse rows are identical
+// (opts.Threshold == 0) or within Hamming distance Threshold of a chain
+// of group members (Threshold >= 1; connectivity semantics match the
+// DBSCAN baseline so the methods are comparable). Each row lists its
+// set columns in [0, cols), strictly ascending, as rbac.Dataset stores
+// them. Norms are the row lengths, exact groups bucket by a hash of the
+// column list, and the inverted index is built by walking the rows.
 //
-// CSR is what lets the algorithm scale to the paper's organisation-size
-// dataset (§IV-B): a dense RUAM/RPAM would need hundreds of megabytes
-// to gigabytes, while CSR plus the inverted index stay proportional to
-// the number of assignment edges.
+// Sparse rows are what let the algorithm scale to the paper's
+// organisation-size dataset (§IV-B): a dense RUAM/RPAM would need
+// hundreds of megabytes to gigabytes, while the rows plus the inverted
+// index stay proportional to the number of assignment edges.
 //
 // The hot loops poll ctx every few thousand rows / co-occurrence
 // expansions and abort with ctx.Err(), discarding partial groups.
-func Run(ctx context.Context, c *matrix.CSR, opts Options) (*Result, error) {
+func Run(ctx context.Context, cols int, rows [][]int32, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Rows() == 0 {
+	if len(rows) == 0 {
 		return &Result{}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if opts.Threshold == 0 && !opts.DisableExactHashFastPath {
-		keys := columnKeys(c.Cols())
-		return exactGroupsFlat(ctx, opts.Progress, c.Rows(),
-			func(i int) uint64 { return hashRow(c.RowCols(i), keys) },
-			func(i, j int) bool { return slices.Equal(c.RowCols(i), c.RowCols(j)) })
+		keys := columnKeys(cols)
+		return exactGroupsFlat(ctx, opts.Progress, len(rows),
+			func(i int) uint64 { return hashRow(rows[i], keys) },
+			func(i, j int) bool { return slices.Equal(rows[i], rows[j]) })
 	}
-	norms := make([]int, c.Rows())
-	for i := range norms {
-		norms[i] = c.RowSum(i)
+	norms := make([]int, len(rows))
+	for i, r := range rows {
+		norms[i] = len(r)
 	}
 	rowCols := func(i int, emit func(col int)) {
-		for _, j := range c.RowCols(i) {
-			emit(j)
+		for _, j := range rows[i] {
+			emit(int(j))
 		}
 	}
-	return similarGroups(ctx, c.Cols(), norms, rowCols, opts)
+	return similarGroups(ctx, cols, norms, rowCols, opts)
 }
 
-// GroupsMat is Run over a bit-matrix arena instead of a CSR: row
+// GroupsMat is Run over a bit-matrix arena instead of sparse rows: row
 // hashing and equality are word compares, norms come precomputed. It
 // remains only for the end-to-end benchmark, which replays this arena
 // lane; the engine and every other caller run Run.
@@ -159,7 +159,7 @@ func columnKeys(cols int) []uint64 {
 // so they pipeline rather than forming one dependency chain. The exact
 // pass splits buckets by true equality, so a collision can cost a
 // comparison but never a group.
-func hashRow(cols []int, keys []uint64) uint64 {
+func hashRow(cols []int32, keys []uint64) uint64 {
 	h := uint64(0)
 	for _, j := range cols {
 		h += keys[j]
@@ -177,7 +177,7 @@ const groupStride = 1024
 // heap objects: one map entry per distinct hash plus four fixed arrays,
 // versus the old map-of-struct layout's per-row slice churn. hash and
 // equal abstract the row storage — the arena's word compares for the
-// dense path, sorted column lists for CSR.
+// dense path, sorted column lists for sparse rows.
 func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, hash func(i int) uint64, equal func(i, j int) bool) (*Result, error) {
 	const none = int32(-1)
 	chk := ctxcheck.New(ctx, groupStride)
@@ -261,7 +261,7 @@ type pair struct {
 
 // similarGroups is the thresholded grouping pass: union-find
 // connectivity over the "Hamming <= k" relation. Rows are abstracted
-// behind the rowCols accessor, so the dense arena and CSR share one
+// behind the rowCols accessor, so the dense arena and sparse rows share one
 // inverted index, chunked fan-out, scratch pooling and merge.
 //
 // The inverted index is built with the deterministic two-pass layout,

@@ -14,16 +14,16 @@ import (
 	"repro/internal/cluster/dbscan"
 )
 
-// groups lays the rows out as a CSR, refusing ragged rows as a matrix
-// must, and runs the grouping over it, the shape of every production
-// call.
+// groups lists the rows' set columns as sparse rows, refusing ragged
+// rows as a matrix must, and runs the grouping over them, the shape of
+// every production call.
 func groups(rows []*bitvec.Vector, opts Options) (*Result, error) {
 	for i, r := range rows {
 		if r.Len() != rows[0].Len() {
 			return nil, fmt.Errorf("row %d has length %d, want %d", i, r.Len(), rows[0].Len())
 		}
 	}
-	return Run(context.Background(), toCSR(rows), opts)
+	return Run(context.Background(), widthOf(rows), sparseRows(rows), opts)
 }
 
 // arenaGroups packs the rows into a bit-matrix arena and runs GroupsMat,
@@ -55,7 +55,7 @@ func paperRUAM() []*bitvec.Vector {
 
 func TestPaperWorkedExample(t *testing.T) {
 	rows := paperRUAM()
-	c := CooccurrenceMatrix(toCSR(rows))
+	c := CooccurrenceMatrix(widthOf(rows), sparseRows(rows))
 	want := [][]int{
 		{1, 0, 0, 0, 0},
 		{0, 2, 0, 2, 0},
@@ -97,7 +97,7 @@ func TestPaperWorkedExample(t *testing.T) {
 }
 
 func TestIndicatorErrors(t *testing.T) {
-	c := CooccurrenceMatrix(toCSR(paperRUAM()))
+	c := CooccurrenceMatrix(4, sparseRows(paperRUAM()))
 	if _, err := Indicator(c, -1, 0); err == nil {
 		t.Error("negative index accepted")
 	}

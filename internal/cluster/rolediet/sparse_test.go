@@ -8,24 +8,33 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitvec"
-	"repro/internal/matrix"
 )
 
-// toCSR lists each test row's set columns as the CSR form Run takes.
-func toCSR(rows []*bitvec.Vector) *matrix.CSR {
-	cols := 0
-	if len(rows) > 0 {
-		cols = rows[0].Len()
+// widthOf returns the width of equal-width rows, 0 when there are none.
+func widthOf(rows []*bitvec.Vector) int {
+	if len(rows) == 0 {
+		return 0
 	}
-	lists := make([][]int, len(rows))
-	for i, r := range rows {
-		lists[i] = r.Indices()
-	}
-	return matrix.CSRFromLists(cols, lists)
+	return rows[0].Len()
 }
 
+// sparseRows lists each test row's set columns as the sparse row Run
+// takes.
+func sparseRows(rows []*bitvec.Vector) [][]int32 {
+	out := make([][]int32, len(rows))
+	for i, r := range rows {
+		for _, j := range r.Indices() {
+			out[i] = append(out[i], int32(j))
+		}
+	}
+	return out
+}
+
+// The TestGroupsCSR* cases run Run on sparse rows; "CSR" names that
+// lane, as against the arena lane GroupsMat runs.
+
 func TestGroupsCSRPaperExample(t *testing.T) {
-	res, err := Run(context.Background(), toCSR(paperRUAM()), Options{Threshold: 0})
+	res, err := Run(context.Background(), 4, sparseRows(paperRUAM()), Options{Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +44,13 @@ func TestGroupsCSRPaperExample(t *testing.T) {
 }
 
 func TestGroupsCSRValidation(t *testing.T) {
-	if _, err := Run(context.Background(), toCSR(paperRUAM()), Options{Threshold: -1}); err == nil {
+	if _, err := Run(context.Background(), 4, sparseRows(paperRUAM()), Options{Threshold: -1}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
 }
 
 func TestGroupsCSREmpty(t *testing.T) {
-	res, err := Run(context.Background(), matrix.NewCSR(0, 5), Options{})
+	res, err := Run(context.Background(), 5, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +62,8 @@ func TestGroupsCSREmpty(t *testing.T) {
 func TestGroupsCSREmptyRowsGroup(t *testing.T) {
 	// Two all-zero rows are identical and must group, exactly like the
 	// arena lane.
-	c := matrix.NewCSR(3, 4)
-	c.ColIdx = []int{1}
-	c.RowPtr = []int{0, 0, 1, 1} // row 1 has column 1; rows 0 and 2 empty
-	res, err := Run(context.Background(), c, Options{Threshold: 0})
+	rows := [][]int32{nil, {1}, {}} // row 1 has column 1; rows 0 and 2 empty
+	res, err := Run(context.Background(), 4, rows, Options{Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +73,14 @@ func TestGroupsCSREmptyRowsGroup(t *testing.T) {
 }
 
 func TestPropertyCSRMatchesDenseGroups(t *testing.T) {
-	// Run over the CSR and GroupsMat over the arena must agree exactly on
-	// every input and threshold, through both the exact and general paths.
+	// Run over the sparse rows and GroupsMat over the arena must agree
+	// exactly on every input and threshold, through both the exact and
+	// general paths.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(40), 1+r.Intn(16), 0.3)
 		plantDuplicates(r, rows, r.Intn(8))
-		csr := toCSR(rows)
+		cols, sparse := widthOf(rows), sparseRows(rows)
 		for _, k := range []int{0, 1, 2} {
 			for _, disable := range []bool{false, true} {
 				opts := Options{Threshold: k, DisableExactHashFastPath: disable}
@@ -80,11 +88,11 @@ func TestPropertyCSRMatchesDenseGroups(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				sparse, err := Run(context.Background(), csr, opts)
+				got, err := Run(context.Background(), cols, sparse, opts)
 				if err != nil {
 					return false
 				}
-				if !groupsEqual(dense.Groups, sparse.Groups) {
+				if !groupsEqual(dense.Groups, got.Groups) {
 					return false
 				}
 			}
@@ -98,7 +106,7 @@ func TestPropertyCSRMatchesDenseGroups(t *testing.T) {
 
 func TestGroupsCSRSimilarThreshold(t *testing.T) {
 	rows := paperRUAM()
-	res, err := Run(context.Background(), toCSR(rows), Options{Threshold: 1})
+	res, err := Run(context.Background(), widthOf(rows), sparseRows(rows), Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

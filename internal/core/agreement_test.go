@@ -12,7 +12,7 @@ import (
 )
 
 // canonicalIDs sorts a copy of an ID-ish slice for order-insensitive
-// comparison (the CSR and arena lanes happen to emit in the same
+// comparison (the sparse-row and arena lanes happen to emit in the same
 // role-index order today, but that is an implementation detail).
 func canonicalIDs[T ~string](ids []T) []string {
 	out := make([]string, len(ids))
@@ -38,12 +38,12 @@ func canonicalGroups(groups []core.RoleGroup) []string {
 func equalStrings(t *testing.T, field string, a, b []string) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Errorf("%s: csr has %d entries, arena %d\n  csr:   %v\n  arena: %v", field, len(a), len(b), a, b)
+		t.Errorf("%s: sparse has %d entries, arena %d\n  sparse: %v\n  arena:  %v", field, len(a), len(b), a, b)
 		return
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Errorf("%s[%d]: csr %q != arena %q", field, i, a[i], b[i])
+			t.Errorf("%s[%d]: sparse %q != arena %q", field, i, a[i], b[i])
 			return
 		}
 	}
@@ -51,32 +51,32 @@ func equalStrings(t *testing.T, field string, a, b []string) {
 
 // compareReports asserts the two grouping lanes agree on every
 // detected inefficiency, class by class.
-func compareReports(t *testing.T, csr, arena *core.Report) {
+func compareReports(t *testing.T, sparse, arena *core.Report) {
 	t.Helper()
-	if csr.Stats != arena.Stats {
-		t.Errorf("stats differ: csr %+v arena %+v", csr.Stats, arena.Stats)
+	if sparse.Stats != arena.Stats {
+		t.Errorf("stats differ: sparse %+v arena %+v", sparse.Stats, arena.Stats)
 	}
-	equalStrings(t, "standaloneUsers", canonicalIDs(csr.StandaloneUsers), canonicalIDs(arena.StandaloneUsers))
-	equalStrings(t, "standalonePermissions", canonicalIDs(csr.StandalonePermissions), canonicalIDs(arena.StandalonePermissions))
-	equalStrings(t, "standaloneRoles", canonicalIDs(csr.StandaloneRoles), canonicalIDs(arena.StandaloneRoles))
-	equalStrings(t, "rolesWithoutUsers", canonicalIDs(csr.RolesWithoutUsers), canonicalIDs(arena.RolesWithoutUsers))
-	equalStrings(t, "rolesWithoutPermissions", canonicalIDs(csr.RolesWithoutPermissions), canonicalIDs(arena.RolesWithoutPermissions))
-	equalStrings(t, "rolesWithSingleUser", canonicalIDs(csr.RolesWithSingleUser), canonicalIDs(arena.RolesWithSingleUser))
-	equalStrings(t, "rolesWithSinglePermission", canonicalIDs(csr.RolesWithSinglePermission), canonicalIDs(arena.RolesWithSinglePermission))
-	equalStrings(t, "sameUserGroups", canonicalGroups(csr.SameUserGroups), canonicalGroups(arena.SameUserGroups))
-	equalStrings(t, "samePermissionGroups", canonicalGroups(csr.SamePermissionGroups), canonicalGroups(arena.SamePermissionGroups))
-	equalStrings(t, "similarUserGroups", canonicalGroups(csr.SimilarUserGroups), canonicalGroups(arena.SimilarUserGroups))
-	equalStrings(t, "similarPermissionGroups", canonicalGroups(csr.SimilarPermissionGroups), canonicalGroups(arena.SimilarPermissionGroups))
+	equalStrings(t, "standaloneUsers", canonicalIDs(sparse.StandaloneUsers), canonicalIDs(arena.StandaloneUsers))
+	equalStrings(t, "standalonePermissions", canonicalIDs(sparse.StandalonePermissions), canonicalIDs(arena.StandalonePermissions))
+	equalStrings(t, "standaloneRoles", canonicalIDs(sparse.StandaloneRoles), canonicalIDs(arena.StandaloneRoles))
+	equalStrings(t, "rolesWithoutUsers", canonicalIDs(sparse.RolesWithoutUsers), canonicalIDs(arena.RolesWithoutUsers))
+	equalStrings(t, "rolesWithoutPermissions", canonicalIDs(sparse.RolesWithoutPermissions), canonicalIDs(arena.RolesWithoutPermissions))
+	equalStrings(t, "rolesWithSingleUser", canonicalIDs(sparse.RolesWithSingleUser), canonicalIDs(arena.RolesWithSingleUser))
+	equalStrings(t, "rolesWithSinglePermission", canonicalIDs(sparse.RolesWithSinglePermission), canonicalIDs(arena.RolesWithSinglePermission))
+	equalStrings(t, "sameUserGroups", canonicalGroups(sparse.SameUserGroups), canonicalGroups(arena.SameUserGroups))
+	equalStrings(t, "samePermissionGroups", canonicalGroups(sparse.SamePermissionGroups), canonicalGroups(arena.SamePermissionGroups))
+	equalStrings(t, "similarUserGroups", canonicalGroups(sparse.SimilarUserGroups), canonicalGroups(arena.SimilarUserGroups))
+	equalStrings(t, "similarPermissionGroups", canonicalGroups(sparse.SimilarPermissionGroups), canonicalGroups(arena.SimilarPermissionGroups))
 }
 
-// compareLanes analyses ds with Role Diet, which groups over the CSR
-// snapshot, and with exact DBSCAN, which groups over the arena packed
+// compareLanes analyses ds with Role Diet, which groups over the sparse
+// rows, and with exact DBSCAN, which groups over the arena packed
 // from it, at one and four workers, and requires identical reports.
 func compareLanes(t *testing.T, ds *rbac.Dataset, threshold int) {
 	t.Helper()
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			csr, err := core.Analyze(ds, core.Options{Method: core.MethodRoleDiet, SimilarThreshold: threshold, Workers: workers})
+			sparse, err := core.Analyze(ds, core.Options{Method: core.MethodRoleDiet, SimilarThreshold: threshold, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,12 +84,12 @@ func compareLanes(t *testing.T, ds *rbac.Dataset, threshold int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareReports(t, csr, arena)
+			compareReports(t, sparse, arena)
 		})
 	}
 }
 
-// TestAnalyzeSparseAgreementOrg runs the CSR lane (Role Diet) against
+// TestAnalyzeSparseAgreementOrg runs the sparse-row lane (Role Diet) against
 // the arena lane (exact DBSCAN) over randomized organisation-scale
 // datasets (scaled-down §IV-B generator with different seeds) and
 // requires identical reports across all five inefficiency classes.

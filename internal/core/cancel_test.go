@@ -70,7 +70,7 @@ func TestAnalyzeContextCanceledMidRun(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSparseContextCanceledMidRun is the CSR-lane twin of the
+// TestAnalyzeSparseContextCanceledMidRun is the sparse-row-lane twin of the
 // test above: Role Diet's co-occurrence loops over the sparse snapshot
 // must observe the cancel too.
 func TestAnalyzeSparseContextCanceledMidRun(t *testing.T) {

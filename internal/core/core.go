@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -199,10 +198,10 @@ type Report struct {
 
 // Analyzer runs the detection framework over one dataset snapshot.
 // NewAnalyzer copies everything the detectors read: the entity IDs, the
-// dataset's shape, and per side the row sums, the column degrees and a
-// CSR of the non-empty rows. The snapshot is the CSR; the dataset itself
-// is not retained. The one-shot Analyze and AnalyzeContext read the IDs
-// in place instead (see newAnalyzer).
+// dataset's shape, and per side the row sums, the column degrees and
+// the non-empty rows. The dataset itself is not retained. The one-shot
+// Analyze and AnalyzeContext read the IDs and rows in place instead
+// (see newAnalyzer).
 type Analyzer struct {
 	ids   ids
 	stats rbac.Stats
@@ -221,76 +220,79 @@ type ids struct {
 // counts holds one assignment matrix's row sums (per role) and column
 // degrees (per user or permission): all the class-1/2/3 detectors read.
 type counts struct {
-	rowSums []int
-	colDeg  []int
+	rowSums []int32
+	colDeg  []int32
 }
 
 // side is one assignment matrix as the analysis holds it: its counts,
-// the CSR of its non-empty rows, and the remap from CSR row back to
+// its width, its non-empty rows, and the remap from kept row back to
 // dataset role index. Grouping runs over the non-empty rows only, so
 // disconnected roles (class 2) cannot resurface as one giant class-4
 // group of all-zero rows.
 type side struct {
 	counts
-	remap []int
-	csr   *matrix.CSR
+	cols  int
+	rows  [][]int32
+	remap []int32
 }
 
-// NewAnalyzer snapshots the dataset. Each side is laid out once as a
-// CSR matrix; later dataset mutations are not observed.
+// NewAnalyzer snapshots the dataset: each side's non-empty rows are
+// copied into one backing array, so later dataset mutations are not
+// observed.
 func NewAnalyzer(d *rbac.Dataset) *Analyzer {
-	return newAnalyzer(d, ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()})
+	return newAnalyzer(d, ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()}, true)
 }
 
 // newAnalyzer builds an analyzer over the given entity IDs. NewAnalyzer
-// passes copies; the one-shot Analyze and AnalyzeContext pass the
-// dataset's own slices (rbac.Dataset.IDs), which hold for the call
-// because d may not change during it, as RUAMCSR and RPAMCSR already
-// require. The report copies the IDs it names.
-func newAnalyzer(d *rbac.Dataset, id ids) *Analyzer {
+// passes copies and copyRows; the one-shot Analyze and AnalyzeContext
+// pass the dataset's own ID slices (rbac.Dataset.IDs) and keep its rows
+// in place, which hold for the call because d may not change during
+// it. The report copies the IDs it names.
+func newAnalyzer(d *rbac.Dataset, id ids, copyRows bool) *Analyzer {
 	return &Analyzer{
 		ids:   id,
 		stats: d.Stats(),
-		ruam:  newSide(d.RUAMCSR()),
-		rpam:  newSide(d.RPAMCSR()),
+		ruam:  newSide(d.NumRoles(), d.NumUsers(), d.RoleUserRow, copyRows),
+		rpam:  newSide(d.NumRoles(), d.NumPermissions(), d.RolePermissionRow, copyRows),
 	}
 }
 
-// newSide counts one assignment matrix and keeps its non-empty rows.
-func newSide(c *matrix.CSR) side {
-	kept, remap := filterEmptyRows(c)
-	return side{counts: csrCounts(c), remap: remap, csr: kept}
-}
-
-// csrCounts returns a CSR matrix's row sums and column degrees.
-func csrCounts(c *matrix.CSR) counts {
-	sums := make([]int, c.Rows())
-	for i := range sums {
-		sums[i] = c.RowSum(i)
-	}
-	return counts{rowSums: sums, colDeg: c.ColSums()}
-}
-
-// filterEmptyRows drops all-zero rows from a CSR matrix and returns the
-// kept matrix plus a kept-index → original-index map. Empty rows own no
-// column indices, so the kept matrix shares c's ColIdx and only its
-// RowPtr is new.
-func filterEmptyRows(c *matrix.CSR) (*matrix.CSR, []int) {
-	kept := 0
-	for i := 0; i < c.Rows(); i++ {
-		if c.RowSum(i) > 0 {
+// newSide counts one assignment matrix of n rows, cols wide, and keeps
+// its non-empty rows: in place, or copied into one backing array when
+// copyRows is set.
+func newSide(n, cols int, row func(ri int) []int32, copyRows bool) side {
+	s := side{counts: counts{rowSums: make([]int32, n), colDeg: make([]int32, cols)}, cols: cols}
+	kept, nnz := 0, 0
+	for ri := 0; ri < n; ri++ {
+		r := row(ri)
+		s.rowSums[ri] = int32(len(r))
+		for _, j := range r {
+			s.colDeg[j]++
+		}
+		if len(r) > 0 {
 			kept++
+			nnz += len(r)
 		}
 	}
-	out := &matrix.CSR{RowPtr: make([]int, 1, kept+1), ColIdx: c.ColIdx, NRows: kept, NCols: c.Cols()}
-	remap := make([]int, 0, kept)
-	for i := 0; i < c.Rows(); i++ {
-		if c.RowSum(i) > 0 {
-			out.RowPtr = append(out.RowPtr, c.RowPtr[i+1])
-			remap = append(remap, i)
-		}
+	var flat []int32
+	if copyRows {
+		flat = make([]int32, 0, nnz)
 	}
-	return out, remap
+	s.rows = make([][]int32, 0, kept)
+	s.remap = make([]int32, 0, kept)
+	for ri := 0; ri < n; ri++ {
+		r := row(ri)
+		if len(r) == 0 {
+			continue
+		}
+		if copyRows {
+			flat = append(flat, r...)
+			r = flat[len(flat)-len(r) : len(flat) : len(flat)]
+		}
+		s.rows = append(s.rows, r)
+		s.remap = append(s.remap, int32(ri))
+	}
+	return s
 }
 
 // Analyze runs every enabled detector and assembles the report.
@@ -343,7 +345,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	// the class-4 and class-5 runs share it.
 	var ruamMat, rpamMat *bitmat.Matrix
 	if opts.Method.readsArena() {
-		ruamMat, rpamMat = bitmat.FromCSR(a.ruam.csr), bitmat.FromCSR(a.rpam.csr)
+		ruamMat, rpamMat = bitmat.Pack(a.ruam.cols, a.ruam.rows), bitmat.Pack(a.rpam.cols, a.rpam.rows)
 	}
 	gopts.Threshold = 0
 	gopts.Progress = progress.span(StageSameUserGroups, fracLinearEnd, fracSameUserEnd)
@@ -430,13 +432,13 @@ func pick[ID any](ids []ID, keep func(i int) bool) []ID {
 // m being their arena for the methods that read one, and remaps group
 // members back to dataset role indices.
 func (s *side) findGroups(ctx context.Context, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
-	groups, err := findGroups(ctx, s.csr, m, opts)
+	groups, err := findGroups(ctx, s.cols, s.rows, m, opts)
 	if err != nil {
 		return nil, err
 	}
 	for _, g := range groups {
 		for i, idx := range g {
-			g[i] = s.remap[idx]
+			g[i] = int(s.remap[idx])
 		}
 	}
 	return groups, nil
@@ -466,8 +468,8 @@ func Analyze(d *rbac.Dataset, opts Options) (*Report, error) {
 // passes. This is the entry point request-scoped callers (the HTTP
 // server) use so client disconnects, per-request timeouts, and daemon
 // drains all stop in-flight detection work. d must not change until it
-// returns: the analysis reads its ID slices in place.
+// returns: the analysis reads its ID slices and rows in place.
 func AnalyzeContext(ctx context.Context, d *rbac.Dataset, opts Options) (*Report, error) {
 	users, roles, perms := d.IDs()
-	return newAnalyzer(d, ids{users: users, roles: roles, perms: perms}).AnalyzeContext(ctx, opts)
+	return newAnalyzer(d, ids{users: users, roles: roles, perms: perms}, false).AnalyzeContext(ctx, opts)
 }

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitvec"
-	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -175,13 +174,13 @@ func TestMethodParseAndString(t *testing.T) {
 
 func TestFindRoleGroupsValidation(t *testing.T) {
 	rows := []*bitvec.Vector{bitvec.New(4), bitvec.New(4)}
-	if _, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Threshold: -1}); err == nil {
+	if _, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Threshold: -1}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
-	if _, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: Method(42)}); err == nil {
+	if _, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Method: Method(42)}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	groups, err := FindRoleGroups(context.Background(), matrix.NewCSR(0, 4), GroupOptions{})
+	groups, err := FindRoleGroups(context.Background(), 4, nil, GroupOptions{})
 	if err != nil || groups != nil {
 		t.Fatalf("empty input = (%v, %v)", groups, err)
 	}
@@ -192,7 +191,7 @@ func TestFindRoleGroupsDefaultMethod(t *testing.T) {
 		bitvec.FromIndices(8, []int{1, 2}),
 		bitvec.FromIndices(8, []int{1, 2}),
 	}
-	groups, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{})
+	groups, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +200,24 @@ func TestFindRoleGroupsDefaultMethod(t *testing.T) {
 	}
 }
 
-// csrOf lays equal-width rows out as the CSR matrix FindRoleGroups takes.
-func csrOf(rows []*bitvec.Vector) *matrix.CSR {
-	lists := make([][]int, len(rows))
-	width := 0
-	for i, r := range rows {
-		lists[i], width = r.Indices(), r.Len()
+// widthOf returns the width of equal-width rows, 0 when there are none.
+func widthOf(rows []*bitvec.Vector) int {
+	if len(rows) == 0 {
+		return 0
 	}
-	return matrix.CSRFromLists(width, lists)
+	return rows[0].Len()
+}
+
+// sparseRows lists each row's set columns as the sparse row
+// FindRoleGroups takes.
+func sparseRows(rows []*bitvec.Vector) [][]int32 {
+	out := make([][]int32, len(rows))
+	for i, r := range rows {
+		for _, j := range r.Indices() {
+			out[i] = append(out[i], int32(j))
+		}
+	}
+	return out
 }
 
 func randRows(r *rand.Rand, n, dim int, density float64, dups int) []*bitvec.Vector {
@@ -236,12 +245,12 @@ func TestPropertyExactMethodsAgreeThroughFacade(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(30), 1+r.Intn(12), 0.3, r.Intn(6))
 		k := r.Intn(3)
-		a, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: MethodRoleDiet, Threshold: k})
+		a, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Method: MethodRoleDiet, Threshold: k})
 		if err != nil {
 			return false
 		}
 		for _, m := range []Method{MethodDBSCAN, MethodDBSCANFloat64} {
-			b, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: m, Threshold: k})
+			b, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Method: m, Threshold: k})
 			if err != nil {
 				return false
 			}
@@ -267,7 +276,7 @@ func TestPropertyHNSWNeverInventsGroups(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(25), 2+r.Intn(12), 0.3, r.Intn(5))
 		k := r.Intn(2)
-		groups, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: MethodHNSW, Threshold: k})
+		groups, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Method: MethodHNSW, Threshold: k})
 		if err != nil {
 			return false
 		}

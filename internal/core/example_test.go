@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -36,12 +35,12 @@ func ExampleAnalyze() {
 // ExampleFindRoleGroups groups raw assignment rows directly, without a
 // dataset, using the paper's Role Diet algorithm.
 func ExampleFindRoleGroups() {
-	rows := matrix.CSRFromLists(4, [][]int{
+	rows := [][]int32{
 		{0, 1},
 		{2},
 		{0, 1}, // duplicate of row 0
-	})
-	groups, err := core.FindRoleGroups(context.Background(), rows, core.GroupOptions{Threshold: 0})
+	}
+	groups, err := core.FindRoleGroups(context.Background(), 4, rows, core.GroupOptions{Threshold: 0})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -53,12 +52,12 @@ func ExampleFindRoleGroups() {
 
 // ExampleFindRoleGroups_similar finds roles within one differing user.
 func ExampleFindRoleGroups_similar() {
-	rows := matrix.CSRFromLists(8, [][]int{
+	rows := [][]int32{
 		{0, 1, 2},
 		{0, 1, 2, 3}, // one extra user
 		{5, 6, 7},    // far away
-	})
-	groups, err := core.FindRoleGroups(context.Background(), rows, core.GroupOptions{Threshold: 1})
+	}
+	groups, err := core.FindRoleGroups(context.Background(), 8, rows, core.GroupOptions{Threshold: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
-	"repro/internal/matrix"
 )
 
 // Method selects the role-group detection algorithm (§III-C evaluates
@@ -160,48 +159,51 @@ func (o *GroupOptions) UnmarshalJSON(data []byte) error {
 }
 
 // FindRoleGroups detects groups of roles whose rows (RUAM or RPAM) are
-// identical (Threshold 0) or similar (Threshold k). Groups use the
-// connected-component semantics shared by all the methods; every group
-// has at least two members, members ascend, and groups are ordered by
-// smallest member. Every row is grouped, all-zero ones included (the
-// Analyzer drops those before it calls in). Every backend polls ctx
-// inside its hot loops and aborts with ctx.Err() once it is cancelled.
-func FindRoleGroups(ctx context.Context, c *matrix.CSR, opts GroupOptions) ([][]int, error) {
+// identical (Threshold 0) or similar (Threshold k). Each row lists its
+// set columns in [0, cols), strictly ascending, as rbac.Dataset stores
+// them. Groups use the connected-component semantics shared by all the
+// methods; every group has at least two members, members ascend, and
+// groups are ordered by smallest member. Every row is grouped, empty
+// ones included (the Analyzer drops those before it calls in). Every
+// backend polls ctx inside its hot loops and aborts with ctx.Err() once
+// it is cancelled.
+func FindRoleGroups(ctx context.Context, cols int, rows [][]int32, opts GroupOptions) ([][]int, error) {
 	if opts.Method == 0 {
 		opts.Method = MethodRoleDiet
 	}
 	var m *bitmat.Matrix
-	if opts.Method.readsArena() && c.Rows() > 0 {
-		m = bitmat.FromCSR(c)
+	if opts.Method.readsArena() && len(rows) > 0 {
+		m = bitmat.Pack(cols, rows)
 	}
-	return findGroups(ctx, c, m, opts)
+	return findGroups(ctx, cols, rows, m, opts)
 }
 
 // readsArena reports whether the method's backend reads a bit-matrix
-// arena: every one but Role Diet, which runs on the CSR, and the
-// float64 DBSCAN, which reads its rows straight from the CSR.
+// arena: every one but Role Diet, which runs on the sparse rows, and
+// the float64 DBSCAN, which expands its rows straight from them.
 func (m Method) readsArena() bool {
 	return m != MethodRoleDiet && m != MethodDBSCANFloat64
 }
 
 // findGroups is the one dispatch behind FindRoleGroups and the
-// Analyzer: it calls the selected backend's entry point on c, or on m,
-// the arena packed from c, for the methods that read one. The Analyzer
-// packs each side once, so its class-4 and class-5 runs share it.
-func findGroups(ctx context.Context, c *matrix.CSR, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
+// Analyzer: it calls the selected backend's entry point on the rows, or
+// on m, the arena packed from them, for the methods that read one. The
+// Analyzer packs each side once, so its class-4 and class-5 runs share
+// it.
+func findGroups(ctx context.Context, cols int, rows [][]int32, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
 	if opts.Threshold < 0 {
 		return nil, fmt.Errorf("core: negative threshold %d", opts.Threshold)
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: negative workers %d", opts.Workers)
 	}
-	if c.Rows() == 0 {
+	if len(rows) == 0 {
 		return nil, nil
 	}
 	// Every backend takes Workers as-is: 0 and 1 select its serial lane.
 	switch opts.Method {
 	case MethodRoleDiet:
-		res, err := rolediet.Run(ctx, c, rolediet.Options{
+		res, err := rolediet.Run(ctx, cols, rows, rolediet.Options{
 			Threshold: opts.Threshold,
 			Workers:   opts.Workers,
 			Progress:  opts.Progress,
@@ -211,10 +213,10 @@ func findGroups(ctx context.Context, c *matrix.CSR, m *bitmat.Matrix, opts Group
 		}
 		return res.Groups, nil
 	case MethodDBSCANFloat64:
-		floats := make([][]float64, c.Rows())
-		for i := range floats {
-			floats[i] = make([]float64, c.Cols())
-			for _, j := range c.RowCols(i) {
+		floats := make([][]float64, len(rows))
+		for i, r := range rows {
+			floats[i] = make([]float64, cols)
+			for _, j := range r {
 				floats[i][j] = 1
 			}
 		}

@@ -24,11 +24,11 @@ func TestWorkersParityThroughFacade(t *testing.T) {
 		k := r.Intn(3)
 		workers := 2 + r.Intn(7)
 		for _, m := range methods {
-			serial, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: m, Threshold: k})
+			serial, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Method: m, Threshold: k})
 			if err != nil {
 				return false
 			}
-			par, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Method: m, Threshold: k, Workers: workers})
+			par, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Method: m, Threshold: k, Workers: workers})
 			if err != nil {
 				return false
 			}
@@ -48,7 +48,7 @@ func TestWorkersParityThroughFacade(t *testing.T) {
 // the JSON request bodies used by the server and jobs API.
 func TestWorkersNegativeRejected(t *testing.T) {
 	rows := randRows(rand.New(rand.NewSource(1)), 8, 8, 0.5, 2)
-	if _, err := FindRoleGroups(context.Background(), csrOf(rows), GroupOptions{Workers: -1}); err == nil {
+	if _, err := FindRoleGroups(context.Background(), widthOf(rows), sparseRows(rows), GroupOptions{Workers: -1}); err == nil {
 		t.Error("FindRoleGroups accepted negative workers")
 	}
 	if err := (Options{Workers: -2}).Validate(); err == nil {

@@ -3,6 +3,7 @@ package gen
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"strconv"
 	"testing"
 )
@@ -11,24 +12,26 @@ import (
 // set columns, then one line per planted cluster listing its members.
 func matrixDigest(g *GeneratedMatrix) string {
 	h := sha256.New()
-	line := func(ints []int) {
-		var buf []byte
-		for k, v := range ints {
-			if k > 0 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendInt(buf, int64(v), 10)
-		}
-		h.Write(append(buf, '\n'))
-	}
-	for i := 0; i < g.Rows.Rows(); i++ {
-		line(g.Rows.RowCols(i))
+	for _, row := range g.Rows {
+		writeLine(h, row)
 	}
 	h.Write([]byte("planted\n"))
 	for _, grp := range g.Planted {
-		line(grp)
+		writeLine(h, grp)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeLine writes ints comma-separated, then a newline.
+func writeLine[T int | int32](w io.Writer, ints []T) {
+	var buf []byte
+	for k, v := range ints {
+		if k > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
+	}
+	w.Write(append(buf, '\n'))
 }
 
 // TestMatrixGolden pins the generator's output, rows and ground truth,

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-
-	"repro/internal/matrix"
 )
 
 // MatrixParams parameterises the §IV-A generator.
@@ -76,8 +74,11 @@ func (p MatrixParams) Validate() error {
 // GeneratedMatrix is the generator output.
 type GeneratedMatrix struct {
 	// Rows holds the generated role rows, shuffled so planted clusters
-	// are scattered across the matrix.
-	Rows *matrix.CSR
+	// are scattered across the matrix. Each lists its set columns in
+	// [0, Cols), strictly ascending: the form rbac.Dataset stores.
+	Rows [][]int32
+	// Cols is the matrix width (users or permissions).
+	Cols int
 	// Planted lists the ground-truth clusters as ascending row indices
 	// (after shuffling), ordered by smallest member. With SimilarNoise
 	// == 0 these are exactly the groups every exact method must find.
@@ -188,7 +189,24 @@ func Matrix(p MatrixParams) (*GeneratedMatrix, error) {
 	// groups by smallest member for the detectors' output contract.
 	sortGroupsByHead(planted)
 
-	return &GeneratedMatrix{Rows: matrix.CSRFromLists(p.Cols, rows), Planted: planted}, nil
+	return &GeneratedMatrix{Rows: int32Rows(rows), Cols: p.Cols, Planted: planted}, nil
+}
+
+// int32Rows copies column lists into rows sharing one backing array.
+func int32Rows(lists [][]int) [][]int32 {
+	nnz := 0
+	for _, l := range lists {
+		nnz += len(l)
+	}
+	flat := make([]int32, 0, nnz)
+	rows := make([][]int32, len(lists))
+	for i, l := range lists {
+		for _, j := range l {
+			flat = append(flat, int32(j))
+		}
+		rows[i] = flat[len(flat)-len(l) : len(flat) : len(flat)]
+	}
+	return rows
 }
 
 // setTo sets (on) or clears column j in the sorted column list cols.

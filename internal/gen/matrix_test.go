@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/cluster/rolediet"
-	"repro/internal/matrix"
 )
 
-// exactGroups runs the Role Diet exact pass over the rows.
-func exactGroups(t *testing.T, rows *matrix.CSR) *rolediet.Result {
+// exactGroups runs the Role Diet exact pass over the generated rows.
+func exactGroups(t *testing.T, g *GeneratedMatrix) *rolediet.Result {
 	t.Helper()
-	res, err := rolediet.Run(context.Background(), rows, rolediet.Options{})
+	res, err := rolediet.Run(context.Background(), g.Cols, g.Rows, rolediet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +19,7 @@ func exactGroups(t *testing.T, rows *matrix.CSR) *rolediet.Result {
 }
 
 // hamming counts the columns in exactly one of two ascending lists.
-func hamming(a, b []int) int {
+func hamming(a, b []int32) int {
 	d := 0
 	for len(a) > 0 && len(b) > 0 {
 		switch {
@@ -59,11 +58,10 @@ func TestMatrixShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Rows.Rows() != 200 || g.Rows.Cols() != 100 {
-		t.Fatalf("shape = %dx%d, want 200x100", g.Rows.Rows(), g.Rows.Cols())
+	if len(g.Rows) != 200 || g.Cols != 100 {
+		t.Fatalf("shape = %dx%d, want 200x100", len(g.Rows), g.Cols)
 	}
-	for i := 0; i < g.Rows.Rows(); i++ {
-		cols := g.Rows.RowCols(i)
+	for i, cols := range g.Rows {
 		for k, j := range cols {
 			if j < 0 || j >= 100 || (k > 0 && j <= cols[k-1]) {
 				t.Fatalf("row %d columns %v not ascending in [0,100)", i, cols)
@@ -103,7 +101,7 @@ func TestMatrixPlantedIsExactGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exactGroups(t, g.Rows)
+	res := exactGroups(t, g)
 	if !reflect.DeepEqual(res.Groups, g.Planted) {
 		t.Fatalf("detected %d groups, planted %d; first detected %v planted %v",
 			len(res.Groups), len(g.Planted), res.Groups[0], g.Planted[0])
@@ -120,7 +118,7 @@ func TestMatrixDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
+	if !reflect.DeepEqual(a.Rows, b.Rows) || a.Cols != b.Cols {
 		t.Fatal("rows differ between runs with same seed")
 	}
 	if !reflect.DeepEqual(a.Planted, b.Planted) {
@@ -136,7 +134,7 @@ func TestMatrixNoClusters(t *testing.T) {
 	if len(g.Planted) != 0 {
 		t.Fatalf("planted = %v, want none", g.Planted)
 	}
-	if res := exactGroups(t, g.Rows); len(res.Groups) != 0 {
+	if res := exactGroups(t, g); len(res.Groups) != 0 {
 		t.Fatalf("accidental duplicate groups: %v", res.Groups)
 	}
 }
@@ -152,8 +150,8 @@ func TestMatrixSingleClusterRowDowngraded(t *testing.T) {
 	if len(g.Planted) != 0 {
 		t.Fatalf("planted = %v, want none for a 1-row cluster budget", g.Planted)
 	}
-	if g.Rows.Rows() != 10 {
-		t.Fatalf("rows = %d", g.Rows.Rows())
+	if len(g.Rows) != 10 {
+		t.Fatalf("rows = %d", len(g.Rows))
 	}
 }
 
@@ -167,9 +165,9 @@ func TestMatrixSimilarNoise(t *testing.T) {
 	}
 	// Every noised member stays within Hamming 1 of its group head.
 	for _, grp := range g.Planted {
-		head := g.Rows.RowCols(grp[0])
+		head := g.Rows[grp[0]]
 		for _, m := range grp[1:] {
-			if d := hamming(head, g.Rows.RowCols(m)); d > 1 {
+			if d := hamming(head, g.Rows[m]); d > 1 {
 				t.Fatalf("noised member at distance %d from head", d)
 			}
 		}
@@ -181,7 +179,7 @@ func TestMatrixEmptyRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Rows.Rows() != 0 || len(g.Planted) != 0 {
-		t.Fatalf("empty generation produced %d rows", g.Rows.Rows())
+	if len(g.Rows) != 0 || len(g.Planted) != 0 {
+		t.Fatalf("empty generation produced %d rows", len(g.Rows))
 	}
 }

@@ -25,16 +25,15 @@ func TestBackgroundRowsDistinctFromNoisyMembers(t *testing.T) {
 				planted[i] = true
 			}
 		}
-		for i := 0; i < g.Rows.Rows(); i++ {
+		for i, ri := range g.Rows {
 			if planted[i] {
 				continue
 			}
-			ri := g.Rows.RowCols(i)
-			for j := 0; j < g.Rows.Rows(); j++ {
+			for j, rj := range g.Rows {
 				if i == j || !planted[j] {
 					continue
 				}
-				if slices.Equal(ri, g.Rows.RowCols(j)) {
+				if slices.Equal(ri, rj) {
 					t.Fatalf("noise=%d: background row %d duplicates planted row %d (%v)",
 						noise, i, j, ri)
 				}

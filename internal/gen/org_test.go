@@ -1,7 +1,7 @@
 package gen
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -131,7 +131,15 @@ func TestOrgDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.RUAMCSR(), b.RUAMCSR()) || !reflect.DeepEqual(a.RPAMCSR(), b.RPAMCSR()) {
+	ab, err := a.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := b.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ab, bb) {
 		t.Fatal("org generation not deterministic")
 	}
 }

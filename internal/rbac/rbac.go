@@ -1,8 +1,8 @@
 // Package rbac models Role-Based Access Control data as the paper
 // represents it: a tripartite graph of users, roles and permissions with
-// user–role and role–permission assignment edges (Figure 1), convertible
-// to the RUAM and RPAM bit matrices that the detection framework and the
-// clustering methods consume.
+// user–role and role–permission assignment edges (Figure 1), held as the
+// sparse rows of the RUAM and RPAM assignment matrices that the
+// detection framework and the clustering methods read (§III-B).
 package rbac
 
 import (
@@ -12,7 +12,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/matrix"
+	"repro/internal/bitvec"
 )
 
 // Entity identifiers. Distinct types keep user, role and permission
@@ -379,9 +379,9 @@ func (d *Dataset) RolePermissions(role RoleID) ([]PermissionID, error) {
 }
 
 // RoleUserRow returns the indices of the users assigned to role index
-// ri in ascending order: RUAM row ri. Like matrix.CSR.RowCols, the
-// slice aliases the dataset's storage; it is read-only, and valid only
-// until the dataset next changes.
+// ri in ascending order: RUAM row ri. The slice aliases the dataset's
+// storage; it is read-only, and valid only until the dataset next
+// changes.
 func (d *Dataset) RoleUserRow(ri int) []int32 { return d.roleUsers[ri] }
 
 // RolePermissionRow returns the indices of the permissions role index
@@ -423,28 +423,57 @@ func (d *Dataset) NumPermissionAssignments() int {
 	return n
 }
 
-// RUAM builds the Role-User Assignment Matrix: one row per role (in
-// index order), one column per user.
-func (d *Dataset) RUAM() *matrix.BitMatrix {
-	m := matrix.NewBitMatrix(len(d.roles), len(d.users))
-	for ri, row := range d.roleUsers {
-		for _, ui := range row {
-			m.Set(ri, int(ui))
+// RUAM builds the dense Role-User Assignment Matrix: one row per role
+// (in index order), one column per user.
+func (d *Dataset) RUAM() *BitMatrix { return denseOf(d.roleUsers, len(d.users)) }
+
+// RPAM builds the dense Role-Permission Assignment Matrix: one row per
+// role, one column per permission.
+func (d *Dataset) RPAM() *BitMatrix { return denseOf(d.rolePerms, len(d.perms)) }
+
+// denseOf sets the cells of one assignment matrix's rows in a fresh
+// dense matrix cols wide.
+func denseOf(rows [][]int32, cols int) *BitMatrix {
+	m := NewBitMatrix(len(rows), cols)
+	for ri, row := range rows {
+		for _, j := range row {
+			m.Set(ri, int(j))
 		}
 	}
 	return m
 }
 
-// RPAM builds the Role-Permission Assignment Matrix: one row per role,
-// one column per permission.
-func (d *Dataset) RPAM() *matrix.BitMatrix {
-	m := matrix.NewBitMatrix(len(d.roles), len(d.perms))
-	for ri, row := range d.rolePerms {
-		for _, pi := range row {
-			m.Set(ri, int(pi))
-		}
+// BitMatrix is a dense boolean matrix with bit-packed rows: what RUAM
+// and RPAM return. Row i is a bitvec.Vector of length Cols; for an
+// assignment matrix, cell (i, j) is set iff role i is assigned
+// user/permission j. The analysis reads the dataset's sparse rows, not
+// this form.
+type BitMatrix struct {
+	rows []*bitvec.Vector
+}
+
+// NewBitMatrix returns an all-zero matrix with the given shape.
+func NewBitMatrix(rows, cols int) *BitMatrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("rbac: negative shape %dx%d", rows, cols))
+	}
+	m := &BitMatrix{rows: make([]*bitvec.Vector, rows)}
+	for i := range m.rows {
+		m.rows[i] = bitvec.New(cols)
 	}
 	return m
+}
+
+// Set sets cell (i, j) to 1.
+func (m *BitMatrix) Set(i, j int) { m.Row(i).Set(j) }
+
+// Row returns row i. The returned vector aliases the matrix storage;
+// callers that need an independent copy must Clone it.
+func (m *BitMatrix) Row(i int) *bitvec.Vector {
+	if i < 0 || i >= len(m.rows) {
+		panic(fmt.Sprintf("rbac: row %d out of range [0,%d)", i, len(m.rows)))
+	}
+	return m.rows[i]
 }
 
 // RolesByUser inverts the user–role edges: entry ui lists the indices

@@ -187,29 +187,37 @@ func TestRoleUsersAndPermissionsSorted(t *testing.T) {
 
 func TestRUAMMatchesPaper(t *testing.T) {
 	d := figure1Dataset(t)
-	ruam := d.RUAMCSR()
-	if ruam.Rows() != 5 || ruam.Cols() != 4 {
-		t.Fatalf("RUAM shape %dx%d", ruam.Rows(), ruam.Cols())
+	if d.NumRoles() != 5 || d.NumUsers() != 4 {
+		t.Fatalf("RUAM shape %dx%d", d.NumRoles(), d.NumUsers())
 	}
 	wantSums := []int{1, 2, 0, 2, 1}
-	if got := rowSums(ruam); !reflect.DeepEqual(got, wantSums) {
+	var got []int
+	for ri := 0; ri < d.NumRoles(); ri++ {
+		got = append(got, len(d.RoleUserRow(ri)))
+	}
+	if !reflect.DeepEqual(got, wantSums) {
 		t.Fatalf("RUAM row sums = %v, want %v", got, wantSums)
 	}
 	// R02 and R04 rows identical.
-	if !slices.Equal(ruam.RowCols(1), ruam.RowCols(3)) {
+	if !slices.Equal(d.RoleUserRow(1), d.RoleUserRow(3)) {
 		t.Fatal("R02 and R04 RUAM rows differ")
 	}
 }
 
 func TestRPAMMatchesPaper(t *testing.T) {
 	d := figure1Dataset(t)
-	rpam := d.RPAMCSR()
-	if rpam.Rows() != 5 || rpam.Cols() != 6 {
-		t.Fatalf("RPAM shape %dx%d", rpam.Rows(), rpam.Cols())
+	if d.NumRoles() != 5 || d.NumPermissions() != 6 {
+		t.Fatalf("RPAM shape %dx%d", d.NumRoles(), d.NumPermissions())
 	}
 	// P01 is standalone: all-zero column 0.
+	colSums := make([]int, d.NumPermissions())
+	for ri := 0; ri < d.NumRoles(); ri++ {
+		for _, pi := range d.RolePermissionRow(ri) {
+			colSums[pi]++
+		}
+	}
 	var zeroCols []int
-	for j, n := range rpam.ColSums() {
+	for j, n := range colSums {
 		if n == 0 {
 			zeroCols = append(zeroCols, j)
 		}
@@ -218,12 +226,12 @@ func TestRPAMMatchesPaper(t *testing.T) {
 		t.Fatalf("RPAM zero cols = %v, want [0]", zeroCols)
 	}
 	// R04 and R05 share the same permissions.
-	if !slices.Equal(rpam.RowCols(3), rpam.RowCols(4)) {
+	if !slices.Equal(d.RolePermissionRow(3), d.RolePermissionRow(4)) {
 		t.Fatal("R04 and R05 RPAM rows differ")
 	}
 	// R02 has no permissions.
-	if rpam.RowSum(1) != 0 {
-		t.Fatalf("R02 RPAM row sum = %d, want 0", rpam.RowSum(1))
+	if n := len(d.RolePermissionRow(1)); n != 0 {
+		t.Fatalf("R02 RPAM row sum = %d, want 0", n)
 	}
 }
 
@@ -425,12 +433,12 @@ func TestCloneIndependence(t *testing.T) {
 	if !d.HasAssignment("R02", "U01") {
 		t.Fatal("mutating clone mutated original")
 	}
-	if !reflect.DeepEqual(c.RUAMCSR(), c.RUAMCSR()) {
+	if !sameMatrices(c, c) {
 		t.Fatal("clone RUAM unstable")
 	}
 	// The clone's rows share one backing array; growing each of them
 	// must not spill into the next.
-	before := d.RUAMCSR()
+	before := d.Clone()
 	for _, r := range c.Roles() {
 		for _, u := range c.Users() {
 			if err := c.AssignUser(r, u); err != nil {
@@ -444,7 +452,7 @@ func TestCloneIndependence(t *testing.T) {
 	if got, want := c.NumUserAssignments(), c.NumRoles()*c.NumUsers(); got != want {
 		t.Fatalf("clone holds %d user edges after assigning all, want %d", got, want)
 	}
-	if !reflect.DeepEqual(d.RUAMCSR(), before) {
+	if !sameMatrices(d, before) {
 		t.Fatal("growing the clone's rows mutated the original")
 	}
 }

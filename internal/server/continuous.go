@@ -127,26 +127,16 @@ func (h *handler) registerContinuous() {
 // none of them may touch an http.ResponseWriter.
 
 // backendResolve normalises a dataset_ref to its bare digest and
-// ensures the snapshot is held locally (fleet fetch-through applies).
+// checks that the snapshot is available (fleet fetch-through applies).
 func (h *handler) backendResolve(ctx context.Context, ref string) (string, error) {
 	digest, err := store.ParseDigest(ref)
 	if err != nil {
 		return "", err
 	}
-	if _, _, ok := h.store.GetDataset(digest); ok {
-		return digest, nil
+	if _, err := h.lookup(ctx, digest); err != nil {
+		return "", err
 	}
-	if h.fleet.Enabled() {
-		raw, peer, ferr := h.fleet.FetchDataset(ctx, digest)
-		if ferr != nil {
-			return "", fmt.Errorf("dataset %s: %w", digest, ferr)
-		}
-		if _, perr := h.store.PutCanonical(digest, raw); perr != nil {
-			h.opts.Logf("fleet: dataset %s fetched from %s not cached locally: %v", digest, peer, perr)
-		}
-		return digest, nil
-	}
-	return "", fmt.Errorf("dataset %s not found (never registered, deleted, or evicted)", digest)
+	return digest, nil
 }
 
 // backendSessionExists reports whether a mutation session id is live.
@@ -182,14 +172,11 @@ func (h *handler) backendSnapshot(_ context.Context, sessionID string) (string, 
 // continuous manager logs the decision itself (with tripped-alert
 // ids), so this goes through the unlogged path.
 func (h *handler) backendAnalyze(ctx context.Context, digest string, opts core.Options) (*core.Report, continuous.Meta, error) {
-	ds, _, ok := h.store.GetDataset(digest)
-	if !ok {
-		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", digest)
+	ds, err := h.lookup(ctx, digest)
+	if err != nil {
+		return nil, continuous.Meta{}, err
 	}
-	req := &v1Request{dataset: ds, digest: digest, opts: opts}
-	if req.opts.Workers == 0 {
-		req.opts.Workers = h.opts.DefaultWorkers
-	}
+	req := &v1Request{dataset: ds, digest: digest, opts: h.withDefaultWorkers(opts)}
 	out, hit, err := h.runKindCached(ctx, kindAnalyze, req, nil)
 	if err != nil {
 		return nil, continuous.Meta{}, err
@@ -208,13 +195,13 @@ func (h *handler) backendAnalyze(ctx context.Context, digest string, opts core.O
 // backendDrift computes the O(delta) drift report between two
 // registered digests through the same cache line POST /v1/drift uses.
 func (h *handler) backendDrift(ctx context.Context, before, after string) (*session.DriftReport, continuous.Meta, error) {
-	beforeDS, _, ok := h.store.GetDataset(before)
-	if !ok {
-		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", before)
+	beforeDS, err := h.lookup(ctx, before)
+	if err != nil {
+		return nil, continuous.Meta{}, err
 	}
-	afterDS, _, ok := h.store.GetDataset(after)
-	if !ok {
-		return nil, continuous.Meta{}, fmt.Errorf("dataset %s not found", after)
+	afterDS, err := h.lookup(ctx, after)
+	if err != nil {
+		return nil, continuous.Meta{}, err
 	}
 	raw, hit, fp, err := h.driftCached(ctx, before, after, beforeDS, afterDS)
 	if err != nil {

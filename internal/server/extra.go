@@ -151,6 +151,7 @@ func (h *handler) diff(w http.ResponseWriter, r *http.Request) {
 	if req.Options != nil {
 		opts = *req.Options
 	}
+	opts = h.withDefaultWorkers(opts)
 	before, beforeDigest, ok := h.diffSide(w, r, "before", req.Before, req.BeforeRef)
 	if !ok {
 		return

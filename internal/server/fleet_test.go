@@ -15,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/continuous"
 	"repro/internal/fleet"
+	"repro/internal/rbac"
+	"repro/internal/store"
 )
 
 // swapHTTP lets the cluster helper start listeners (fixing every
@@ -38,6 +41,13 @@ type cluster struct {
 // tests are deterministic; peer calls are tuned fast so failure paths
 // finish in milliseconds.
 func newCluster(t *testing.T, n int, mutate func(i int, o *fleet.Options)) *cluster {
+	t.Helper()
+	return newClusterWith(t, n, mutate, nil)
+}
+
+// newClusterWith is newCluster with a hook that adjusts each node's
+// handler options as well.
+func newClusterWith(t *testing.T, n int, mutate func(i int, o *fleet.Options), handler func(i int, o *Options)) *cluster {
 	t.Helper()
 	c := &cluster{}
 	swaps := make([]*swapHTTP, n)
@@ -69,12 +79,18 @@ func newCluster(t *testing.T, n int, mutate func(i int, o *fleet.Options)) *clus
 		}
 		t.Cleanup(fl.Close)
 		c.fleets = append(c.fleets, fl)
-		swaps[i].v.Store(NewHandler(Options{
+		hopts := Options{
 			Fleet:      fl,
 			NodeID:     fmt.Sprintf("node%d", i),
 			RetryAfter: time.Second,
 			Logf:       t.Logf,
-		}))
+		}
+		if handler != nil {
+			handler(i, &hopts)
+		}
+		h := NewHandler(hopts)
+		t.Cleanup(func() { h.(io.Closer).Close() })
+		swaps[i].v.Store(h)
 		c.srvs[i].Start()
 	}
 	return c
@@ -247,6 +263,60 @@ func TestFleetAnalyzeByRefFetchesThrough(t *testing.T) {
 	// Fetch-through cached the dataset: the outsider now holds it.
 	if c.rawStatus(t, outsider, pr.Digest) != http.StatusOK {
 		t.Fatal("fetch-through did not cache the dataset locally")
+	}
+}
+
+// TestFleetScheduleOverUncacheableDataset pins fetch-through on the
+// schedule path: a node whose store budget is smaller than a dataset a
+// peer holds cannot cache the fetched bytes, so every fire must analyse
+// the verified bytes it fetched and record an observation, exactly as
+// a by-ref request on that node is served.
+func TestFleetScheduleOverUncacheableDataset(t *testing.T) {
+	ds := rbac.Figure1()
+	digest, size, err := store.Digest(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]*store.Store, 2)
+	for i, budget := range []int64{0, size - 1} { // node 1 cannot hold it
+		if stores[i], err = store.New(store.Options{MaxBytes: budget}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := stores[0].PutDataset(digest, size, ds); err != nil {
+		t.Fatal(err)
+	}
+	c := newClusterWith(t, 2, nil, func(i int, o *Options) {
+		o.Store = stores[i]
+		o.ScheduleMinInterval = 20 * time.Millisecond
+	})
+	srv := c.srvs[1]
+
+	resp := post(t, srv, "/v1/schedules", fmt.Sprintf(`{"dataset_ref":%q,"interval":"20ms"}`, digest))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status = %d, want 201", resp.StatusCode)
+	}
+	var sched continuous.Schedule
+	if err := json.NewDecoder(resp.Body).Decode(&sched); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var got continuous.Schedule
+		getJSON(t, srv, "/v1/schedules/"+sched.ID, http.StatusOK, &got)
+		if got.Fires > 0 {
+			if got.LastError != "" || got.LastRun == nil {
+				t.Fatalf("fire %d failed: last_error %q, last_run %+v", got.Fires, got.LastError, got.LastRun)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("schedule never fired")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if c.rawStatus(t, 1, digest) != http.StatusNotFound {
+		t.Fatal("dataset over the node's budget was cached anyway")
 	}
 }
 

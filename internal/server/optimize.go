@@ -128,10 +128,7 @@ func (h *handler) optimizePlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req := &v1Request{dataset: ds, digest: digest, opts: opts, optKnobs: knobs}
-	if req.opts.Workers == 0 {
-		req.opts.Workers = h.opts.DefaultWorkers
-	}
+	req := &v1Request{dataset: ds, digest: digest, opts: h.withDefaultWorkers(opts), optKnobs: knobs}
 	out, hit, err := h.runKindLogged(r.Context(), "api", kindOptimize, req, nil)
 	if err != nil {
 		writeEngineError(w, err)

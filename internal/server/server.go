@@ -905,9 +905,7 @@ func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Requ
 	if env.Options.v != nil {
 		req.opts = *env.Options.v
 	}
-	if req.opts.Workers == 0 {
-		req.opts.Workers = h.opts.DefaultWorkers
-	}
+	req.opts = h.withDefaultWorkers(req.opts)
 	ref := env.DatasetRef.v
 	switch {
 	case !env.Kind.set && !env.Dataset.set && !env.DatasetRef.set && !env.Options.set && !env.Optimize.set:
@@ -932,62 +930,77 @@ func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Requ
 	return req, true
 }
 
+// withDefaultWorkers applies the daemon's DefaultWorkers to options
+// that leave workers unset, so every endpoint runs, and fingerprints, a
+// request without workers the same way.
+func (h *handler) withDefaultWorkers(o core.Options) core.Options {
+	if o.Workers == 0 {
+		o.Workers = h.opts.DefaultWorkers
+	}
+	return o
+}
+
 // resolveRef maps a digest reference to a registered dataset, writing
 // 400 for malformed digests and 404 for unknown ones. In a fleet, a
 // local miss degrades to fetching the snapshot from a live holder
-// (owner first, then replicas) and caching it locally; when holders
-// exist but none is reachable the answer is an explicit 503
-// peer_unavailable rather than a misleading 404 or a hang.
+// (owner first, then replicas); when holders exist but none is
+// reachable the answer is an explicit 503 peer_unavailable rather than
+// a misleading 404 or a hang.
 func (h *handler) resolveRef(w http.ResponseWriter, r *http.Request, ref string) (*rbac.Dataset, string, bool) {
 	digest, err := store.ParseDigest(ref)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return nil, "", false
 	}
-	if ds, _, ok := h.store.GetDataset(digest); ok {
+	ds, err := h.lookup(r.Context(), digest)
+	switch {
+	case err == nil:
 		return ds, digest, true
+	case errors.Is(err, errUnknownDataset):
+		writeError(w, http.StatusNotFound, err)
+	case errors.Is(err, fleet.ErrPeerUnavailable):
+		h.writePeerUnavailable(w, err)
+	case r.Context().Err() != nil:
+		writeEngineError(w, r.Context().Err())
+	default:
+		writeError(w, http.StatusInternalServerError, err)
 	}
-	if h.fleet.Enabled() {
-		ds, ok := h.fetchThrough(w, r, digest)
-		return ds, digest, ok
-	}
-	writeError(w, http.StatusNotFound,
-		fmt.Errorf("dataset %s not found (never registered, deleted, or evicted)", digest))
 	return nil, "", false
 }
 
-// fetchThrough pulls a locally missing digest from its fleet holders,
-// verifying and caching the bytes locally, and writes the appropriate
-// error (503 peer_unavailable, 503 canceled, or 404) when it cannot.
-func (h *handler) fetchThrough(w http.ResponseWriter, r *http.Request, digest string) (*rbac.Dataset, bool) {
-	raw, peer, err := h.fleet.FetchDataset(r.Context(), digest)
+// errUnknownDataset marks a digest that neither this node nor, in a
+// fleet, any peer holds.
+var errUnknownDataset = errors.New("dataset not found")
+
+// lookup returns the dataset a bare digest names: from the local store,
+// or in a fleet fetched from its holders, verified and cached locally.
+// Bytes too large for the local budget, otherwise inadmissible, or
+// cached and immediately evicted (pathological budget) are parsed
+// instead, so the caller is still served. Every dataset_ref, from a
+// request or a schedule, resolves here.
+func (h *handler) lookup(ctx context.Context, digest string) (*rbac.Dataset, error) {
+	if ds, _, ok := h.store.GetDataset(digest); ok {
+		return ds, nil
+	}
+	if !h.fleet.Enabled() {
+		return nil, fmt.Errorf("%w: %s was never registered, deleted, or evicted", errUnknownDataset, digest)
+	}
+	raw, peer, err := h.fleet.FetchDataset(ctx, digest)
 	switch {
 	case err == nil:
 	case errors.Is(err, fleet.ErrPeerUnavailable):
-		h.writePeerUnavailable(w, fmt.Errorf("dataset %s is held by unreachable peers: %w", digest, err))
-		return nil, false
-	case r.Context().Err() != nil:
-		writeEngineError(w, r.Context().Err())
-		return nil, false
+		return nil, fmt.Errorf("dataset %s is held by unreachable peers: %w", digest, err)
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
 	default: // fleet.ErrNotFound and anything equally definitive
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("dataset %s not found on any fleet peer", digest))
-		return nil, false
+		return nil, fmt.Errorf("%w: %s is on no fleet peer", errUnknownDataset, digest)
 	}
-	if _, perr := h.store.PutCanonical(digest, raw); perr != nil {
-		h.opts.Logf("fleet: dataset %s fetched from %s not cached locally: %v", digest, peer, perr)
+	if _, err := h.store.PutCanonical(digest, raw); err != nil {
+		h.opts.Logf("fleet: dataset %s fetched from %s not cached locally: %v", digest, peer, err)
 	} else if ds, _, ok := h.store.GetDataset(digest); ok {
-		return ds, true
+		return ds, nil
 	}
-	// Too large for the local budget, otherwise inadmissible, or cached
-	// and immediately evicted (pathological budget): still serve this
-	// request from the verified bytes.
-	ds, err := rbac.ReadJSON(bytes.NewReader(raw))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return nil, false
-	}
-	return ds, true
+	return rbac.ReadJSON(bytes.NewReader(raw))
 }
 
 // The job kinds — exactly the sync endpoints that run the engine.

@@ -88,3 +88,27 @@ func TestDefaultWorkersOption(t *testing.T) {
 		t.Fatalf("report groups = %+v", rep.SameUserGroups)
 	}
 }
+
+// TestDefaultWorkersDiffSharesCacheLine asserts /v1/diff applies the
+// daemon-wide default like every other endpoint: a diff silent about
+// workers runs, and is fingerprinted, as one that names the default
+// explicitly, so it is served from that run's cache line.
+func TestDefaultWorkersDiffSharesCacheLine(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(Options{DefaultWorkers: 2}))
+	t.Cleanup(srv.Close)
+	dataset := figure1Body(t).String()
+	sides := `"before":` + dataset + `,"after":` + dataset
+	for _, tc := range []struct{ body, cache string }{
+		{`{"options":{"workers":2},` + sides + `}`, "miss"},
+		{`{` + sides + `}`, "hit"},
+	} {
+		resp := post(t, srv, "/v1/diff", tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Cache"); got != tc.cache {
+			t.Fatalf("X-Cache = %q, want %q", got, tc.cache)
+		}
+	}
+}

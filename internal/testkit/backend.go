@@ -10,13 +10,13 @@ import (
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
-	"repro/internal/matrix"
 )
 
 // Backend is one clustering implementation under differential test. Run
-// lays the rows out as a CSR (rolediet) or packs them into the bit-matrix
-// arena (the other backends) and invokes the very entry point
-// internal/core ships, returning the partition in canonical form.
+// lists the rows' set columns as sparse rows (rolediet) or packs them
+// into the bit-matrix arena (the other backends) and invokes the very
+// entry point internal/core ships, returning the partition in canonical
+// form.
 type Backend struct {
 	// Name identifies the backend in failure messages and case files.
 	Name string
@@ -30,21 +30,24 @@ type Backend struct {
 	Run func(ctx context.Context, rows []*bitvec.Vector, threshold int) ([][]int, error)
 }
 
-// rowsToCSR lists each row's set columns as one CSR row. All rows must
-// share a width, as bitmat.FromRows requires of the arena lanes.
-func rowsToCSR(rows []*bitvec.Vector) (*matrix.CSR, error) {
+// runRoleDiet lists each row's set columns as one sparse row, the form
+// core groups, and runs Role Diet over them. All rows must share a
+// width, as bitmat.FromRows requires of the arena lanes.
+func runRoleDiet(ctx context.Context, rows []*bitvec.Vector, opts rolediet.Options) (*rolediet.Result, error) {
 	cols := 0
 	if len(rows) > 0 {
 		cols = rows[0].Len()
 	}
-	lists := make([][]int, len(rows))
+	sparse := make([][]int32, len(rows))
 	for i, r := range rows {
 		if r.Len() != cols {
 			return nil, fmt.Errorf("testkit: row %d has length %d, want %d", i, r.Len(), cols)
 		}
-		lists[i] = r.Indices()
+		for _, j := range r.Indices() {
+			sparse[i] = append(sparse[i], int32(j))
+		}
 	}
-	return matrix.CSRFromLists(cols, lists), nil
+	return rolediet.Run(ctx, cols, sparse, opts)
 }
 
 // hnswSearchEf is the beam width the harness queries with. recall.txt
@@ -103,13 +106,9 @@ func onArena(run func(ctx context.Context, m *bitmat.Matrix, threshold, workers 
 // EXPERIMENTS.md ("Differential correctness harness").
 func Backends() []Backend {
 	families := []family{
-		// The CSR lane core runs for rolediet.
+		// The sparse-row lane core runs for rolediet.
 		{name: "rolediet", exact: true, run: func(ctx context.Context, rows []*bitvec.Vector, threshold, workers int) ([][]int, error) {
-			c, err := rowsToCSR(rows)
-			if err != nil {
-				return nil, err
-			}
-			res, err := rolediet.Run(ctx, c, rolediet.Options{Threshold: threshold, Workers: workers})
+			res, err := runRoleDiet(ctx, rows, rolediet.Options{Threshold: threshold, Workers: workers})
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/gen"
-	"repro/internal/matrix"
 )
 
 // Corpus is one seeded differential-test input: a generator
@@ -46,14 +45,19 @@ func (c Corpus) Rows() ([]*bitvec.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vectors(g.Rows), nil
+	return vectors(g), nil
 }
 
-// vectors copies each CSR row into a bit vector, the harness's row form.
-func vectors(c *matrix.CSR) []*bitvec.Vector {
-	out := make([]*bitvec.Vector, c.Rows())
-	for i := range out {
-		out[i] = bitvec.FromIndices(c.Cols(), c.RowCols(i))
+// vectors copies each generated row into a bit vector, the harness's
+// row form.
+func vectors(g *gen.GeneratedMatrix) []*bitvec.Vector {
+	out := make([]*bitvec.Vector, len(g.Rows))
+	for i, row := range g.Rows {
+		v := bitvec.New(g.Cols)
+		for _, j := range row {
+			v.Set(int(j))
+		}
+		out[i] = v
 	}
 	return out
 }

@@ -265,16 +265,12 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := rowsToCSR(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := rolediet.Run(ctx, m, rolediet.Options{Threshold: c.Threshold})
+		serial, err := runRoleDiet(ctx, rows, rolediet.Options{Threshold: c.Threshold})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			par, err := rolediet.Run(ctx, m, rolediet.Options{Threshold: c.Threshold, Workers: workers})
+			par, err := runRoleDiet(ctx, rows, rolediet.Options{Threshold: c.Threshold, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d on [%s]: %v", workers, c, err)
 			}
@@ -286,16 +282,13 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseCSREquivalence: Run over the CSR must agree with GroupsMat,
-// the arena lane the end-to-end benchmark replays, on the same rows.
+// TestDenseCSREquivalence: Run over the sparse rows must agree with
+// GroupsMat, the arena lane the end-to-end benchmark replays, on the
+// same rows.
 func TestDenseCSREquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range metamorphicCorpora() {
 		rows, err := c.Rows()
-		if err != nil {
-			t.Fatal(err)
-		}
-		csr, err := rowsToCSR(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,12 +301,12 @@ func TestDenseCSREquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := rolediet.Run(ctx, csr, opts)
+		sparse, err := runRoleDiet(ctx, rows, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !SamePartition(Normalize(dense.Groups), Normalize(sparse.Groups)) {
-			t.Errorf("[%s]: dense and CSR partitions differ\n  dense: %s\n  csr:   %s",
+			t.Errorf("[%s]: dense and sparse partitions differ\n  dense:  %s\n  sparse: %s",
 				c, FormatPartition(dense.Groups), FormatPartition(sparse.Groups))
 		}
 	}

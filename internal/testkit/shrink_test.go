@@ -19,11 +19,7 @@ func buggyBackend() Backend {
 		Name:  "buggy-drop-last-group",
 		Exact: true,
 		Run: func(ctx context.Context, rows []*bitvec.Vector, threshold int) ([][]int, error) {
-			c, err := rowsToCSR(rows)
-			if err != nil {
-				return nil, err
-			}
-			res, err := rolediet.Run(ctx, c, rolediet.Options{Threshold: threshold})
+			res, err := runRoleDiet(ctx, rows, rolediet.Options{Threshold: threshold})
 			if err != nil {
 				return nil, err
 			}
