@@ -24,8 +24,10 @@ import (
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
+	"repro/internal/consolidate"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/optimize"
 	"repro/internal/rbac"
 	"repro/internal/store"
 )
@@ -236,6 +238,67 @@ func benchDecode(b *testing.B, raw []byte) {
 		if _, err := rbac.ReadJSON(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOptimize times the remediation planner on gen.Org at
+// paper/40 and paper/10 (seed 1): run is optimize.Run, eliminations and
+// merge rounds to convergence with the reachability oracle; apply
+// replays the plan run produced with optimize.Apply; consolidate is
+// consolidate.Apply of the class-4 merge plan of the dataset left after
+// the plan's eliminations, one round of the merges the planner makes.
+// Run with -benchmem: the planner's copies show as B/op.
+func BenchmarkOptimize(b *testing.B) {
+	for _, div := range []int{40, 10} {
+		ds, _, err := gen.Org(gen.DefaultOrgParams().Scaled(div))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := optimize.Run(ds, optimize.Knobs{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		drops := &optimize.Plan{}
+		for _, a := range res.Plan.Actions {
+			if a.Kind != optimize.KindDropRole && a.Kind != optimize.KindDropRedundant {
+				break
+			}
+			drops.Actions = append(drops.Actions, a)
+		}
+		lean, err := optimize.Apply(ds, drops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := core.Analyze(lean, core.Options{SkipSimilar: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		merges := consolidate.FromReport(rep)
+		name := "paper" + itoa(div)
+		b.Run("run/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := optimize.Run(ds, optimize.Knobs{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("apply/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := optimize.Apply(ds, &res.Plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("consolidate/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := consolidate.Apply(lean, merges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

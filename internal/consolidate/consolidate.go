@@ -106,44 +106,30 @@ func FromReport(rep *core.Report) *Plan {
 }
 
 // Apply executes the plan on a copy of the dataset and returns the
-// consolidated copy. The input dataset is not modified.
+// consolidated copy. The input dataset is not modified. Every merge
+// folds its victims into its keeper along the side it does not share,
+// and one RemoveRoles then deletes all the victims, so the merges must
+// be disjoint, as FromReport plans them. A merge that lists its keeper
+// among its victims, or a role removed twice, fails the plan.
 func Apply(d *rbac.Dataset, plan *Plan) (*rbac.Dataset, error) {
 	out := d.Clone()
+	var victims []rbac.RoleID
 	for mi, m := range plan.Merges {
 		if len(m.Remove) == 0 {
 			continue
 		}
+		if m.Side != SideUsers && m.Side != SidePermissions {
+			return nil, fmt.Errorf("merge %d: unknown side %d", mi, int(m.Side))
+		}
 		for _, victim := range m.Remove {
-			switch m.Side {
-			case SideUsers:
-				// Fold the victim's permissions into the keeper.
-				perms, err := out.RolePermissions(victim)
-				if err != nil {
-					return nil, fmt.Errorf("merge %d: %w", mi, err)
-				}
-				for _, p := range perms {
-					if err := out.AssignPermission(m.Keep, p); err != nil {
-						return nil, fmt.Errorf("merge %d: %w", mi, err)
-					}
-				}
-			case SidePermissions:
-				// Fold the victim's users into the keeper.
-				users, err := out.RoleUsers(victim)
-				if err != nil {
-					return nil, fmt.Errorf("merge %d: %w", mi, err)
-				}
-				for _, u := range users {
-					if err := out.AssignUser(m.Keep, u); err != nil {
-						return nil, fmt.Errorf("merge %d: %w", mi, err)
-					}
-				}
-			default:
-				return nil, fmt.Errorf("merge %d: unknown side %d", mi, int(m.Side))
-			}
-			if err := out.RemoveRole(victim); err != nil {
+			if _, err := out.FoldRole(m.Keep, victim, m.Side == SidePermissions, m.Side == SideUsers); err != nil {
 				return nil, fmt.Errorf("merge %d: %w", mi, err)
 			}
 		}
+		victims = append(victims, m.Remove...)
+	}
+	if err := out.RemoveRoles(victims); err != nil {
+		return nil, fmt.Errorf("consolidate: %w", err)
 	}
 	return out, nil
 }

@@ -284,3 +284,23 @@ func TestConsolidatePropagatesAnalyzeError(t *testing.T) {
 		t.Fatal("invalid options accepted")
 	}
 }
+
+// TestApplyRejectsKeeperInRemove: a merge that also lists its keeper
+// among the roles to remove must fail, not delete the keeper and with
+// it every grant the merge meant to keep.
+func TestApplyRejectsKeeperInRemove(t *testing.T) {
+	ds := rbac.NewDataset()
+	for _, err := range []error{
+		ds.AddUser("u1"), ds.AddPermission("p1"), ds.AddRole("k"), ds.AddRole("v"),
+		ds.AssignUser("k", "u1"), ds.AssignUser("v", "u1"),
+		ds.AssignPermission("k", "p1"), ds.AssignPermission("v", "p1"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := &Plan{Merges: []Merge{{Keep: "k", Remove: []rbac.RoleID{"v", "k"}, Side: SideUsers}}}
+	if after, err := Apply(ds, plan); err == nil {
+		t.Fatalf("keeper listed in Remove accepted, %d roles left", after.NumRoles())
+	}
+}

@@ -112,44 +112,6 @@ func suggestionFor(d *rbac.Dataset, eff [][]int32,
 	return Suggestion{Side: side, Roles: roles, AddedGrants: added}, nil
 }
 
-// ApplySuggestion merges a suggestion's roles into the first, unioning
-// both sides, on a copy of the dataset. The caller is expected to have
-// reviewed AddedGrants; the new grants are exactly those pairs.
-func ApplySuggestion(d *rbac.Dataset, s Suggestion) (*rbac.Dataset, error) {
-	if len(s.Roles) < 2 {
-		return nil, fmt.Errorf("consolidate: suggestion needs >= 2 roles, has %d", len(s.Roles))
-	}
-	out := d.Clone()
-	keep := s.Roles[0]
-	if _, ok := out.RoleIndex(keep); !ok {
-		return nil, fmt.Errorf("consolidate: role %q not in dataset", keep)
-	}
-	for _, victim := range s.Roles[1:] {
-		users, err := out.RoleUsers(victim)
-		if err != nil {
-			return nil, err
-		}
-		for _, u := range users {
-			if err := out.AssignUser(keep, u); err != nil {
-				return nil, err
-			}
-		}
-		perms, err := out.RolePermissions(victim)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range perms {
-			if err := out.AssignPermission(keep, p); err != nil {
-				return nil, err
-			}
-		}
-		if err := out.RemoveRole(victim); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // GrantDelta computes the exact effective-permission additions going
 // from before to after (pairs in after but not before). Deletions are
 // not reported; use VerifySafety when none are allowed.

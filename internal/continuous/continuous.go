@@ -128,6 +128,7 @@ type Meta struct {
 type Backend struct {
 	// Resolve normalises a dataset_ref and ensures it is available
 	// locally (fetch-through in a fleet), returning the bare digest.
+	// CreateSchedule calls it once; fires analyse the stored digest.
 	Resolve func(ctx context.Context, ref string) (string, error)
 	// SessionExists reports whether a mutation session id is live.
 	SessionExists func(id string) bool
@@ -578,7 +579,7 @@ func (m *Manager) finishRun(st *schedState) {
 	st.mu.Unlock()
 }
 
-// runOnce executes one scheduled audit: resolve the target digest
+// runOnce executes one scheduled audit: pick the target digest
 // (snapshotting the session when one is attached), analyse through the
 // cached backend, optionally measure recall, compute drift against the
 // previous run's digest, evaluate the rules, route trips to sinks, and
@@ -598,11 +599,7 @@ func (m *Manager) runOnce(ctx context.Context, st *schedState) {
 	started := time.Now()
 	source := "schedule:" + sched.ID
 
-	digest, err := m.resolveTarget(ctx, sched)
-	if err != nil {
-		m.recordFailure(st, sched, source, "", started, err)
-		return
-	}
+	digest := m.resolveTarget(ctx, sched)
 	var opts core.Options
 	if sched.Options != nil {
 		opts = *sched.Options
@@ -659,19 +656,22 @@ func (m *Manager) runOnce(ctx context.Context, st *schedState) {
 	st.mu.Unlock()
 }
 
-// resolveTarget picks the digest this fire audits.
-func (m *Manager) resolveTarget(ctx context.Context, sched Schedule) (string, error) {
+// resolveTarget picks the digest this fire audits. Without a live
+// session that is the schedule's own dataset_ref, which CreateSchedule
+// stored as a bare, resolved digest: Analyze looks it up, so resolving
+// it again here would fetch a dataset this node cannot cache twice.
+func (m *Manager) resolveTarget(ctx context.Context, sched Schedule) string {
 	if sched.SessionID != "" {
 		digest, err := m.cfg.Backend.Snapshot(ctx, sched.SessionID)
 		if err == nil {
-			return digest, nil
+			return digest
 		}
 		// The session expired or was closed; keep the schedule alive on
 		// its base snapshot rather than erroring every interval.
 		m.cfg.Logf("continuous: schedule %s session %s unavailable (%v); falling back to dataset_ref",
 			sched.ID, sched.SessionID, err)
 	}
-	return m.cfg.Backend.Resolve(ctx, sched.DatasetRef)
+	return sched.DatasetRef
 }
 
 // recordFailure notes a failed fire on the schedule and the decision

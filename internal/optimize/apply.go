@@ -10,18 +10,22 @@ import (
 // Plans are self-contained (mine-roleset actions embed the full mined
 // role definitions), so a plan decoded from JSON replays without
 // re-running any analysis, and replaying the plan Run produced yields a
-// dataset identical to Result.Optimized. The input is never modified.
+// dataset identical to Result.Optimized: drops and merges go through
+// the editor the planner made them with. The input is never modified.
 func Apply(d *rbac.Dataset, p *Plan) (*rbac.Dataset, error) {
-	out := d.Clone()
+	ed := newEditor(d.Clone())
 	for ai, a := range p.Actions {
 		var err error
 		switch a.Kind {
 		case KindDropRole, KindDropRedundant:
-			err = out.RemoveRole(a.Role)
+			_, err = ed.remove(a.Role)
 		case KindMergeRoles:
-			err = applyMerge(out, a)
+			_, err = ed.merge(a)
 		case KindMineRoleset:
-			err = applyMined(out, a.MinedRoles)
+			// The mined set replaces every role, the marked ones too.
+			if err = applyMined(ed.d, a.MinedRoles); err == nil {
+				ed = newEditor(ed.d)
+			}
 		default:
 			err = fmt.Errorf("unknown action kind %q", a.Kind)
 		}
@@ -29,57 +33,96 @@ func Apply(d *rbac.Dataset, p *Plan) (*rbac.Dataset, error) {
 			return nil, fmt.Errorf("optimize: action %d (%s): %w", ai, a.Kind, err)
 		}
 	}
-	return out, nil
+	if err := ed.flush(); err != nil {
+		return nil, err
+	}
+	return ed.d, nil
 }
 
-// applyMerge folds the removed roles into the keeper along the action's
-// side — the same fold order the planner used, so replay is exact.
-func applyMerge(d *rbac.Dataset, a Action) error {
-	if _, ok := d.RoleIndex(a.Keep); !ok {
-		return fmt.Errorf("keep role %q not in dataset", a.Keep)
+// editor makes a plan's drops and merges on a dataset, for the planner
+// and for Apply alike. It only marks the roles they delete; flush
+// deletes every marked role with one RemoveRoles. A role counts as
+// deleted from the moment it is marked, so an action that names it again
+// fails, and the result and the errors are those of deleting each role
+// when its action runs.
+type editor struct {
+	d    *rbac.Dataset
+	gone []bool        // by role index; a marked role keeps its index
+	ids  []rbac.RoleID // the marked roles
+}
+
+// newEditor returns an editor of d with no role marked.
+func newEditor(d *rbac.Dataset) *editor {
+	return &editor{d: d, gone: make([]bool, d.NumRoles())}
+}
+
+// find returns the index of a role that exists and is not marked.
+func (e *editor) find(id rbac.RoleID) (int, error) {
+	ri, ok := e.d.RoleIndex(id)
+	if !ok || e.gone[ri] {
+		return 0, fmt.Errorf("%w: %q", rbac.ErrUnknownRole, id)
+	}
+	return ri, nil
+}
+
+// remove marks a role deleted and returns its index.
+func (e *editor) remove(id rbac.RoleID) (int, error) {
+	ri, err := e.find(id)
+	if err == nil {
+		e.mark(ri)
+	}
+	return ri, err
+}
+
+// mark marks the role at index ri, one find returned, deleted.
+func (e *editor) mark(ri int) {
+	e.gone[ri] = true
+	e.ids = append(e.ids, e.d.Role(ri))
+}
+
+// merge folds the action's removed roles into its keeper along its side
+// and marks them deleted. It returns the merge's change in direct
+// assignment edges: what the keeper gains, minus the removed roles'
+// edges.
+func (e *editor) merge(a Action) (int, error) {
+	if _, err := e.find(a.Keep); err != nil {
+		return 0, fmt.Errorf("keep role: %w", err)
 	}
 	foldUsers := a.Side == "permissions" || a.Side == "both"
 	foldPerms := a.Side == "users" || a.Side == "both"
 	if !foldUsers && !foldPerms {
-		return fmt.Errorf("unknown merge side %q", a.Side)
+		return 0, fmt.Errorf("unknown merge side %q", a.Side)
 	}
+	delta := 0
 	for _, victim := range a.Remove {
-		if foldUsers {
-			users, err := d.RoleUsers(victim)
-			if err != nil {
-				return err
-			}
-			for _, u := range users {
-				if err := d.AssignUser(a.Keep, u); err != nil {
-					return err
-				}
-			}
+		ri, err := e.remove(victim)
+		if err != nil {
+			return 0, err
 		}
-		if foldPerms {
-			perms, err := d.RolePermissions(victim)
-			if err != nil {
-				return err
-			}
-			for _, p := range perms {
-				if err := d.AssignPermission(a.Keep, p); err != nil {
-					return err
-				}
-			}
+		added, err := e.d.FoldRole(a.Keep, victim, foldUsers, foldPerms)
+		if err != nil {
+			return 0, err
 		}
-		if err := d.RemoveRole(victim); err != nil {
-			return err
-		}
+		delta += added - edges(e.d, ri)
 	}
+	return delta, nil
+}
+
+// flush deletes the marked roles.
+func (e *editor) flush() error {
+	if err := e.d.RemoveRoles(e.ids); err != nil {
+		return err
+	}
+	e.gone, e.ids = e.gone[:e.d.NumRoles()], nil
+	clear(e.gone)
 	return nil
 }
 
 // applyMined replaces the entire role set with the embedded mined
 // decomposition. Users and permissions are untouched.
 func applyMined(d *rbac.Dataset, roles []MinedRole) error {
-	for _, r := range d.Roles() {
-		if err := d.RemoveRole(r); err != nil {
-			return err
-		}
+	if err := d.RemoveRoles(d.Roles()); err != nil {
+		return err
 	}
 	for _, mr := range roles {
 		if err := d.AddRole(mr.ID); err != nil {

@@ -10,8 +10,10 @@
 //     permission) pair they grant is covered by another role, checked
 //     sequentially so mutually-covering pairs cannot both vanish;
 //  2. merges — class-4 groups (identical users or permissions) merge
-//     via consolidate's provably safe fold, and class-5 similar groups
+//     by consolidate's provably safe plan, and class-5 similar groups
 //     merge only when their computed grant delta is empty (risk-free).
+//     Every merge folds its victims into its keeper with
+//     rbac.FoldRole, in place on the planner's own copy of the dataset.
 //     Merging can create new duplicates, so the phase re-analyses and
 //     repeats until a round adds no actions; every executed round
 //     removes at least one role, so convergence is bounded by the role
@@ -34,6 +36,7 @@ package optimize
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/consolidate"
@@ -266,8 +269,7 @@ func edges(d *rbac.Dataset, ri int) int {
 // dataset; one RemoveRoles compacts it at the end.
 func (p *planner) eliminate(rep *core.Report) error {
 	d := p.cur
-	dropped := make([]bool, d.NumRoles())
-	var gone []rbac.RoleID
+	ed := newEditor(d)
 	drop := func(r rbac.RoleID, ri int, kind string, class int, reason string) {
 		p.actions = append(p.actions, Action{
 			Kind:         kind,
@@ -277,13 +279,12 @@ func (p *planner) eliminate(rep *core.Report) error {
 			EdgesDelta:   -edges(d, ri),
 			Reason:       reason,
 		})
-		dropped[ri] = true
-		gone = append(gone, r)
+		ed.mark(ri)
 	}
 	dropDead := func(roles []rbac.RoleID, class int, reason string) error {
 		for _, r := range roles {
-			ri, ok := d.RoleIndex(r)
-			if !ok || dropped[ri] {
+			ri, err := ed.find(r)
+			if err != nil {
 				return fmt.Errorf("optimize: dropped role %q not in dataset", r)
 			}
 			drop(r, ri, KindDropRole, class, reason)
@@ -319,16 +320,16 @@ func (p *planner) eliminate(rep *core.Report) error {
 	sort.Slice(candidates, func(a, b int) bool { return candidates[a] < candidates[b] })
 	holders := d.RolesByUser()
 	for _, r := range candidates {
-		ri, ok := d.RoleIndex(r)
-		if !ok || dropped[ri] {
+		ri, err := ed.find(r)
+		if err != nil {
 			continue // already dropped as class 1/2
 		}
-		if coveredElsewhere(d, holders, dropped, ri) {
+		if coveredElsewhere(d, holders, ed.gone, ri) {
 			drop(r, ri, KindDropRedundant, 3,
 				"single-assignment role: every grant is covered by another role")
 		}
 	}
-	return d.RemoveRoles(gone)
+	return ed.flush()
 }
 
 // coveredElsewhere reports whether every (user, permission) pair role
@@ -375,46 +376,52 @@ func (p *planner) mergeToConvergence() error {
 }
 
 // mergeRound plans and applies one round of class-4 merges plus
-// risk-free class-5 merges, returning the number of actions taken.
+// risk-free class-5 merges, returning the number of actions taken. It
+// merges in place: p.cur is the planner's own copy. The class-4 victims
+// are deleted before the class-5 deltas are computed, and the class-5
+// victims at the end of the round.
 func (p *planner) mergeRound() (int, error) {
 	rep, err := p.analyze(false, false)
 	if err != nil {
 		return 0, err
+	}
+	ed := newEditor(p.cur)
+	merge := func(a Action) (err error) {
+		a.RolesRemoved = len(a.Remove)
+		if a.EdgesDelta, err = ed.merge(a); err == nil {
+			p.actions = append(p.actions, a)
+		}
+		return err
 	}
 
 	cplan := consolidate.FromReport(rep)
 	// Claim every participant — keepers included. A merge grows its
 	// keeper's assignment rows, so any class-5 delta involving a
 	// participant was computed against stale rows and must wait for the
-	// next round's re-analysis.
+	// next round's re-analysis. Claims also keep one round's merges
+	// disjoint, so each merge's edge delta is its own.
 	claimed := make(map[rbac.RoleID]struct{})
-	taken := 0
 	for _, m := range cplan.Merges {
 		claimed[m.Keep] = struct{}{}
 		for _, r := range m.Remove {
 			claimed[r] = struct{}{}
 		}
-		class := 4
 		side := m.Side.String()
-		p.actions = append(p.actions, Action{
-			Kind:         KindMergeRoles,
-			Class:        class,
-			Keep:         m.Keep,
-			Remove:       m.Remove,
-			Side:         side,
-			RolesRemoved: len(m.Remove),
-			EdgesDelta:   p.mergeEdgesDelta(m.Keep, m.Remove, side),
+		if err := merge(Action{
+			Kind:   KindMergeRoles,
+			Class:  4,
+			Keep:   m.Keep,
+			Remove: m.Remove,
+			Side:   side,
 			Reason: fmt.Sprintf("roles share identical %s; folding the other side into %q is provably safe",
 				side, m.Keep),
-		})
-		taken++
-	}
-	if len(cplan.Merges) > 0 {
-		next, err := consolidate.Apply(p.cur, cplan)
-		if err != nil {
+		}); err != nil {
 			return 0, err
 		}
-		p.cur = next
+	}
+	taken := len(cplan.Merges)
+	if err := ed.flush(); err != nil {
+		return 0, err
 	}
 
 	if p.knobs.Analysis.SkipSimilar {
@@ -429,87 +436,29 @@ func (p *planner) mergeRound() (int, error) {
 		return taken, nil
 	}
 	for _, s := range suggestions {
-		if !s.RiskFree() || len(s.Roles) < 2 {
-			continue
-		}
-		ok := true
-		for _, r := range s.Roles {
-			if _, c := claimed[r]; c {
-				ok = false
-				break
-			}
-			if _, present := p.cur.RoleIndex(r); !present {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !s.RiskFree() || len(s.Roles) < 2 || slices.ContainsFunc(s.Roles, func(r rbac.RoleID) bool {
+			_, c := claimed[r]
+			return c
+		}) {
 			continue
 		}
 		for _, r := range s.Roles {
 			claimed[r] = struct{}{}
 		}
-		p.actions = append(p.actions, Action{
-			Kind:         KindMergeRoles,
-			Class:        5,
-			Keep:         s.Roles[0],
-			Remove:       s.Roles[1:],
-			Side:         "both",
-			RolesRemoved: len(s.Roles) - 1,
-			EdgesDelta:   p.mergeEdgesDelta(s.Roles[0], s.Roles[1:], "both"),
+		if err := merge(Action{
+			Kind:   KindMergeRoles,
+			Class:  5,
+			Keep:   s.Roles[0],
+			Remove: s.Roles[1:],
+			Side:   "both",
 			Reason: fmt.Sprintf("similar roles whose merge adds zero effective grants; folding both sides into %q",
 				s.Roles[0]),
-		})
-		next, err := consolidate.ApplySuggestion(p.cur, s)
-		if err != nil {
+		}); err != nil {
 			return 0, err
 		}
-		p.cur = next
 		taken++
 	}
-	return taken, nil
-}
-
-// mergeEdgesDelta computes the exact direct-edge change of folding the
-// removed roles into keep on the current dataset, before application.
-// Folding a side unions it into the keeper, which grows by the victims'
-// entities it lacks; the victims' edges vanish.
-func (p *planner) mergeEdgesDelta(keep rbac.RoleID, remove []rbac.RoleID, side string) int {
-	d := p.cur
-	ki, ok := d.RoleIndex(keep)
-	if !ok {
-		return 0
-	}
-	newUsers := make(map[int32]struct{})
-	newPerms := make(map[int32]struct{})
-	victimEdges := 0
-	for _, r := range remove {
-		ri, ok := d.RoleIndex(r)
-		if !ok {
-			continue
-		}
-		victimEdges += edges(d, ri)
-		for _, ui := range d.RoleUserRow(ri) {
-			if !d.RoleHasUser(ki, int(ui)) {
-				newUsers[ui] = struct{}{}
-			}
-		}
-		for _, pi := range d.RolePermissionRow(ri) {
-			if !d.RoleHasPermission(ki, int(pi)) {
-				newPerms[pi] = struct{}{}
-			}
-		}
-	}
-	keepGrowth := 0
-	switch side {
-	case "users":
-		keepGrowth = len(newPerms)
-	case "permissions":
-		keepGrowth = len(newUsers)
-	case "both":
-		keepGrowth = len(newPerms) + len(newUsers)
-	}
-	return keepGrowth - victimEdges
+	return taken, ed.flush()
 }
 
 // mine runs the bounded mining pass when enabled. It returns a non-empty

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/consolidate"
@@ -350,5 +351,58 @@ func TestMaxRoundsCapsConvergence(t *testing.T) {
 	}
 	if res.Optimized.NumRoles() != 2 {
 		t.Fatalf("%d roles survive, want 2", res.Optimized.NumRoles())
+	}
+}
+
+// TestApplyRejectsKeeperInRemove: a merge action that also lists its
+// keeper among the roles to remove must fail, not delete the keeper and
+// with it every grant the merge meant to keep.
+func TestApplyRejectsKeeperInRemove(t *testing.T) {
+	d := build(t, []string{"u1"}, []string{"p1"}, map[string][2][]string{
+		"k": {{"u1"}, {"p1"}},
+		"v": {{"u1"}, {"p1"}},
+	})
+	p := &Plan{Actions: []Action{{Kind: KindMergeRoles, Keep: "k", Remove: []rbac.RoleID{"v", "k"}, Side: "users"}}}
+	if after, err := Apply(d, p); err == nil {
+		t.Fatalf("keeper listed in Remove accepted, %d roles left", after.NumRoles())
+	}
+}
+
+// TestApplyRejectsDeletedRoles: an action that names a role an earlier
+// action of the plan deleted fails, and the error names that action,
+// although Apply deletes the roles of a run of actions together.
+func TestApplyRejectsDeletedRoles(t *testing.T) {
+	// Figure 1: R02 and R04 share their users, R04 and R05 their
+	// permissions.
+	d := rbac.Figure1()
+	merge := func(keep rbac.RoleID, side string, remove ...rbac.RoleID) Action {
+		return Action{Kind: KindMergeRoles, Keep: keep, Remove: remove, Side: side}
+	}
+	for _, tc := range []struct {
+		name    string
+		actions []Action
+	}{
+		{"dropped twice", []Action{
+			{Kind: KindDropRole, Role: "R03"}, {Kind: KindDropRedundant, Role: "R03"}}},
+		{"merge into a dropped role", []Action{
+			{Kind: KindDropRole, Role: "R02"}, merge("R02", "users", "R04")}},
+		{"merge a dropped role", []Action{
+			{Kind: KindDropRole, Role: "R04"}, merge("R02", "users", "R04")}},
+		{"drop a merged role", []Action{
+			merge("R02", "users", "R04"), {Kind: KindDropRole, Role: "R04"}}},
+		{"merge into a merged role", []Action{
+			merge("R02", "users", "R04"), merge("R04", "permissions", "R05")}},
+		{"merge a role twice", []Action{
+			merge("R04", "permissions", "R05"), merge("R02", "users", "R05")}},
+	} {
+		_, err := Apply(d, &Plan{Actions: tc.actions})
+		if err == nil || !strings.Contains(err.Error(), "action 1 (") {
+			t.Errorf("%s: err = %v, want a failure at action 1", tc.name, err)
+		}
+	}
+	// Chaining is allowed: a keeper can be merged away by a later action.
+	p := &Plan{Actions: []Action{merge("R02", "users", "R04"), merge("R05", "both", "R02")}}
+	if _, err := Apply(d, p); err != nil {
+		t.Fatalf("chained merges: %v", err)
 	}
 }

@@ -209,6 +209,44 @@ func holds(row []int32, c int) bool {
 	return ok
 }
 
+// FoldRole unions role from's user row (when users is set) and
+// permission row (when perms is set) into role into's, the one step of
+// every role merge, and returns how many edges into gained. from keeps
+// its edges; a merge deletes its victims afterwards, all at once, with
+// RemoveRoles. An unknown role is an ErrUnknownRole, and so is folding
+// a role into itself, which would leave the merge nothing to keep.
+func (d *Dataset) FoldRole(into, from RoleID, users, perms bool) (int, error) {
+	ki, _ := d.roleIdx.find(d.roles, into)
+	if ki < 0 {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownRole, into)
+	}
+	vi, _ := d.roleIdx.find(d.roles, from)
+	if vi < 0 {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownRole, from)
+	}
+	if vi == ki {
+		return 0, fmt.Errorf("%w: %q folded into itself", ErrUnknownRole, into)
+	}
+	added := 0
+	if users {
+		added += union(&d.roleUsers[ki], d.roleUsers[vi])
+	}
+	if perms {
+		added += union(&d.rolePerms[ki], d.rolePerms[vi])
+	}
+	return added, nil
+}
+
+// union inserts the columns of the sorted row from into *row and
+// returns how many it added.
+func union(row *[]int32, from []int32) int {
+	n := len(*row)
+	for _, c := range from {
+		*row = insert(*row, int(c))
+	}
+	return len(*row) - n
+}
+
 // sortRows restores the row invariant after raw appends: each row is
 // sorted once and its repeats dropped, O(e log e) in the edge count
 // whatever order the edges arrived in.
@@ -387,10 +425,6 @@ func (d *Dataset) RoleUserRow(ri int) []int32 { return d.roleUsers[ri] }
 // RolePermissionRow returns the indices of the permissions role index
 // ri grants in ascending order: RPAM row ri, read-only like RoleUserRow.
 func (d *Dataset) RolePermissionRow(ri int) []int32 { return d.rolePerms[ri] }
-
-// RoleHasUser reports whether user index ui is assigned to role index
-// ri: the index-space counterpart of HasAssignment.
-func (d *Dataset) RoleHasUser(ri, ui int) bool { return holds(d.roleUsers[ri], ui) }
 
 // RoleHasPermission reports whether role index ri grants permission
 // index pi: the index-space counterpart of HasPermission.

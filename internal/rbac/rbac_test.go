@@ -253,8 +253,8 @@ func TestIndexAccessorsMatchMatrices(t *testing.T) {
 			t.Fatalf("NumRolePermissions(%d) = %d, RPAM row sum %d", ri, got, want)
 		}
 		for ui := 0; ui < d.NumUsers(); ui++ {
-			if d.RoleHasUser(ri, ui) != ruam.Row(ri).Get(ui) {
-				t.Fatalf("RoleHasUser(%d, %d) != RUAM cell", ri, ui)
+			if slices.Contains(d.RoleUserRow(ri), int32(ui)) != ruam.Row(ri).Get(ui) {
+				t.Fatalf("RoleUserRow(%d) holds %d != RUAM cell", ri, ui)
 			}
 			if ruam.Row(ri).Get(ui) {
 				fromMatrix[ui] = append(fromMatrix[ui], int32(ri))
@@ -403,7 +403,7 @@ func TestEffectivePermissionsRows(t *testing.T) {
 		for ui, row := range eff {
 			want := map[int32]bool{}
 			for ri := 0; ri < d.NumRoles(); ri++ {
-				if d.RoleHasUser(ri, ui) {
+				if slices.Contains(d.RoleUserRow(ri), int32(ui)) {
 					for _, p := range d.RolePermissionRow(ri) {
 						want[p] = true
 					}

@@ -74,3 +74,35 @@ func TestAnalyzeResponseBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestOptimizeResponseBytesPinned pins the /v1/optimize response body
+// for a gen.Org paper/40 organisation (seed 1) posted inline: the plan
+// with each action's savings, the before and after shapes and the
+// optimized dataset. A change to how the planner merges or deletes
+// roles must leave this digest as it is.
+func TestOptimizeResponseBytesPinned(t *testing.T) {
+	org, _, err := gen.Org(gen.DefaultOrgParams().Scaled(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := org.WriteJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(newServer(t).URL+"/v1/optimize", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	const want = "50beb2ef192715ab5eabfc81790749eb2fc2fa82e52b3c710dab4081ab2b6015"
+	if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("response digest %x, want %s; body:\n%.600s", sum, want, got)
+	}
+}

@@ -23,10 +23,17 @@ import (
 
 // swapHTTP lets the cluster helper start listeners (fixing every
 // node's URL) before the fleet-aware handlers that need those URLs
-// exist.
-type swapHTTP struct{ v atomic.Value }
+// exist. raw counts the GET .../raw requests the node has received, the
+// fetches its peers make.
+type swapHTTP struct {
+	v   atomic.Value
+	raw atomic.Int64
+}
 
 func (s *swapHTTP) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/raw") {
+		s.raw.Add(1)
+	}
 	s.v.Load().(http.Handler).ServeHTTP(w, r)
 }
 
@@ -35,6 +42,7 @@ type cluster struct {
 	urls   []string
 	fleets []*fleet.Fleet
 	srvs   []*httptest.Server
+	swaps  []*swapHTTP
 }
 
 // newCluster boots n fleet nodes on real listeners. Probing is off so
@@ -49,11 +57,10 @@ func newCluster(t *testing.T, n int, mutate func(i int, o *fleet.Options)) *clus
 // handler options as well.
 func newClusterWith(t *testing.T, n int, mutate func(i int, o *fleet.Options), handler func(i int, o *Options)) *cluster {
 	t.Helper()
-	c := &cluster{}
-	swaps := make([]*swapHTTP, n)
+	c := &cluster{swaps: make([]*swapHTTP, n)}
 	for i := 0; i < n; i++ {
-		swaps[i] = &swapHTTP{}
-		srv := httptest.NewUnstartedServer(swaps[i])
+		c.swaps[i] = &swapHTTP{}
+		srv := httptest.NewUnstartedServer(c.swaps[i])
 		t.Cleanup(srv.Close)
 		c.srvs = append(c.srvs, srv)
 		c.urls = append(c.urls, "http://"+srv.Listener.Addr().String())
@@ -90,7 +97,7 @@ func newClusterWith(t *testing.T, n int, mutate func(i int, o *fleet.Options), h
 		}
 		h := NewHandler(hopts)
 		t.Cleanup(func() { h.(io.Closer).Close() })
-		swaps[i].v.Store(h)
+		c.swaps[i].v.Store(h)
 		c.srvs[i].Start()
 	}
 	return c
@@ -270,7 +277,10 @@ func TestFleetAnalyzeByRefFetchesThrough(t *testing.T) {
 // schedule path: a node whose store budget is smaller than a dataset a
 // peer holds cannot cache the fetched bytes, so every fire must analyse
 // the verified bytes it fetched and record an observation, exactly as
-// a by-ref request on that node is served.
+// a by-ref request on that node is served. The owner counts the
+// fetches: one when the schedule is created, then one per fire, since a
+// fire audits the digest the schedule stored without resolving it
+// again.
 func TestFleetScheduleOverUncacheableDataset(t *testing.T) {
 	ds := rbac.Figure1()
 	digest, size, err := store.Digest(ds)
@@ -292,7 +302,9 @@ func TestFleetScheduleOverUncacheableDataset(t *testing.T) {
 	})
 	srv := c.srvs[1]
 
-	resp := post(t, srv, "/v1/schedules", fmt.Sprintf(`{"dataset_ref":%q,"interval":"20ms"}`, digest))
+	// The first fire comes on the next scheduler tick; an hour-long
+	// interval keeps it the only one.
+	resp := post(t, srv, "/v1/schedules", fmt.Sprintf(`{"dataset_ref":%q,"interval":"1h"}`, digest))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status = %d, want 201", resp.StatusCode)
 	}
@@ -314,6 +326,9 @@ func TestFleetScheduleOverUncacheableDataset(t *testing.T) {
 			t.Fatal("schedule never fired")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if got := c.swaps[0].raw.Load(); got != 2 {
+		t.Fatalf("owner served %d fetches for one create and one fire, want 2", got)
 	}
 	if c.rawStatus(t, 1, digest) != http.StatusNotFound {
 		t.Fatal("dataset over the node's budget was cached anyway")
