@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
-	"repro/internal/cluster/bitlsh"
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
@@ -169,6 +168,34 @@ func BenchmarkOrgScale(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkAnalyzeWorkers times one core.AnalyzeContext (Role Diet,
+// k = 1) at paper/10 and paper/1 with Workers 1 and 2: the serial lane
+// every request gets by default against the fan-out a request gets
+// when it asks for two workers; run it with -cpu 2 or more. The paper/1
+// dataset is generated on first use.
+func BenchmarkAnalyzeWorkers(b *testing.B) {
+	for _, scale := range []int{10, 1} {
+		var ds *rbac.Dataset
+		for _, workers := range []int{1, 2} {
+			b.Run("paper"+itoa(scale)+"/workers="+itoa(workers), func(b *testing.B) {
+				if ds == nil {
+					var err error
+					if ds, _, err = gen.Org(gen.DefaultOrgParams().Scaled(scale)); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.AnalyzeContext(context.Background(), ds, core.Options{Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -479,26 +506,6 @@ func BenchmarkAblationHNSWParams(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionLSH measures the bit-sampling LSH extension against
-// the other methods' workload: candidate generation plus verified
-// grouping at thresholds 0 and 1.
-func BenchmarkExtensionLSH(b *testing.B) {
-	rows := genMatrix(b, 5000, 1000)
-	for _, k := range []int{0, 1} {
-		b.Run("k="+itoa(k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bitlsh.Run(context.Background(), pack(rows), bitlsh.Options{Config: bitlsh.Config{Seed: 1}, Threshold: k})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Groups) == 0 {
-					b.Fatal("no groups")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationParallel measures the multi-core fan-out of the Role
 // Diet co-occurrence pass (Options.Workers) against the serial lane at
 // threshold 1, where the pair-emission phase dominates.
@@ -518,15 +525,15 @@ func BenchmarkAblationParallel(b *testing.B) {
 }
 
 // BenchmarkAblationParallelBackends extends the parallel ablation to
-// the remaining backends: DBSCAN region queries, LSH sketch+verify,
-// and HNSW construction, serial versus fanned out. Run with -cpu 1,4 to see the single-core overhead (the chunked
-// fan-out on one core) next to the multi-core win.
+// the remaining backends: DBSCAN region queries and HNSW construction,
+// serial versus fanned out. Run with -cpu 1,2 to see the single-core
+// overhead (the chunked fan-out on one core) next to the multi-core
+// win.
 func BenchmarkAblationParallelBackends(b *testing.B) {
 	ctx := context.Background()
 	dbRows := genMatrix(b, 2000, 1000)
-	lshRows := genMatrix(b, 5000, 1000)
 	hnswRows := genMatrix(b, 2000, 1000)
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		lane := "workers=" + itoa(workers)
 		if workers == 1 {
 			lane = "serial"
@@ -534,14 +541,6 @@ func BenchmarkAblationParallelBackends(b *testing.B) {
 		b.Run("dbscan/"+lane, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := dbscan.Run(ctx, pack(dbRows), dbscan.Config{Eps: 1, MinPts: 2, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("lsh/"+lane, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := bitlsh.Options{Config: bitlsh.Config{Seed: 1}, Threshold: 1, Workers: workers}
-				if _, err := bitlsh.Run(ctx, pack(lshRows), opts); err != nil {
 					b.Fatal(err)
 				}
 			}

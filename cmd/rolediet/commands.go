@@ -108,7 +108,7 @@ func cmdAnalyze(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	var (
 		data      = fs.String("data", "", "dataset JSON path (required)")
-		method    = fs.String("method", "rolediet", "group method: rolediet, dbscan, hnsw, lsh or dbscan-float64")
+		method    = fs.String("method", "rolediet", "group method: rolediet, dbscan, hnsw or dbscan-float64")
 		threshold = fs.Int("threshold", 1, "similar-group threshold k")
 		workers   = fs.Int("workers", 0, "grouping worker goroutines; 0 or 1 run serially, >= 2 parallelise")
 		format    = fs.String("format", "text", "output format: text or json")

@@ -45,7 +45,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 }
 
 // cmdRecall runs the approximate-method quality sweep: recall and
-// duration for HNSW (across efSearch) and LSH (across table counts).
+// duration for HNSW across efSearch.
 func cmdRecall(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("recall", flag.ContinueOnError)
 	var (

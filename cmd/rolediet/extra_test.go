@@ -57,17 +57,6 @@ func TestSuggestCommand(t *testing.T) {
 	}
 }
 
-func TestAnalyzeLSHMethod(t *testing.T) {
-	path := writeFigure1(t)
-	stdout, _, err := runCLI(t, "analyze", "-data", path, "-method", "lsh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, "method=lsh") {
-		t.Fatalf("lsh analyze output:\n%s", stdout)
-	}
-}
-
 func TestDiffCommand(t *testing.T) {
 	before := writeFigure1(t)
 	afterPath := filepath.Join(t.TempDir(), "after.json")

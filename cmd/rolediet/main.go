@@ -94,7 +94,7 @@ subcommands:
   replay       apply an event log to a snapshot, auditing at checkpoints
   drift        incremental drift audit between snapshots (server schema)
   bench        run the full evaluation and emit a Markdown report
-  recall       quality sweep for the approximate methods (HNSW, LSH)
+  recall       quality sweep for the approximate method (HNSW)
   digest       print a dataset's content digest (usable as dataset_ref)
   webhook      tiny alert receiver: POST bodies out as JSONL (end-to-end tests)
   help         show this message

@@ -143,8 +143,11 @@ func TestAnalyzeFormats(t *testing.T) {
 	if _, _, err := runCLI(t, "analyze", "-data", "/nonexistent.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if _, _, err := runCLI(t, "analyze", "-data", path, "-method", "kmeans"); err == nil {
-		t.Fatal("unknown method accepted")
+	// lsh is a retired method: it fails as any unknown name does.
+	for _, m := range []string{"kmeans", "lsh"} {
+		if _, _, err := runCLI(t, "analyze", "-data", path, "-method", m); err == nil {
+			t.Fatalf("unknown method %q accepted", m)
+		}
 	}
 }
 

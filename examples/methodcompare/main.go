@@ -51,10 +51,7 @@ func run(roles, users, k int) error {
 		roles, users, planted, len(g.Planted))
 	fmt.Printf("%-10s %14s %8s %8s %8s\n", "method", "duration", "groups", "roles", "recall")
 
-	methods := []core.Method{
-		core.MethodRoleDiet, core.MethodDBSCAN, core.MethodHNSW, core.MethodLSH,
-	}
-	for _, m := range methods {
+	for _, m := range []core.Method{core.MethodRoleDiet, core.MethodDBSCAN, core.MethodHNSW} {
 		start := time.Now()
 		groups, err := core.FindRoleGroups(context.Background(), g.Cols, g.Rows, core.GroupOptions{Method: m, Threshold: k})
 		if err != nil {
@@ -75,7 +72,6 @@ func run(roles, users, k int) error {
 
 	fmt.Println("\nexpected shape (paper §IV-A): rolediet fastest and exact; dbscan exact but")
 	fmt.Println("quadratic in roles; hnsw pays an index-build constant and may trade recall")
-	fmt.Println("for speed, catching up to dbscan as the role count grows; lsh (extension)")
-	fmt.Println("is exact at threshold 0 and probabilistic above")
+	fmt.Println("for speed, catching up to dbscan as the role count grows")
 	return nil
 }

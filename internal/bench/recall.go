@@ -6,14 +6,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster/bitlsh"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
 
-// RecallConfig parameterises the approximate-methods quality sweep: one
-// matrix, a range of effort knobs, recall and duration per setting.
+// RecallConfig parameterises the approximate-method quality sweep: one
+// matrix, a range of HNSW search widths, recall and duration per
+// setting.
 // This quantifies the paper's §IV-A remark that approximate clustering
 // "may miss some entries within clusters" and relies on periodic re-runs.
 type RecallConfig struct {
@@ -21,8 +21,6 @@ type RecallConfig struct {
 	Rows, Cols int
 	// EfSearch values swept for HNSW; defaults to 16..256.
 	EfSearch []int
-	// Tables values swept for bit-sampling LSH; defaults to 2..16.
-	Tables []int
 	// Threshold for grouping; default 0 (exact duplicates).
 	Threshold int
 	// Seed drives the generator.
@@ -38,9 +36,6 @@ func (c RecallConfig) withDefaults() RecallConfig {
 	}
 	if len(c.EfSearch) == 0 {
 		c.EfSearch = []int{16, 32, 64, 128, 256}
-	}
-	if len(c.Tables) == 0 {
-		c.Tables = []int{2, 4, 8, 16}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -64,8 +59,8 @@ type RecallResult struct {
 }
 
 // RunRecall measures group recall (fraction of planted cluster roles
-// recovered) and duration for HNSW across EfSearch and LSH across
-// Tables, on one generated matrix.
+// recovered) and duration for HNSW across EfSearch, on one generated
+// matrix.
 func RunRecall(cfg RecallConfig) (*RecallResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Threshold < 0 {
@@ -87,59 +82,27 @@ func RunRecall(cfg RecallConfig) (*RecallResult, error) {
 	}
 	res := &RecallResult{Config: cfg, Planted: planted}
 
-	measure := func(method, setting string, run func() (found int, err error)) error {
+	for _, ef := range cfg.EfSearch {
 		start := time.Now()
-		found, err := run()
+		groups, err := core.FindRoleGroups(context.Background(), g.Cols, g.Rows, core.GroupOptions{
+			Method:       core.MethodHNSW,
+			Threshold:    cfg.Threshold,
+			HNSW:         hnsw.Config{Seed: cfg.Seed},
+			HNSWSearchEf: ef,
+		})
 		if err != nil {
-			return fmt.Errorf("%s %s: %w", method, setting, err)
+			return nil, fmt.Errorf("hnsw ef=%d: %w", ef, err)
 		}
 		recall := 1.0
 		if planted > 0 {
-			recall = float64(found) / float64(planted)
+			recall = float64(countMembers(groups)) / float64(planted)
 		}
 		res.Points = append(res.Points, RecallPoint{
-			Method:   method,
-			Setting:  setting,
+			Method:   "hnsw",
+			Setting:  fmt.Sprintf("ef=%d", ef),
 			Duration: time.Since(start),
 			Recall:   recall,
 		})
-		return nil
-	}
-
-	for _, ef := range cfg.EfSearch {
-		ef := ef
-		err := measure("hnsw", fmt.Sprintf("ef=%d", ef), func() (int, error) {
-			groups, err := core.FindRoleGroups(context.Background(), g.Cols, g.Rows, core.GroupOptions{
-				Method:       core.MethodHNSW,
-				Threshold:    cfg.Threshold,
-				HNSW:         hnsw.Config{Seed: cfg.Seed},
-				HNSWSearchEf: ef,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return countMembers(groups), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, tables := range cfg.Tables {
-		tables := tables
-		err := measure("lsh", fmt.Sprintf("tables=%d", tables), func() (int, error) {
-			groups, err := core.FindRoleGroups(context.Background(), g.Cols, g.Rows, core.GroupOptions{
-				Method:    core.MethodLSH,
-				Threshold: cfg.Threshold,
-				LSH:       bitlsh.Config{Tables: tables, Seed: cfg.Seed},
-			})
-			if err != nil {
-				return 0, err
-			}
-			return countMembers(groups), nil
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }

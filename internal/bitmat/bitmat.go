@@ -16,8 +16,7 @@
 // Role Diet inverted index walks RowWords, DBSCAN region queries go
 // through the norm-pruned NeighborsInto/NeighborsAppend kernels, HNSW
 // computes distances between stored ids with Hamming(i,j) instead of
-// chasing per-node vector pointers, and bit-sampling LSH verifies
-// candidates with HammingAtMost.
+// chasing per-node vector pointers.
 package bitmat
 
 import (
@@ -253,36 +252,6 @@ func (m *Matrix) Hamming(i, j int) int {
 			bits.OnesCount64(a[k+3]^b[k+3])
 	}
 	return total
-}
-
-// HammingAtMost reports whether Hamming(i, j) <= k, first applying the
-// norm bound ||a|-|b|| and then short-circuiting the word loop as soon
-// as the running count exceeds k.
-func (m *Matrix) HammingAtMost(i, j, k int) bool {
-	m.checkRow(i)
-	m.checkRow(j)
-	if k < 0 {
-		return false
-	}
-	d := int(m.norms[i]) - int(m.norms[j])
-	if d < 0 {
-		d = -d
-	}
-	if d > k {
-		return false
-	}
-	s := m.stride
-	a := m.bits[i*s : i*s+s : i*s+s]
-	b := m.bits[j*s : j*s+s : j*s+s]
-	b = b[:len(a)]
-	total := 0
-	for w, aw := range a {
-		total += bits.OnesCount64(aw ^ b[w])
-		if total > k {
-			return false
-		}
-	}
-	return true
 }
 
 // Intersection returns the co-occurrence count g(i, j) = |R_i AND R_j|.

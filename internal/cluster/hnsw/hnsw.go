@@ -29,7 +29,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitmat"
 	"repro/internal/ctxcheck"
@@ -202,7 +201,7 @@ type node struct {
 // index is a hierarchical navigable small world graph over the rows of
 // a bit-matrix arena, node id = row id. A built index is read-only, so
 // concurrent searches are safe (each borrows its own scratch from a
-// pool and the distance counter is atomic).
+// pool).
 type index struct {
 	cfg      Config
 	mat      *bitmat.Matrix
@@ -217,10 +216,7 @@ type index struct {
 	// built: a single writer needs no lock.
 	locks   []sync.Mutex
 	entryMu sync.RWMutex
-	// distCalls counts cumulative distance evaluations; atomic so
-	// concurrent searches stay race-free.
-	distCalls atomic.Int64
-	scratch   sync.Pool // of *searchScratch
+	scratch sync.Pool // of *searchScratch
 }
 
 // build constructs the index over every row of m with the standard
@@ -285,10 +281,6 @@ func build(ctx context.Context, m *bitmat.Matrix, cfg Config, workers int) (*ind
 // Len returns the number of indexed rows.
 func (x *index) Len() int { return len(x.nodes) }
 
-// DistCalls returns the cumulative number of distance evaluations made
-// during construction and searches.
-func (x *index) DistCalls() int { return int(x.distCalls.Load()) }
-
 // randomLevel draws the insertion layer: floor(-ln(U) * mL).
 func (x *index) randomLevel() int {
 	u := x.rng.Float64()
@@ -306,10 +298,8 @@ func (x *index) maxNeighbours(layer int) int {
 	return x.cfg.M
 }
 
-// d evaluates the Hamming distance between rows i and j off the arena
-// and counts it.
+// d evaluates the Hamming distance between rows i and j off the arena.
 func (x *index) d(i, j int) float64 {
-	x.distCalls.Add(1)
 	return float64(x.mat.Hamming(i, j))
 }
 

@@ -270,18 +270,6 @@ func TestHeuristicSelection(t *testing.T) {
 	}
 }
 
-func TestDistCallsMonotone(t *testing.T) {
-	idx := buildRows(t, []*bitvec.Vector{bitvec.New(8), bitvec.FromIndices(8, []int{1})}, Config{}, 1)
-	before := idx.DistCalls()
-	if before <= 0 {
-		t.Fatal("no distance calls recorded during build")
-	}
-	idx.searchEfRow(0, 1, 10)
-	if idx.DistCalls() <= before {
-		t.Fatal("DistCalls did not grow after a search")
-	}
-}
-
 func TestDefaultMetricIsManhattan(t *testing.T) {
 	idx := buildRows(t, nil, Config{}, 1)
 	if idx.cfg.Metric != metric.Manhattan {

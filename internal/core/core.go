@@ -71,7 +71,7 @@ func (k InefficiencyKind) String() string {
 // {...}}), the async jobs API, and the CLI's -options flag:
 //
 //	{
-//	  "method": "rolediet" | "dbscan" | "hnsw" | "lsh" | "dbscan-float64",
+//	  "method": "rolediet" | "dbscan" | "hnsw" | "dbscan-float64",
 //	  "threshold": 1,
 //	  "skipSimilar": false,
 //	  "skipGroups": false,

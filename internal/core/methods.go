@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/bitmat"
-	"repro/internal/cluster/bitlsh"
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
@@ -35,11 +34,6 @@ const (
 	// Figure 2/3 shape (including the HNSW crossover) can be reproduced
 	// against a baseline with the paper's arithmetic.
 	MethodDBSCANFloat64
-	// MethodLSH is bit-sampling locality-sensitive hashing, a second
-	// approximate baseline: exact at threshold 0, probabilistic recall
-	// above, never a false pair. It extends the paper's comparison with
-	// the LSH family its datasketch dependency is built around.
-	MethodLSH
 )
 
 // String returns the method's name as used in CLI flags and reports.
@@ -53,8 +47,6 @@ func (m Method) String() string {
 		return "hnsw"
 	case MethodDBSCANFloat64:
 		return "dbscan-float64"
-	case MethodLSH:
-		return "lsh"
 	default:
 		return fmt.Sprintf("core.Method(%d)", int(m))
 	}
@@ -99,8 +91,6 @@ func ParseMethod(name string) (Method, error) {
 		return MethodHNSW, nil
 	case "dbscan-float64":
 		return MethodDBSCANFloat64, nil
-	case "lsh":
-		return MethodLSH, nil
 	default:
 		return 0, fmt.Errorf("core: unknown method %q", name)
 	}
@@ -122,22 +112,35 @@ type GroupOptions struct {
 	// HNSWSearchEf is the beam width used when querying each role's
 	// neighbourhood; defaults to 64.
 	HNSWSearchEf int `json:"hnswSearchEf,omitempty"`
-	// LSH carries index parameters for MethodLSH; the zero value picks
-	// width- and threshold-dependent defaults.
-	LSH bitlsh.Config `json:"lsh,omitempty"`
+	// RetiredLSH holds the place of the retired "lsh" method's knobs so
+	// that cache fingerprints keep the bytes they had; see retiredLSH.
+	RetiredLSH retiredLSH `json:"lsh"`
 	// Workers fans the selected backend's hot phase out over this many
 	// goroutines. 0 (the default) and 1 run the serial implementation;
 	// values >= 2 select the parallel one; negative values are rejected.
-	// Exact backends (rolediet, dbscan, dbscan-float64, lsh) return
+	// Exact backends (rolediet, dbscan, dbscan-float64) return
 	// identical results at any worker count; hnsw keeps its recall floor
 	// but links may differ run to run when Workers >= 2.
 	Workers int `json:"workers,omitempty"`
 	// Progress, when non-nil, receives (rowsDone, totalRows) from inside
 	// the grouping loops for the backends that support in-loop reporting
-	// (rolediet and hnsw; dbscan and lsh report only at boundaries). Not
+	// (rolediet and hnsw; dbscan reports only at boundaries). Not
 	// part of the wire schema.
 	Progress func(done, total int) `json:"-"`
 }
+
+// retiredLSH is the "lsh" key of the group options. The method it
+// tuned is gone, but the key stays in the encoding: encoding/json never
+// omits a struct, so every stored result was fingerprinted over these
+// zero knobs. It always marshals them and ignores whatever a request
+// sends, so a body carrying "lsh" shares the cache line of one without.
+type retiredLSH struct{}
+
+func (retiredLSH) MarshalJSON() ([]byte, error) {
+	return []byte(`{"Tables":0,"BitsPerHash":0,"Seed":0}`), nil
+}
+
+func (*retiredLSH) UnmarshalJSON([]byte) error { return nil }
 
 // UnmarshalJSON decodes the wire form, rejecting unknown method names
 // (via Method.UnmarshalText) and negative thresholds, so every consumer
@@ -238,16 +241,6 @@ func findGroups(ctx context.Context, cols int, rows [][]int32, m *bitmat.Matrix,
 			SearchEf:  opts.HNSWSearchEf,
 			Workers:   opts.Workers,
 			Progress:  opts.Progress,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Groups, nil
-	case MethodLSH:
-		res, err := bitlsh.Run(ctx, m, bitlsh.Options{
-			Config:    opts.LSH,
-			Threshold: opts.Threshold,
-			Workers:   opts.Workers,
 		})
 		if err != nil {
 			return nil, err

@@ -131,7 +131,7 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed options: %+v -> %+v", in, out)
 	}
 
-	gin := core.GroupOptions{Method: core.MethodLSH, Threshold: 2, Workers: 3}
+	gin := core.GroupOptions{Method: core.MethodDBSCAN, Threshold: 2, Workers: 3}
 	graw, err := json.Marshal(gin)
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +150,7 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 func TestOptionsJSONRejects(t *testing.T) {
 	for _, raw := range []string{
 		`{"method":"kmeans"}`,
+		`{"method":"lsh"}`,
 		`{"threshold":-1}`,
 	} {
 		var o core.Options

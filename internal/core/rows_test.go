@@ -227,7 +227,7 @@ func TestAnalyzeInPlaceMatchesAnalyzer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []Method{MethodRoleDiet, MethodDBSCAN, MethodHNSW, MethodDBSCANFloat64, MethodLSH} {
+		for _, m := range []Method{MethodRoleDiet, MethodDBSCAN, MethodHNSW, MethodDBSCANFloat64} {
 			opts := Options{Method: m}
 			inPlace, err := Analyze(ds, opts)
 			if err != nil {

@@ -14,10 +14,10 @@ import (
 
 // TestWorkersParityThroughFacade asserts that requesting parallel
 // execution through the facade leaves the answer unchanged for every
-// deterministic backend: the exact methods and LSH must produce
-// byte-identical groups at any worker count.
+// deterministic backend: the exact methods must produce byte-identical
+// groups at any worker count.
 func TestWorkersParityThroughFacade(t *testing.T) {
-	methods := []Method{MethodRoleDiet, MethodDBSCAN, MethodDBSCANFloat64, MethodLSH}
+	methods := []Method{MethodRoleDiet, MethodDBSCAN, MethodDBSCANFloat64}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 2+r.Intn(40), 1+r.Intn(14), 0.3, r.Intn(6))

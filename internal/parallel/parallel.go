@@ -7,7 +7,7 @@
 // and independent polling means every worker stops within its own
 // stride of a cancellation), collect per-chunk results without shared
 // mutable state, and merge serially at the end. This package hoists
-// that skeleton so dbscan, hnsw, and bitlsh gain the same fan-out with
+// that skeleton so dbscan and hnsw gain the same fan-out with
 // the same cancellation semantics instead of re-deriving it.
 //
 // Progress aggregation across workers goes through Progress, which

@@ -98,6 +98,9 @@ func TestEnvelopeRejectsBadOptions(t *testing.T) {
 		{"unknown method", "/v1/analyze", `{"options":{"method":"kmeans"},"dataset":` + dataset + `}`},
 		{"negative threshold", "/v1/analyze", `{"options":{"threshold":-3},"dataset":` + dataset + `}`},
 		{"unknown method via diff", "/v1/diff", `{"options":{"method":"kmeans"},"before":` + dataset + `,"after":` + dataset + `}`},
+		// lsh is a retired method: it fails as any unknown name does.
+		{"retired method", "/v1/analyze", `{"options":{"method":"lsh"},"dataset":` + dataset + `}`},
+		{"retired method via diff", "/v1/diff", `{"options":{"method":"lsh"},"before":` + dataset + `,"after":` + dataset + `}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -94,7 +94,7 @@
 //
 //   - A bare dataset export (back-compat): the body is the dataset JSON
 //     and analysis options come from query parameters — method
-//     (rolediet|dbscan|hnsw|lsh|dbscan-float64), threshold (int >= 0),
+//     (rolediet|dbscan|hnsw|dbscan-float64), threshold (int >= 0),
 //     workers (int >= 0; >= 2 fans grouping out over that many
 //     goroutines). /v1/query takes user and/or permission selectors;
 //     /v1/diff accepts method/threshold the same way.

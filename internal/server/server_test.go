@@ -421,9 +421,10 @@ func TestDiffEndpoint(t *testing.T) {
 }
 
 // TestRetiredIgnoreEmptyRowsField: "ignoreEmptyRows" has left the
-// options schema. Options keep the result-cache fingerprints they had
-// while it existed, and a body still carrying it is served like one
-// without it, from the same cache line.
+// options schema, and so have the knobs under "lsh". Options keep the
+// result-cache fingerprints they had while those existed, and a body
+// still carrying either is served like one without it, from the same
+// cache line.
 func TestRetiredIgnoreEmptyRowsField(t *testing.T) {
 	for _, tc := range []struct {
 		opts core.Options
@@ -460,8 +461,10 @@ func TestRetiredIgnoreEmptyRowsField(t *testing.T) {
 		return buf.Bytes()
 	}
 	plain := read(`{"options":{"threshold":2},"dataset":`+dataset+`}`, "miss")
-	withField := read(`{"options":{"threshold":2,"group":{"ignoreEmptyRows":true}},"dataset":`+dataset+`}`, "hit")
-	if !bytes.Equal(plain, withField) {
-		t.Fatalf("body with ignoreEmptyRows differs:\n%s\n%s", plain, withField)
+	for _, group := range []string{`{"ignoreEmptyRows":true}`, `{"lsh":{"Tables":4}}`} {
+		withField := read(`{"options":{"threshold":2,"group":`+group+`},"dataset":`+dataset+`}`, "hit")
+		if !bytes.Equal(plain, withField) {
+			t.Fatalf("body with group %s differs:\n%s\n%s", group, plain, withField)
+		}
 	}
 }

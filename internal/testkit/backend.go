@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
-	"repro/internal/cluster/bitlsh"
 	"repro/internal/cluster/dbscan"
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
@@ -95,14 +94,8 @@ func onArena(run func(ctx context.Context, m *bitmat.Matrix, threshold, workers 
 //     percentage points. The parallel build is a valid HNSW graph but
 //     not the serial one link for link, so it carries the same floor,
 //     verified independently.
-//   - lsh with the default 8 tables measured 1.000 at threshold 0 (bit
-//     sampling is exact for identical rows); above the threshold the
-//     per-pair collision probability is tuned to ≈0.94 (see
-//     bitlsh.defaultBits), and chaining recovers most misses. Floor
-//     0.90. The parallel lane reproduces the serial result exactly for
-//     a fixed seed, but it is still approximate relative to the oracle.
 //
-// Lowering either floor requires a matching update to the table in
+// Lowering the floor requires a matching update to the paragraph in
 // EXPERIMENTS.md ("Differential correctness harness").
 func Backends() []Backend {
 	families := []family{
@@ -129,13 +122,6 @@ func Backends() []Backend {
 		})},
 		{name: "hnsw", minRecall: 0.80, run: onArena(func(ctx context.Context, m *bitmat.Matrix, threshold, workers int) ([][]int, error) {
 			res, err := hnsw.Run(ctx, m, hnsw.Options{Threshold: threshold, SearchEf: hnswSearchEf, Workers: workers})
-			if err != nil {
-				return nil, err
-			}
-			return res.Groups, nil
-		})},
-		{name: "lsh", minRecall: 0.90, run: onArena(func(ctx context.Context, m *bitmat.Matrix, threshold, workers int) ([][]int, error) {
-			res, err := bitlsh.Run(ctx, m, bitlsh.Options{Threshold: threshold, Workers: workers})
 			if err != nil {
 				return nil, err
 			}

@@ -175,9 +175,9 @@ func Corpora(full bool) []Corpus {
 			Name: fmt.Sprintf("norm-boundary-k%d", k),
 			Gen:  func() ([]*bitvec.Vector, error) { return normBoundaryRows(int64(200+k), 96, k, 12), nil },
 			// The corpus exists to catch off-by-ones in the exact kernels'
-			// pruning; every planted pair sits at distance exactly k — the
-			// minimum collision probability an LSH table can offer — so the
-			// probabilistic recall floor is statistically meaningless here.
+			// pruning; every planted pair sits at distance exactly k, so
+			// an approximate search is at its weakest and the recall floor
+			// is statistically meaningless here.
 			RelaxedRecall: true,
 			Threshold:     k,
 		})

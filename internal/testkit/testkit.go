@@ -8,9 +8,10 @@
 // partition for any row set and threshold, a backend registry runs every
 // clustering implementation over seeded corpora from internal/gen, and
 // the results are compared — exact backends (rolediet and dbscan, serial
-// and parallel) must reproduce the oracle partition bit for bit, approximate
-// backends (hnsw, bitlsh) must stay above documented recall floors and
-// may never invent a pair the oracle does not have.
+// and parallel) must reproduce the oracle partition bit for bit, the
+// approximate backend (hnsw, serial and parallel) must stay above its
+// documented recall floor and may never invent a pair the oracle does
+// not have.
 //
 // When a comparison fails, the harness prints the corpus seed and
 // parameters so the run is reproducible, then shrinks the counterexample
