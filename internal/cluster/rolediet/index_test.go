@@ -5,10 +5,13 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestColIndexMatchesPostingLists compares buildColIndex's flat postings
-// and offsets with naive per-column posting lists, for one, two and
+// and offsets with naive per-column posting lists, and its per-worker
+// cursors with where each worker's rows begin, for one, two and
 // four workers: on no rows, on columns no row holds, on a column every
 // row holds, and on random rows that emit their columns in shuffled
 // order.
@@ -44,6 +47,9 @@ func TestColIndexMatchesPostingLists(t *testing.T) {
 		}
 		cases = append(cases, m)
 	}
+	// One workspace serves every build, as the pool has runs share
+	// one, so a build that read an earlier build's arrays fails here.
+	ws := new(workspace)
 	for _, m := range cases {
 		want := make([][]int32, m.width)
 		for i, row := range m.rows {
@@ -60,13 +66,22 @@ func TestColIndexMatchesPostingLists(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 4} {
-			flat, start := buildColIndex(len(m.rows), m.width, workers, rowCols)
+			flat, start, first := ws.buildColIndex(len(m.rows), m.width, workers, rowCols)
 			if len(start) != m.width+1 || start[0] != 0 || int(start[m.width]) != len(flat) {
 				t.Fatalf("%s, %d workers: offsets %v for %d postings", m.name, workers, start, len(flat))
 			}
 			for j := range want {
 				if got := flat[start[j]:start[j+1]]; !slices.Equal(got, want[j]) {
 					t.Fatalf("%s, %d workers: column %d holds %v, want %v", m.name, workers, j, got, want[j])
+				}
+			}
+			// Each worker's cursor sits at its chunk's first posting.
+			for w, c := range parallel.SplitRange(len(m.rows), parallel.Workers(workers, len(m.rows))) {
+				for j := range want {
+					at, _ := slices.BinarySearch(want[j], int32(c.Lo))
+					if got := first[w*m.width+j]; int(got) != int(start[j])+at {
+						t.Fatalf("%s, %d workers: worker %d starts column %d at %d, want %d", m.name, workers, w, j, got, int(start[j])+at)
+					}
 				}
 			}
 		}

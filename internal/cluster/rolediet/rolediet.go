@@ -91,6 +91,9 @@ type Result struct {
 //
 // The hot loops poll ctx every few thousand rows / co-occurrence
 // expansions and abort with ctx.Err(), discarding partial groups.
+//
+// The run's working arrays come from a pool and go back to it once the
+// run succeeds, so repeated runs allocate little beyond their Result.
 func Run(ctx context.Context, cols int, rows [][]int32, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -101,22 +104,29 @@ func Run(ctx context.Context, cols int, rows [][]int32, opts Options) (*Result, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ws := getWorkspace()
+	return ws.done(ws.run(ctx, cols, rows, opts))
+}
+
+// run is Run's grouping pass over ws's arrays.
+func (ws *workspace) run(ctx context.Context, cols int, rows [][]int32, opts Options) (*Result, error) {
 	if opts.Threshold == 0 && !opts.DisableExactHashFastPath {
-		keys := columnKeys(cols)
-		return exactGroupsFlat(ctx, opts.Progress, len(rows),
+		keys := ws.columnKeys(cols)
+		return ws.exactGroupsFlat(ctx, opts.Progress, len(rows),
 			func(i int) uint64 { return hashRow(rows[i], keys) },
 			func(i, j int) bool { return slices.Equal(rows[i], rows[j]) })
 	}
-	norms := make([]int, len(rows))
+	norms := resize(ws.norms, len(rows))
 	for i, r := range rows {
 		norms[i] = len(r)
 	}
+	ws.norms = norms
 	rowCols := func(i int, emit func(col int)) {
 		for _, j := range rows[i] {
 			emit(int(j))
 		}
 	}
-	return similarGroups(ctx, cols, norms, rowCols, opts)
+	return ws.similarGroups(ctx, cols, norms, rowCols, opts)
 }
 
 // GroupsMat is Run over a bit-matrix arena instead of sparse rows: row
@@ -131,27 +141,33 @@ func GroupsMat(m *bitmat.Matrix, opts Options) (*Result, error) {
 		return &Result{}, nil
 	}
 	ctx := context.Background()
+	ws := getWorkspace()
 	if opts.Threshold == 0 && !opts.DisableExactHashFastPath {
-		return exactGroupsFlat(ctx, opts.Progress, m.Rows(), m.RowHash, m.RowEqual)
+		return ws.done(ws.exactGroupsFlat(ctx, opts.Progress, m.Rows(), m.RowHash, m.RowEqual))
 	}
-	norms := make([]int, m.Rows())
+	norms := resize(ws.norms, m.Rows())
 	for i, v := range m.Norms() {
 		norms[i] = int(v)
 	}
-	return similarGroups(ctx, m.Cols(), norms, matRowCols(m), opts)
+	ws.norms = norms
+	return ws.done(ws.similarGroups(ctx, m.Cols(), norms, matRowCols(m), opts))
 }
 
-// columnKeys draws one pseudo-random 64-bit key per column: the
-// splitmix64 finalizer of the column index.
-func columnKeys(cols int) []uint64 {
-	keys := make([]uint64, cols)
-	for j := range keys {
-		z := uint64(j) + 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		keys[j] = z ^ (z >> 31)
+// columnKeys returns one pseudo-random 64-bit key per column: the
+// splitmix64 finalizer of the column index. The workspace's table is
+// extended to cols, never rebuilt. A table beats computing the key
+// inline, which made the exact pass at 10,000 roles about 40% slower.
+func (ws *workspace) columnKeys(cols int) []uint64 {
+	if have := len(ws.keys); have < cols {
+		ws.keys = slices.Grow(ws.keys, cols-have)[:cols]
+		for j := have; j < cols; j++ {
+			z := uint64(j) + 0x9e3779b97f4a7c15
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			ws.keys[j] = z ^ (z >> 31)
+		}
 	}
-	return keys
+	return ws.keys[:cols]
 }
 
 // hashRow hashes a row's column set as the sum of its columns' keys
@@ -174,11 +190,12 @@ const groupStride = 1024
 // exactGroupsFlat buckets rows by hash and splits buckets by true
 // equality (so hash collisions can never merge distinct rows), with the
 // per-bucket state held in flat int32 chain arrays instead of per-bucket
-// heap objects: one map entry per distinct hash plus four fixed arrays,
-// versus the old map-of-struct layout's per-row slice churn. hash and
-// equal abstract the row storage — the arena's word compares for the
-// dense path, sorted column lists for sparse rows.
-func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, hash func(i int) uint64, equal func(i, j int) bool) (*Result, error) {
+// heap objects: one map entry per distinct hash plus the chain arrays,
+// all the workspace's, versus the old map-of-struct layout's per-row
+// slice churn. hash and equal abstract the row storage — the arena's
+// word compares for the dense path, sorted column lists for sparse
+// rows.
+func (ws *workspace) exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, hash func(i int) uint64, equal func(i, j int) bool) (*Result, error) {
 	const none = int32(-1)
 	chk := ctxcheck.New(ctx, groupStride)
 	prog := parallel.NewProgress(progFn, n, 1)
@@ -187,9 +204,13 @@ func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, h
 	// repNext chains further representatives (distinct rows, same hash)
 	// in insertion order, so PairsExamined counts exactly the
 	// comparisons the old bucket walk made.
-	heads := make(map[uint64]int32, n)
-	repNext := make([]int32, n)
-	rep := make([]int32, n)
+	if ws.heads == nil {
+		ws.heads = make(map[uint64]int32, n)
+	}
+	heads := ws.heads
+	clear(heads)
+	repNext, rep := resize(ws.repNext, n), resize(ws.rep, n)
+	ws.repNext, ws.rep = repNext, rep
 	pairs := 0
 	for i := 0; i < n; i++ {
 		if err := chk.Tick(); err != nil {
@@ -221,21 +242,23 @@ func exactGroupsFlat(ctx context.Context, progFn func(done, total int), n int, h
 		}
 	}
 	prog.Finish()
-	return &Result{Groups: groupsOf(n, func(i int) int { return int(rep[i]) }), PairsExamined: pairs}, nil
+	return &Result{Groups: ws.groupsOf(n, func(i int) int { return int(rep[i]) }), PairsExamined: pairs}, nil
 }
 
 // groupsOf materialises the classes of two rows or more of a partition
 // of n rows, root(i) being row i's class representative in [0, n). A
-// counting pass sizes each group, so each is allocated once, at its
-// size. Walking rows in ascending order yields ascending members per
-// group and groups ordered by their smallest member.
-func groupsOf(n int, root func(i int) int) [][]int {
+// counting pass over the workspace's counters sizes each group, so each
+// is allocated once, at its size. Walking rows in ascending order
+// yields ascending members per group and groups ordered by their
+// smallest member.
+func (ws *workspace) groupsOf(n int, root func(i int) int) [][]int {
 	const none = int32(-1)
-	cnt := make([]int32, n)
+	cnt, gidx := resize(ws.cnt, n), resize(ws.gidx, n)
+	ws.cnt, ws.gidx = cnt, gidx
+	clear(cnt)
 	for i := 0; i < n; i++ {
 		cnt[root(i)]++
 	}
-	gidx := make([]int32, n)
 	for i := range gidx {
 		gidx[i] = none
 	}
@@ -262,31 +285,39 @@ type pair struct {
 // similarGroups is the thresholded grouping pass: union-find
 // connectivity over the "Hamming <= k" relation. Rows are abstracted
 // behind the rowCols accessor, so the dense arena and sparse rows share one
-// inverted index, chunked fan-out, scratch pooling and merge.
+// inverted index, chunked fan-out, workspace and merge.
 //
 // The inverted index is built with the deterministic two-pass layout,
 // then the role range is split into contiguous chunks (one chunk, run
-// on the calling goroutine, at Workers <= 1). Each worker owns a pooled
-// co-occurrence scratch array and emits the qualifying pairs for its
-// chunk; pairs are merged into one union-find at the end. Each worker
-// polls the context independently (checkers are not shared, so the
-// fan-out stays race-free) and abandons its chunk once cancelled; the
-// merge step then discards all partial work and returns ctx.Err().
-func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i int, emit func(col int)), opts Options) (*Result, error) {
+// on the calling goroutine, at Workers <= 1). Each worker owns one of
+// the workspace's co-occurrence scratches and emits the qualifying
+// pairs for its chunk into it. Each posting walk starts past the row,
+// at the worker's cursor into the column, so a row only ever visits its
+// partners j > row. Pairs are merged into the workspace's union-find
+// at the end. Each worker polls the context independently (checkers
+// are not shared, so the fan-out stays race-free) and abandons its
+// chunk once cancelled; the merge step then discards all partial work
+// and returns ctx.Err().
+func (ws *workspace) similarGroups(ctx context.Context, width int, norms []int, rowCols func(i int, emit func(col int)), opts Options) (*Result, error) {
 	n, k := len(norms), opts.Threshold
 	chunks := parallel.SplitRange(n, parallel.Workers(opts.Workers, n))
-	postings, start := buildColIndex(n, width, len(chunks), rowCols)
+	postings, start, first := ws.buildColIndex(n, width, len(chunks), rowCols)
 	prog := parallel.NewProgress(opts.Progress, n, len(chunks))
+	if len(ws.diet) < len(chunks) {
+		ws.diet = append(ws.diet, make([]dietScratch, len(chunks)-len(ws.diet))...)
+	}
 
 	// Each worker processes a contiguous chunk of role indices and
-	// collects qualifying pairs locally; no shared mutable state.
-	pairLists := make([][]pair, len(chunks))
+	// collects qualifying pairs in its own scratch; no shared mutable
+	// state.
 	examined := make([]int, len(chunks))
 	err := parallel.ForEachChunk(ctx, chunks, groupStride, func(w int, c parallel.Chunk, chk *ctxcheck.Checker) error {
-		s := getScratch(n)
-		counts, touched := s.counts, s.touched
+		s := ws.scratch(w, n)
+		counts, touched, local := s.counts, s.touched, s.pairs
 		tick := prog.Ticker(w, groupStride)
-		var local []pair
+		// cur[u] is the position of the row being expanded in column
+		// u's postings; the walk starts just past it.
+		cur := first[w*width : (w+1)*width]
 		pairs := 0
 		// One tick per set column: each expands a full posting list,
 		// so per-tick work is substantial and cancellation stays
@@ -305,10 +336,8 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 				return
 			}
 			tick.Tick(row - c.Lo)
-			for _, j := range postings[start[u]:start[u+1]] {
-				if int(j) <= row {
-					continue
-				}
+			cur[u]++
+			for _, j := range postings[cur[u]:start[u+1]] {
 				if counts[j] == 0 {
 					touched = append(touched, j)
 				}
@@ -319,8 +348,8 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 			row = i
 			rowCols(i, expand)
 			if tickErr != nil {
-				// Abandon the chunk, dropping the scratch rather than
-				// pooling it: counts still holds nonzero residue.
+				// Abandon the chunk: counts still holds nonzero
+				// residue, so the run drops its workspace.
 				return tickErr
 			}
 			ni := norms[i]
@@ -336,9 +365,7 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 			touched = touched[:0]
 		}
 		tick.Flush(c.Len())
-		s.touched = touched
-		putScratch(s)
-		pairLists[w] = local
+		s.touched, s.pairs = touched, local
 		examined[w] = pairs
 		return nil
 	})
@@ -348,11 +375,12 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 
 	// Serial merge. Chunks are visited in order, so PairsExamined and
 	// the union sequence do not depend on the worker count.
-	uf := newUnionFind(n)
+	uf := &ws.uf
+	uf.reset(n)
 	total := 0
-	for w, list := range pairLists {
+	for w := range chunks {
 		total += examined[w]
-		for _, p := range list {
+		for _, p := range ws.diet[w].pairs {
 			uf.union(int(p.a), int(p.b))
 		}
 	}
@@ -376,7 +404,7 @@ func similarGroups(ctx context.Context, width int, norms []int, rowCols func(i i
 	}
 
 	prog.Finish()
-	return &Result{Groups: groupsOf(n, uf.find), PairsExamined: total}, nil
+	return &Result{Groups: ws.groupsOf(n, uf.find), PairsExamined: total}, nil
 }
 
 // joinBuckets unions every element of a with every element of b. Since
@@ -413,15 +441,18 @@ type unionFind struct {
 }
 
 func newUnionFind(n int) *unionFind {
-	uf := &unionFind{
-		parent: make([]int, n),
-		size:   make([]int, n),
-	}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
+	uf := new(unionFind)
+	uf.reset(n)
 	return uf
+}
+
+// reset makes u n singletons, reusing its arrays.
+func (u *unionFind) reset(n int) {
+	u.parent, u.size = resize(u.parent, n), resize(u.size, n)
+	for i := range u.parent {
+		u.parent[i] = i
+		u.size[i] = 1
+	}
 }
 
 func (u *unionFind) find(x int) int {

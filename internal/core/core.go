@@ -18,6 +18,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/bitmat"
@@ -200,8 +202,8 @@ type Report struct {
 // NewAnalyzer copies everything the detectors read: the entity IDs, the
 // dataset's shape, and per side the row sums, the column degrees and
 // the non-empty rows. The dataset itself is not retained. The one-shot
-// Analyze and AnalyzeContext read the IDs and rows in place instead
-// (see newAnalyzer).
+// Analyze and AnalyzeContext read the IDs and rows in place instead,
+// with an Analyzer from a pool (see reset).
 type Analyzer struct {
 	ids   ids
 	stats rbac.Stats
@@ -240,28 +242,30 @@ type side struct {
 // copied into one backing array, so later dataset mutations are not
 // observed.
 func NewAnalyzer(d *rbac.Dataset) *Analyzer {
-	return newAnalyzer(d, ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()}, true)
+	a := new(Analyzer)
+	a.reset(d, ids{users: d.Users(), roles: d.Roles(), perms: d.Permissions()}, true)
+	return a
 }
 
-// newAnalyzer builds an analyzer over the given entity IDs. NewAnalyzer
-// passes copies and copyRows; the one-shot Analyze and AnalyzeContext
-// pass the dataset's own ID slices (rbac.Dataset.IDs) and keep its rows
-// in place, which hold for the call because d may not change during
-// it. The report copies the IDs it names.
-func newAnalyzer(d *rbac.Dataset, id ids, copyRows bool) *Analyzer {
-	return &Analyzer{
-		ids:   id,
-		stats: d.Stats(),
-		ruam:  newSide(d.NumRoles(), d.NumUsers(), d.RoleUserRow, copyRows),
-		rpam:  newSide(d.NumRoles(), d.NumPermissions(), d.RolePermissionRow, copyRows),
-	}
+// reset points a at d and the given entity IDs, reusing a's arrays.
+// NewAnalyzer passes copies and copyRows; the one-shot Analyze and
+// AnalyzeContext pass the dataset's own ID slices (rbac.Dataset.IDs)
+// and keep its rows in place, which hold for the call because d may not
+// change during it. The report copies the IDs it names.
+func (a *Analyzer) reset(d *rbac.Dataset, id ids, copyRows bool) {
+	a.ids, a.stats = id, d.Stats()
+	a.ruam.reset(d.NumRoles(), d.NumUsers(), d.RoleUserRow, copyRows)
+	a.rpam.reset(d.NumRoles(), d.NumPermissions(), d.RolePermissionRow, copyRows)
 }
 
-// newSide counts one assignment matrix of n rows, cols wide, and keeps
-// its non-empty rows: in place, or copied into one backing array when
-// copyRows is set.
-func newSide(n, cols int, row func(ri int) []int32, copyRows bool) side {
-	s := side{counts: counts{rowSums: make([]int32, n), colDeg: make([]int32, cols)}, cols: cols}
+// reset counts one assignment matrix of n rows, cols wide, into s's
+// arrays, grown as needed, and keeps its non-empty rows: in place, or
+// copied into one new backing array when copyRows is set.
+func (s *side) reset(n, cols int, row func(ri int) []int32, copyRows bool) {
+	s.cols = cols
+	s.rowSums = slices.Grow(s.rowSums[:0], n)[:n]
+	s.colDeg = slices.Grow(s.colDeg[:0], cols)[:cols]
+	clear(s.colDeg)
 	kept, nnz := 0, 0
 	for ri := 0; ri < n; ri++ {
 		r := row(ri)
@@ -278,8 +282,8 @@ func newSide(n, cols int, row func(ri int) []int32, copyRows bool) side {
 	if copyRows {
 		flat = make([]int32, 0, nnz)
 	}
-	s.rows = make([][]int32, 0, kept)
-	s.remap = make([]int32, 0, kept)
+	s.rows = slices.Grow(s.rows[:0], kept)
+	s.remap = slices.Grow(s.remap[:0], kept)
 	for ri := 0; ri < n; ri++ {
 		r := row(ri)
 		if len(r) == 0 {
@@ -292,7 +296,6 @@ func newSide(n, cols int, row func(ri int) []int32, copyRows bool) side {
 		s.rows = append(s.rows, r)
 		s.remap = append(s.remap, int32(ri))
 	}
-	return s
 }
 
 // Analyze runs every enabled detector and assembles the report.
@@ -471,5 +474,25 @@ func Analyze(d *rbac.Dataset, opts Options) (*Report, error) {
 // returns: the analysis reads its ID slices and rows in place.
 func AnalyzeContext(ctx context.Context, d *rbac.Dataset, opts Options) (*Report, error) {
 	users, roles, perms := d.IDs()
-	return newAnalyzer(d, ids{users: users, roles: roles, perms: perms}, false).AnalyzeContext(ctx, opts)
+	a := analyzerPool.Get().(*Analyzer)
+	a.reset(d, ids{users: users, roles: roles, perms: perms}, false)
+	rep, err := a.AnalyzeContext(ctx, opts)
+	a.release()
+	return rep, err
+}
+
+// analyzerPool recycles the one-shot AnalyzeContext's analyzers, so
+// one call's per-side arrays (row sums, column degrees, kept rows and
+// remap) serve the next. NewAnalyzer's analyzers outlive the call and
+// are never pooled.
+var analyzerPool = sync.Pool{New: func() any { return new(Analyzer) }}
+
+// release drops a's references into the dataset it analysed, its ID
+// slices and kept rows, so an idle pool keeps no dataset alive, and
+// pools it. The report shares none of a's arrays.
+func (a *Analyzer) release() {
+	a.ids = ids{}
+	clear(a.ruam.rows)
+	clear(a.rpam.rows)
+	analyzerPool.Put(a)
 }

@@ -246,3 +246,10 @@ func TestAnalyzeInPlaceMatchesAnalyzer(t *testing.T) {
 		}
 	}
 }
+
+// newSide is a side counted into fresh arrays.
+func newSide(n, cols int, row func(ri int) []int32, copyRows bool) side {
+	var s side
+	s.reset(n, cols, row, copyRows)
+	return s
+}

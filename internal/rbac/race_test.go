@@ -1,0 +1,7 @@
+//go:build race
+
+package rbac_test
+
+// raceEnabled gates the allocation guard: under the race detector
+// sync.Pool drops Puts at random.
+const raceEnabled = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -28,7 +29,9 @@ const maxDepth = 10000
 // endpoints are looked up without a copy. An ID array is gathered in
 // fixed-size blocks of scratch, reused for all three arrays, and each
 // kind's ID slice and index are then allocated once, at their final
-// size. Entity insertion order per kind is the array order, so the
+// size. The scanner, its refill buffer and its scratch blocks come from
+// a pool, so one call's scratch serves the next; the dataset never
+// shares memory with it. Entity insertion order per kind is the array order, so the
 // digest of the result is that of the exported dataset. Unknown fields
 // are skipped in bounded memory but still checked against the JSON
 // grammar.
@@ -75,7 +78,17 @@ func ReadJSONStream(r io.Reader) (*Dataset, error) { return ReadJSON(r) }
 type edge struct{ role, other string }
 
 func readDataset(r io.Reader) (*Dataset, error) {
-	s := &scanner{r: r}
+	s := scannerPool.Get().(*scanner)
+	defer func() {
+		s.reset()
+		scannerPool.Put(s)
+	}()
+	return s.read(r)
+}
+
+// read decodes one dataset from r. s must be fresh or reset.
+func (s *scanner) read(r io.Reader) (*Dataset, error) {
+	s.r = r
 	d := NewDataset()
 	c, err := s.peek()
 	if err != nil {
@@ -173,7 +186,10 @@ func readDataset(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// idBlock is the length of one block of the decoder's ID scratch.
+// idBlock is the length of one block of the decoder's ID scratch. Fixed
+// blocks, unlike one slice grown by append, are never copied as an
+// array outgrows them, so a decode on a cold pool allocates the scratch
+// once.
 const idBlock = 4096
 
 // readIDs consumes one array of entity IDs (or null) into *ids and its
@@ -302,8 +318,33 @@ type scanner struct {
 	raw, str, keyBuf, role, other []byte
 	// ids holds the entity IDs of the array being read, idBlock to a
 	// block; the blocks serve the users, roles and permissions arrays
-	// in turn.
+	// in turn, and later reads.
 	ids [][]string
+}
+
+// scannerPool recycles scanners across ReadJSON calls, so the refill
+// buffer and the scratch, sized by the largest arrays decoded, are not
+// allocated again per call.
+var scannerPool = sync.Pool{New: func() any { return new(scanner) }}
+
+// maxPooledBytes bounds the byte scratch a pooled scanner keeps: one
+// huge string literal should not stay pinned in an idle pool.
+const maxPooledBytes = 1 << 20
+
+// reset readies s for another read, keeping its buffers. It drops the
+// reader and clears every ID string the scratch still points to, so an
+// idle pool keeps no decoded (or since deleted) dataset's IDs alive,
+// however the read ended.
+func (s *scanner) reset() {
+	for _, b := range s.ids {
+		clear(b)
+	}
+	s.r, s.rerr, s.pos, s.end, s.depth = nil, nil, 0, 0, 0
+	for _, b := range []*[]byte{&s.raw, &s.str, &s.keyBuf, &s.role, &s.other} {
+		if cap(*b) > maxPooledBytes {
+			*b = nil
+		}
+	}
 }
 
 // fill refills an exhausted buffer, reporting whether a byte is ready.

@@ -222,6 +222,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -746,6 +747,11 @@ func queryOptions(r *http.Request) (core.Options, error) {
 // bytes arrive.
 const bodyPresize = 8 << 20
 
+// bodyPool recycles decodeRequest's body buffers, which no parse result
+// references, so each request does not allocate its body afresh. A
+// buffer past bodyPresize is dropped rather than pinned by the pool.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // readBody drains the request body through bodyStream, so it shares
 // the upload path's size cap, decompression and error codes. The buffer
 // starts at the declared Content-Length (within MaxBodyBytes and
@@ -754,12 +760,18 @@ const bodyPresize = 8 << 20
 // io.ReadAll alone grows a large body 1.25× at a time, allocating about
 // five times it.
 func (h *handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	return h.readBodyInto(w, r, nil)
+}
+
+// readBodyInto is readBody reading into buf's array when it is large
+// enough for the presize.
+func (h *handler) readBodyInto(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
 	rd, closeBody, ok := h.bodyStream(w, r, h.opts.MaxBodyBytes)
 	if !ok {
 		return nil, false
 	}
 	defer closeBody()
-	body := make([]byte, 0, max(min(r.ContentLength, h.opts.MaxBodyBytes, bodyPresize)+1, 512))
+	body := slices.Grow(buf[:0], int(max(min(r.ContentLength, h.opts.MaxBodyBytes, bodyPresize)+1, 512)))
 	for {
 		n, err := rd.Read(body[len(body):cap(body)])
 		body = body[:len(body)+n]
@@ -891,7 +903,15 @@ func (h *handler) decodeRequest(w http.ResponseWriter, r *http.Request) (*v1Requ
 		writeError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
-	body, ok := h.readBody(w, r)
+	buf := bodyPool.Get().(*[]byte)
+	body, ok := h.readBodyInto(w, r, *buf)
+	defer func() {
+		// Every parse below copies what it keeps out of body.
+		if body != nil && cap(body) <= bodyPresize {
+			*buf = body[:0]
+		}
+		bodyPool.Put(buf)
+	}()
 	if !ok {
 		return nil, false
 	}
