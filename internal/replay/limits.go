@@ -43,16 +43,15 @@ func (l Limits) withDefaults() Limits {
 // ReadLogLimited decodes a JSONL event stream, validating every event
 // and enforcing lim. Exceeding either bound fails with an error
 // wrapping ErrLogTooLarge; memory use is bounded by the limits however
-// large the stream is.
+// large the stream is, and grows with the longest line actually read.
 func ReadLogLimited(r io.Reader, lim Limits) ([]Event, error) {
 	lim = lim.withDefaults()
 	var out []Event
 	sc := bufio.NewScanner(r)
-	buf := lim.MaxLineBytes
-	if buf > 64*1024 {
-		buf = 64 * 1024
-	}
-	sc.Buffer(make([]byte, 0, buf), lim.MaxLineBytes)
+	// No starting buffer: the scanner starts at 4 KiB and doubles up to
+	// MaxLineBytes only for a line that needs it, so a batch of a few
+	// events costs a few KiB rather than a buffer sized for the limit.
+	sc.Buffer(nil, lim.MaxLineBytes)
 	line := 0
 	for sc.Scan() {
 		line++

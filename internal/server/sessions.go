@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -207,13 +206,8 @@ func (h *handler) sessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	applied, aerr := s.Apply(events)
-	if applied > 0 {
-		var buf bytes.Buffer
-		if werr := replay.WriteLog(&buf, events[:applied]); werr == nil {
-			if perr := h.store.AppendSessionLog(s.ID(), buf.Bytes()); perr != nil {
-				h.opts.Logf("session %s: append log: %v", s.ID(), perr)
-			}
-		}
+	if err := h.store.AppendSessionLog(s.ID(), events[:applied]); err != nil {
+		h.opts.Logf("session %s: append log: %v", s.ID(), err)
 	}
 	if aerr != nil {
 		writeError(w, http.StatusUnprocessableEntity,

@@ -27,21 +27,54 @@ func permRows(ds *rbac.Dataset) rows {
 // keeps the hash order-independent and updatable in O(1) per edge, and
 // hashing ids rather than indices keeps it stable when rbac shifts
 // indices on a removal. Equal sets share a bucket; unequal sets share
-// one only by collision, which groups splits away.
+// one only by collision, which split separates. A role whose set is
+// empty keeps its hash but sits in no bucket: it never groups (the
+// framework files it under class 2), and at paper scale those roles
+// would make the empty set's bucket the largest one to split.
+//
+// The index also keeps the side's duplicate groups current between
+// audits. exact caches each bucket's groups, listing publishes all of
+// them in SortGroups order, and dirty holds the hashes whose bucket
+// add or remove changed since the last audit, so an audit splits only
+// those buckets. A published group or listing is never written again:
+// a changed bucket gets fresh groups and the listing is rebuilt
+// copy-on-write, so a caller may read an earlier audit while the
+// session moves on.
 type bucketIndex struct {
+	ds   *rbac.Dataset
+	side rows
+
 	hash    map[rbac.RoleID]uint64
 	buckets map[uint64][]rbac.RoleID
+
+	exact   map[uint64][][]rbac.RoleID
+	listing [][]rbac.RoleID // nil until the first audit's full pass
+	dirty   map[uint64]struct{}
+
+	// Scratch reused across audits.
+	members     []int
+	gone, fresh [][]rbac.RoleID
 }
 
-// newBucketIndex hashes every role's row on one side of ds.
+// newBucketIndex hashes every role's row on one side of ds. It leaves
+// the groups to the first audit.
 func newBucketIndex(ds *rbac.Dataset, side rows) bucketIndex {
 	x := bucketIndex{
+		ds:      ds,
+		side:    side,
 		hash:    make(map[rbac.RoleID]uint64, ds.NumRoles()),
 		buckets: make(map[uint64][]rbac.RoleID),
+		exact:   make(map[uint64][][]rbac.RoleID),
+		dirty:   make(map[uint64]struct{}),
 	}
 	for ri := 0; ri < ds.NumRoles(); ri++ {
+		row := side.row(ri)
+		if len(row) == 0 {
+			x.hash[ds.Role(ri)] = 0
+			continue
+		}
 		var h uint64
-		for _, c := range side.row(ri) {
+		for _, c := range row {
 			h ^= hashID(side.id(c))
 		}
 		x.add(ds.Role(ri), h)
@@ -62,18 +95,39 @@ func hashID(id string) uint64 {
 	return h ^ (h >> 31)
 }
 
+// touch marks bucket h for the next audit. Before the first audit
+// there is nothing to mark: its full pass splits every bucket.
+func (x *bucketIndex) touch(h uint64) {
+	if x.listing != nil {
+		x.dirty[h] = struct{}{}
+	}
+}
+
+// add files role r, whose set is not empty, in bucket h.
 func (x *bucketIndex) add(r rbac.RoleID, h uint64) {
 	x.hash[r] = h
 	x.buckets[h] = append(x.buckets[h], r)
+	x.touch(h)
+}
+
+// file records role r's hash as the dataset now has it: in bucket h,
+// or, when its set is empty, in no bucket.
+func (x *bucketIndex) file(r rbac.RoleID, h uint64) {
+	if ri, _ := x.ds.RoleIndex(r); len(x.side.row(ri)) == 0 {
+		x.hash[r] = h
+		return
+	}
+	x.add(r, h)
 }
 
 // remove forgets a role and returns the hash it carried.
 func (x *bucketIndex) remove(r rbac.RoleID) uint64 {
 	h := x.hash[r]
 	delete(x.hash, r)
-	b := x.buckets[h]
-	// Scan from the end: a role added and then assigned sits last in
-	// the empty-set bucket.
+	b, ok := x.buckets[h]
+	if !ok {
+		return h
+	}
 	for i := len(b) - 1; i >= 0; i-- {
 		if b[i] == r {
 			last := len(b) - 1
@@ -87,49 +141,111 @@ func (x *bucketIndex) remove(r rbac.RoleID) uint64 {
 	} else {
 		x.buckets[h] = b
 	}
+	x.touch(h)
 	return h
 }
 
-// toggle moves a role whose set gained or lost the column hashing to w.
+// toggle moves a role whose set gained or lost the column hashing to
+// w. The dataset must already hold the role's new set.
 func (x *bucketIndex) toggle(r rbac.RoleID, w uint64) {
-	x.add(r, x.remove(r)^w)
+	x.file(r, x.remove(r)^w)
 }
 
-// groups splits every multi-role bucket into exact groups by the
-// paper's test run on ds's rows: roles i and j are one group iff
-// |Rⁱ| = g⁽ⁱ'ʲ⁾ = |Rʲ|, which for sorted rows is plain row equality.
-// Empty rows are skipped: the framework files them under class 2, not
-// class 4. Groups come out in SortGroups order.
-func (x *bucketIndex) groups(ds *rbac.Dataset, side rows) [][]rbac.RoleID {
-	out := [][]rbac.RoleID{}
-	var members []int
-	for _, b := range x.buckets {
-		if len(b) < 2 {
+// groups returns the side's duplicate groups in SortGroups order. The
+// first call splits every bucket; later calls split only the buckets
+// touched since the previous call and rebuild the listing only when
+// some bucket's groups changed. The result is shared and read-only.
+func (x *bucketIndex) groups() [][]rbac.RoleID {
+	if x.listing == nil {
+		x.listing = [][]rbac.RoleID{}
+		for h, b := range x.buckets {
+			if g := x.split(b); g != nil {
+				x.exact[h] = g
+				x.listing = append(x.listing, g...)
+			}
+		}
+		slices.SortFunc(x.listing, compareLeads)
+		clear(x.dirty)
+		return x.listing
+	}
+	for h := range x.dirty {
+		old, now := x.exact[h], x.split(x.buckets[h])
+		if slices.EqualFunc(old, now, slices.Equal[[]rbac.RoleID]) {
 			continue
 		}
-		members = members[:0]
-		for _, r := range b {
-			if ri, _ := ds.RoleIndex(r); len(side.row(ri)) > 0 {
-				members = append(members, ri)
-			}
-		}
-		for len(members) >= 2 {
-			lead := members[0]
-			group := []rbac.RoleID{ds.Role(lead)}
-			rest := members[:0]
-			for _, ri := range members[1:] {
-				if slices.Equal(side.row(ri), side.row(lead)) {
-					group = append(group, ds.Role(ri))
-				} else {
-					rest = append(rest, ri)
-				}
-			}
-			if len(group) >= 2 {
-				out = append(out, group)
-			}
-			members = rest
+		x.gone = append(x.gone, old...)
+		x.fresh = append(x.fresh, now...)
+		if now == nil {
+			delete(x.exact, h)
+		} else {
+			x.exact[h] = now
 		}
 	}
-	SortGroups(out)
+	clear(x.dirty)
+	if len(x.gone)+len(x.fresh) > 0 {
+		x.listing = x.relist()
+		clear(x.gone)
+		clear(x.fresh)
+		x.gone, x.fresh = x.gone[:0], x.fresh[:0]
+	}
+	return x.listing
+}
+
+// relist builds a new listing: the current one without the gone
+// groups, merged with the fresh ones. Leads are unique within one
+// listing, as a role belongs to at most one group.
+func (x *bucketIndex) relist() [][]rbac.RoleID {
+	slices.SortFunc(x.gone, compareLeads)
+	slices.SortFunc(x.fresh, compareLeads)
+	out := make([][]rbac.RoleID, 0, len(x.listing)-len(x.gone)+len(x.fresh))
+	gone, fresh := x.gone, x.fresh
+	for _, g := range x.listing {
+		// gone is a subsequence of the listing, in its order.
+		if len(gone) > 0 && &gone[0][0] == &g[0] {
+			gone = gone[1:]
+			continue
+		}
+		for len(fresh) > 0 && fresh[0][0] < g[0] {
+			out = append(out, fresh[0])
+			fresh = fresh[1:]
+		}
+		out = append(out, g)
+	}
+	return append(out, fresh...)
+}
+
+// split divides one bucket's roles into exact groups by the paper's
+// test run on the dataset's rows: roles i and j are one group iff
+// |Rⁱ| = g⁽ⁱ'ʲ⁾ = |Rʲ|, which for sorted rows is plain row equality.
+// Groups come out in SortGroups order, nil when there are none.
+func (x *bucketIndex) split(b []rbac.RoleID) [][]rbac.RoleID {
+	if len(b) < 2 {
+		return nil
+	}
+	members := x.members[:0]
+	for _, r := range b {
+		ri, _ := x.ds.RoleIndex(r)
+		members = append(members, ri)
+	}
+	x.members = members
+	var out [][]rbac.RoleID
+	for len(members) >= 2 {
+		lead := members[0]
+		group := []rbac.RoleID{x.ds.Role(lead)}
+		rest := members[:0]
+		for _, ri := range members[1:] {
+			if slices.Equal(x.side.row(ri), x.side.row(lead)) {
+				group = append(group, x.ds.Role(ri))
+			} else {
+				rest = append(rest, ri)
+			}
+		}
+		if len(group) >= 2 {
+			slices.Sort(group)
+			out = append(out, group)
+		}
+		members = rest
+	}
+	slices.SortFunc(out, compareLeads)
 	return out
 }

@@ -1,7 +1,9 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,7 +59,8 @@ func Drift(beforeRef, afterRef string, before, after *rbac.Dataset) (*DriftRepor
 }
 
 // diffGroupSets reports after's groups plus the set difference against
-// before.
+// before. The groups are an audit's, shared and read-only: only the
+// report's own Gained and Lost slices are ordered.
 func diffGroupSets(before, after [][]rbac.RoleID) DriftSide {
 	side := DriftSide{Groups: after, Gained: [][]rbac.RoleID{}, Lost: [][]rbac.RoleID{}}
 	if side.Groups == nil {
@@ -80,8 +83,8 @@ func diffGroupSets(before, after [][]rbac.RoleID) DriftSide {
 			side.Lost = append(side.Lost, g)
 		}
 	}
-	SortGroups(side.Gained)
-	SortGroups(side.Lost)
+	slices.SortFunc(side.Gained, compareLeads)
+	slices.SortFunc(side.Lost, compareLeads)
 	return side
 }
 
@@ -100,12 +103,15 @@ func groupKey(g []rbac.RoleID) string {
 // order; exported for callers normalising engine reports against it.
 func SortGroups(groups [][]rbac.RoleID) {
 	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
+		slices.Sort(g)
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if len(groups[i]) == 0 || len(groups[j]) == 0 {
-			return len(groups[i]) < len(groups[j])
-		}
-		return groups[i][0] < groups[j][0]
-	})
+	slices.SortFunc(groups, compareLeads)
+}
+
+// compareLeads orders groups by first member, an empty group first.
+func compareLeads(a, b []rbac.RoleID) int {
+	if len(a) == 0 || len(b) == 0 {
+		return cmp.Compare(len(a), len(b))
+	}
+	return cmp.Compare(a[0], b[0])
 }

@@ -7,10 +7,16 @@
 // The dataset is the only copy of the graph. The buckets hold a hash
 // per role id; each user or permission contributes a word derived from
 // its id string, so index shifts inside rbac never move a hash. An
-// audit splits each multi-role bucket by the paper's exact-group test
-// run on the dataset's own rows: roles i and j are one group iff
+// audit splits a multi-role bucket by the paper's exact-group test run
+// on the dataset's own rows: roles i and j are one group iff
 // |Rⁱ| = g⁽ⁱ'ʲ⁾ = |Rʲ|. A hash collision therefore never merges
 // distinct roles.
+//
+// Each side caches its buckets' groups and remembers which buckets
+// events touched, so an audit costs the buckets changed since the
+// previous audit plus its output; only a session's first audit splits
+// every bucket. The groups an audit returns are shared with the
+// session and with later audits, and are read-only.
 //
 // A Session is the O(delta) counterpart of core.Analyze's class-4
 // findings: after any event sequence, Audit() returns exactly the
@@ -58,6 +64,10 @@ type Session struct {
 	perms bucketIndex // roles by the hash of their permission set
 
 	applied int // events applied over the session's lifetime
+
+	// The dataset's edge counts, kept by apply so that stats need no
+	// walk over every role's rows.
+	userEdges, permEdges int
 }
 
 // New builds a session over its own clone of base. The digest is
@@ -66,13 +76,15 @@ type Session struct {
 func New(id, digest string, base *rbac.Dataset) *Session {
 	ds := base.Clone()
 	return &Session{
-		id:      id,
-		base:    digest,
-		created: time.Now(),
-		touched: time.Now(),
-		ds:      ds,
-		users:   newBucketIndex(ds, userRows(ds)),
-		perms:   newBucketIndex(ds, permRows(ds)),
+		id:        id,
+		base:      digest,
+		created:   time.Now(),
+		touched:   time.Now(),
+		ds:        ds,
+		users:     newBucketIndex(ds, userRows(ds)),
+		perms:     newBucketIndex(ds, permRows(ds)),
+		userEdges: ds.NumUserAssignments(),
+		permEdges: ds.NumPermissionAssignments(),
 	}
 }
 
@@ -101,14 +113,15 @@ func (s *Session) Apply(events []replay.Event) (applied int, err error) {
 }
 
 // apply runs one event against the dataset and folds it into the
-// buckets. Whatever the buckets need from the pre-event dataset is
-// read first; the buckets move only once the dataset accepted the
+// buckets and the edge counts. Whatever they need from the pre-event
+// dataset is read first; they move only once the dataset accepted the
 // event.
 func (s *Session) apply(e replay.Event) error {
 	var (
 		x       *bucketIndex
 		word    uint64
 		toggled []rbac.RoleID // roles whose set gains or loses the column
+		du, dp  int           // change in the user and permission edge counts
 	)
 	// An assign or revoke changes a set only when the edge is not
 	// already as the event leaves it.
@@ -117,30 +130,40 @@ func (s *Session) apply(e replay.Event) error {
 		x, word = &s.users, hashID(string(e.User))
 		if s.ds.HasAssignment(e.Role, e.User) != (e.Op == replay.OpAssignUser) {
 			toggled = []rbac.RoleID{e.Role}
+			du = edgeDelta(e.Op == replay.OpAssignUser)
 		}
 	case replay.OpAssignPermission, replay.OpRevokePermission:
 		x, word = &s.perms, hashID(string(e.Permission))
 		if s.ds.HasPermission(e.Role, e.Permission) != (e.Op == replay.OpAssignPermission) {
 			toggled = []rbac.RoleID{e.Role}
+			dp = edgeDelta(e.Op == replay.OpAssignPermission)
 		}
 	case replay.OpRemoveUser:
 		x, word = &s.users, hashID(string(e.User))
 		if ui, ok := s.ds.UserIndex(e.User); ok {
 			toggled = s.holders(userRows(s.ds), ui)
+			du = -len(toggled)
 		}
 	case replay.OpRemovePermission:
 		x, word = &s.perms, hashID(string(e.Permission))
 		if pi, ok := s.ds.PermissionIndex(e.Permission); ok {
 			toggled = s.holders(permRows(s.ds), pi)
+			dp = -len(toggled)
+		}
+	case replay.OpRemoveRole:
+		if ri, ok := s.ds.RoleIndex(e.Role); ok {
+			du, dp = -s.ds.NumRoleUsers(ri), -s.ds.NumRolePermissions(ri)
 		}
 	}
 	if err := replay.Apply(s.ds, e); err != nil {
 		return err
 	}
+	s.userEdges += du
+	s.permEdges += dp
 	switch e.Op {
 	case replay.OpAddRole:
-		s.users.add(e.Role, 0)
-		s.perms.add(e.Role, 0)
+		s.users.file(e.Role, 0)
+		s.perms.file(e.Role, 0)
 	case replay.OpRemoveRole:
 		s.users.remove(e.Role)
 		s.perms.remove(e.Role)
@@ -149,6 +172,15 @@ func (s *Session) apply(e replay.Event) error {
 		x.toggle(r, word)
 	}
 	return nil
+}
+
+// edgeDelta is the edge-count change of an assign (+1) or revoke (-1)
+// that toggled its edge.
+func edgeDelta(assign bool) int {
+	if assign {
+		return 1
+	}
+	return -1
 }
 
 // holders lists the roles whose row on one side holds column c, by an
@@ -178,7 +210,15 @@ type Audit struct {
 }
 
 // Audit snapshots the current duplicate groups off the buckets — no
-// engine run, no matrix materialisation.
+// engine run, no matrix materialisation. It splits only the buckets
+// that events touched since the previous audit, so it costs those
+// buckets plus its output.
+//
+// The returned groups are shared: later audits of this session return
+// the same slices for groups that did not change, and nothing writes
+// to them after they are returned, so they may be read or encoded
+// without the session's lock while events keep applying. Callers must
+// not modify them.
 func (s *Session) Audit() Audit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -186,9 +226,20 @@ func (s *Session) Audit() Audit {
 	return Audit{
 		Base:                 s.base,
 		Events:               s.applied,
-		Stats:                s.ds.Stats(),
-		SameUserGroups:       s.users.groups(s.ds, userRows(s.ds)),
-		SamePermissionGroups: s.perms.groups(s.ds, permRows(s.ds)),
+		Stats:                s.stats(),
+		SameUserGroups:       s.users.groups(),
+		SamePermissionGroups: s.perms.groups(),
+	}
+}
+
+// stats is ds.Stats() from the kept edge counts. The caller holds mu.
+func (s *Session) stats() rbac.Stats {
+	return rbac.Stats{
+		Users:                 s.ds.NumUsers(),
+		Roles:                 s.ds.NumRoles(),
+		Permissions:           s.ds.NumPermissions(),
+		UserAssignments:       s.userEdges,
+		PermissionAssignments: s.permEdges,
 	}
 }
 
@@ -217,7 +268,7 @@ func (s *Session) Info() Info {
 		ID:      s.id,
 		Base:    s.base,
 		Events:  s.applied,
-		Stats:   s.ds.Stats(),
+		Stats:   s.stats(),
 		Created: s.created,
 		Touched: s.touched,
 	}

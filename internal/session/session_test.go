@@ -231,48 +231,74 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-// orgBase builds the paper-scaled-down org dataset once per benchmark
-// run.
-func orgBase(b *testing.B) *rbac.Dataset {
+// orgBase builds the org dataset at 1/div of the paper's scale.
+func orgBase(b *testing.B, div int) *rbac.Dataset {
 	b.Helper()
-	ds, _, err := gen.Org(gen.DefaultOrgParams().Scaled(10))
+	ds, _, err := gen.Org(gen.DefaultOrgParams().Scaled(div))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return ds
 }
 
+// oneMutationSizes are the sizes the one-mutation benchmarks compare
+// the two paths at: paper/10 and the paper's own scale.
+var oneMutationSizes = []int{10, 1}
+
+// oneMutation is iteration i's event: an assign, then the revoke of
+// the same edge. Every event changes a role's user set (an assign-only
+// stream turns into no-ops once it wraps around the role and user
+// lists), and the dataset stays the size of the corpus.
+func oneMutation(i int, roles []rbac.RoleID, users []rbac.UserID) replay.Event {
+	k := i / 2
+	e := replay.Event{Op: replay.OpAssignUser, Role: roles[k%len(roles)], User: users[k%len(users)]}
+	if i%2 == 1 {
+		e.Op = replay.OpRevokeUser
+	}
+	return e
+}
+
 // BenchmarkFullReanalysisOneMutation is the batch path for a 1-event
 // delta: mutate the dataset, re-run the engine's class-4 detectors.
 func BenchmarkFullReanalysisOneMutation(b *testing.B) {
-	ds := orgBase(b)
-	users := ds.Users()
-	roles := ds.Roles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := replay.Event{Op: replay.OpAssignUser, Role: roles[i%len(roles)], User: users[i%len(users)]}
-		if err := replay.Apply(ds, e); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.AnalyzeContext(context.Background(), ds, core.Options{SkipSimilar: true}); err != nil {
-			b.Fatal(err)
-		}
+	for _, div := range oneMutationSizes {
+		b.Run(fmt.Sprintf("paper%d", div), func(b *testing.B) {
+			ds := orgBase(b, div)
+			users := ds.Users()
+			roles := ds.Roles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := replay.Apply(ds, oneMutation(i, roles, users)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.AnalyzeContext(context.Background(), ds, core.Options{SkipSimilar: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkIncrementalAuditOneMutation is the session path for the
 // same delta: apply one event to the live index, read the groups off.
+// The session's first audit, its one full pass, runs before the timer.
 func BenchmarkIncrementalAuditOneMutation(b *testing.B) {
-	ds := orgBase(b)
-	s := New("bench", "d", ds)
-	users := ds.Users()
-	roles := ds.Roles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := replay.Event{Op: replay.OpAssignUser, Role: roles[i%len(roles)], User: users[i%len(users)]}
-		if n, err := s.Apply([]replay.Event{e}); err != nil {
-			b.Fatalf("applied %d: %v", n, err)
-		}
-		_ = s.Audit()
+	for _, div := range oneMutationSizes {
+		b.Run(fmt.Sprintf("paper%d", div), func(b *testing.B) {
+			ds := orgBase(b, div)
+			s := New("bench", "d", ds)
+			s.Audit()
+			users := ds.Users()
+			roles := ds.Roles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n, err := s.Apply([]replay.Event{oneMutation(i, roles, users)}); err != nil {
+					b.Fatalf("applied %d: %v", n, err)
+				}
+				_ = s.Audit()
+			}
+		})
 	}
 }

@@ -1,16 +1,19 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/replay"
 )
 
 // Session event-log persistence: each live mutation session appends
-// its accepted JSONL event batches under sessions/<id>.jsonl, so the
-// stream that produced a session's state survives the process (the
-// base digest plus the log replays to the session's dataset). The log
+// its accepted event batches as JSON lines under sessions/<id>.jsonl,
+// so the stream that produced a session's state survives the process
+// (the base digest plus the log replays to the session's dataset). The log
 // is append-only by construction — the server only ever appends the
 // prefix of a batch that applied cleanly.
 //
@@ -29,15 +32,20 @@ func (s *Store) sessionLogPath(id string) (string, error) {
 	return filepath.Join(s.sessionDir(), id+".jsonl"), nil
 }
 
-// AppendSessionLog appends raw JSONL event bytes to the session's
-// persisted log. No-op without persistence.
-func (s *Store) AppendSessionLog(id string, data []byte) error {
-	if s.opts.Dir == "" || len(data) == 0 {
+// AppendSessionLog appends events to the session's persisted log as
+// JSON lines, in one write. No-op without persistence: the events are
+// encoded only when there is a directory to append them to.
+func (s *Store) AppendSessionLog(id string, events []replay.Event) error {
+	if s.opts.Dir == "" || len(events) == 0 {
 		return nil
 	}
 	path, err := s.sessionLogPath(id)
 	if err != nil {
 		return err
+	}
+	var buf bytes.Buffer
+	if err := replay.WriteLog(&buf, events); err != nil {
+		return fmt.Errorf("store: encode session log: %w", err)
 	}
 	if err := os.MkdirAll(s.sessionDir(), 0o755); err != nil {
 		return fmt.Errorf("store: create %s: %w", s.sessionDir(), err)
@@ -46,7 +54,7 @@ func (s *Store) AppendSessionLog(id string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, werr := f.Write(data); werr != nil {
+	if _, werr := f.Write(buf.Bytes()); werr != nil {
 		f.Close()
 		return werr
 	}
